@@ -1,38 +1,31 @@
-"""Bench: replay engine throughput — streaming work-stealing vs baselines.
+"""Bench: replay engine throughput and memory.
 
-Two benches, each printing one machine-greppable ``BENCH {json}`` line
-so the replay-throughput trajectory is tracked across commits
+One pytest bench, printing a machine-greppable ``BENCH {json}`` line so
+the replay-throughput trajectory is tracked across commits
 (``tools/bench_replay.py`` collects the points into
 ``BENCH_replay.json``):
 
 ``replay_throughput``
-    Serial versus the streamed process-pool engine on a mildly skewed
-    multi-tenant trace — the end-to-end scale-up number.
-``replay_skew_stealing``
-    The tentpole comparison: a deliberately skewed trace (one ``hot``
-    tenant with ~10x any other tenant's events) replayed by the legacy
-    static hash-batched engine (``stream=False``) versus the
-    cell-granular work-stealing scheduler.  Static batching strands the
-    hot tenant's shard with extra cells (``max_shard_events`` vs the
-    steal-optimal ``max_cell_events`` is the deterministic headroom);
-    work stealing starts the hot cell first and packs the rest around
-    it.  Both engines must produce byte-identical merged reports.
+    The serial executor versus the work-stealing process pool on a
+    mildly skewed multi-tenant trace — the end-to-end scale-up number.
 
-Engine-vs-engine comparisons run each engine in a *fresh subprocess*
-(``tools/bench_replay.py --engine``): within one process the second
-engine's forked workers inherit the first run's heap (their first
-collections traverse it, unsharing copy-on-write pages), and the RSS
-high-water mark is monotonic — same-process comparison systematically
-penalizes whichever engine runs second.
+The memory-facing points ``tools/bench_replay.py`` records (``memory``,
+``multicore``, ``spill``) replay a deliberately skewed trace (one
+``hot`` tenant with ~10x any other tenant's events) and run each replay
+in a *fresh subprocess* (:func:`replay_subprocess`): within one process
+a second replay's forked workers inherit the first run's heap (their
+first collections traverse it, unsharing copy-on-write pages), and the
+RSS high-water mark is monotonic — same-process comparison
+systematically penalizes whichever run goes second.
 
 Assertions scale with the cores actually available — on a single-core
-runner the comparisons only bound overhead, while at 4+ cores the
-work-stealing engine must clear the 1.3x bar (the ISSUE's acceptance
-criterion).  ``BENCH_REPLAY_SCALE`` scales trace duration (1.0 ~= 900
-events; ~114 gives the 100k-event acceptance trace).
+runner the comparison only bounds overhead.  ``BENCH_REPLAY_SCALE``
+scales trace duration (1.0 ~= 900 events; ~114 gives the 100k-event
+acceptance trace).
 """
 
 import dataclasses
+import hashlib
 import json
 import os
 import subprocess
@@ -41,15 +34,14 @@ import time
 from pathlib import Path
 
 from repro.loadgen.trace import InvocationTrace, synthesize_trace
-from repro.parallel import ReplaySpec, partition_trace, run_parallel_replay
+from repro.parallel import ReplaySpec, run_parallel_replay
 
 SCALE = float(os.environ.get("BENCH_REPLAY_SCALE", "1.0"))
-SHARDS = 4
 WORKERS = 4
 SMALL_TENANTS = 24
 SKEW_SEED = 7
 
-_BENCH_TOOL = Path(__file__).resolve().parent.parent / "tools" / "bench_replay.py"
+_SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def make_skewed_trace(scale: float = None, small_tenants: int = SMALL_TENANTS,
@@ -74,7 +66,7 @@ def make_skewed_trace(scale: float = None, small_tenants: int = SMALL_TENANTS,
 
 
 def throughput_point(scale: float = None) -> dict:
-    """Serial vs streamed-parallel wall clock on a lognormal trace."""
+    """Serial vs pooled wall clock on a lognormal trace."""
     if scale is None:
         scale = SCALE
     trace = synthesize_trace(
@@ -86,9 +78,9 @@ def throughput_point(scale: float = None) -> dict:
     workers = min(WORKERS, cores)
 
     start = time.perf_counter()
-    serial = run_parallel_replay(trace, spec, shards=1, workers=1)
+    serial = run_parallel_replay(trace, spec, workers=1)
     serial_wall = time.perf_counter() - start
-    parallel = run_parallel_replay(trace, spec, shards=SHARDS, workers=workers)
+    parallel = run_parallel_replay(trace, spec, workers=workers)
 
     # Parallelism must never change results: merged reports are identical.
     assert parallel.to_dict() == serial.to_dict()
@@ -99,7 +91,6 @@ def throughput_point(scale: float = None) -> dict:
         "bench": "replay_throughput",
         "events": len(trace),
         "tenants": 8,
-        "shards": SHARDS,
         "workers": workers,
         "cpu_count": cores,
         "serial_wall_s": round(serial_wall, 4),
@@ -110,124 +101,83 @@ def throughput_point(scale: float = None) -> dict:
     }
 
 
-def replay_skewed(stream: bool, scale: float = None, workers: int = WORKERS,
-                  shards: int = SHARDS, record_sink=None):
-    """One skew-bench engine run; returns the merged result."""
-    trace = make_skewed_trace(scale)
-    spec = ReplaySpec(default_app="wc", seed=1, record_sink=record_sink)
-    return run_parallel_replay(
-        trace, spec, shards=shards, workers=workers, stream=stream
+def isolated_replay(scale: float, workers: int,
+                    record_sink: str = "memory") -> dict:
+    """One replay of the skewed trace: events, wall clock, parent peak
+    RSS, and the SHA-256 of the canonical report rendering.  Meant to
+    run alone in a fresh interpreter (:func:`replay_subprocess`)."""
+    from repro.metrics.report import render_json
+    from repro.parallel.sink import RecordSinkSpec
+
+    spec = ReplaySpec(
+        default_app="wc", seed=1,
+        record_sink=(
+            RecordSinkSpec(kind="spill") if record_sink == "spill" else None
+        ),
     )
-
-
-def engine_subprocess(engine: str, scale: float = None,
-                      workers: int = WORKERS, shards: int = SHARDS,
-                      record_sink: str = "memory") -> dict:
-    """Run one engine configuration in a fresh interpreter.
-
-    Returns the ``tools/bench_replay.py --engine`` result dict: events,
-    isolated wall clock and parent peak RSS, and the SHA-256 of the
-    canonical report rendering — identity across configurations is
-    checked by hash, so the subprocess boundary never weakens the
-    byte-identity assertion.
-    """
-    if scale is None:
-        scale = SCALE
-    command = [
-        sys.executable, str(_BENCH_TOOL), "--engine", engine,
-        "--scale", str(scale), "--workers", str(workers),
-        "--shards", str(shards),
-    ]
-    if record_sink != "memory":
-        command += ["--record-sink", record_sink]
-    out = subprocess.run(command, capture_output=True, text=True, check=True)
-    return json.loads(out.stdout.strip().splitlines()[-1])
-
-
-def skew_point(scale: float = None, workers: int = WORKERS) -> dict:
-    """Static-batched vs work-stealing on the skewed trace, one point.
-
-    Each engine runs in a fresh subprocess (see the module docstring) —
-    the wall clocks and RSS marks are clean per-engine measurements,
-    and report identity is checked via the canonical rendering's
-    SHA-256 across the process boundary.
-    """
-    trace = make_skewed_trace(scale)
-    cores = os.cpu_count() or 1
-    batches = partition_trace(trace, SHARDS)
-    shard_loads = [sum(len(cell) for _, cell in batch) for batch in batches]
-    cell_loads = [len(cell) for batch in batches for _, cell in batch]
-    hot_events = sum(1 for e in trace.events if e.tenant == "hot")
-    tenants = len(trace.tenants())
-    del batches
-
-    batched = engine_subprocess("batched", scale, workers)
-    streamed = engine_subprocess("streamed", scale, workers)
-    identical = batched["report_sha256"] == streamed["report_sha256"]
-    speedup = (
-        batched["wall_s"] / streamed["wall_s"]
-        if streamed["wall_s"] > 0 else 0.0
+    result = run_parallel_replay(
+        make_skewed_trace(scale), spec, workers=workers
     )
+    report = render_json(result.to_dict())
     return {
-        "bench": "replay_skew_stealing",
-        "events": len(trace),
-        "tenants": tenants,
-        "hot_events": hot_events,
-        "shards": SHARDS,
-        "workers": workers,
-        "cpu_count": cores,
-        # Deterministic imbalance: the busiest static shard vs the
-        # busiest single cell (= the steal-optimal critical path).
-        "max_shard_events": max(shard_loads),
-        "max_cell_events": max(cell_loads),
-        "batched_wall_s": batched["wall_s"],
-        "streamed_wall_s": streamed["wall_s"],
-        "batched_events_per_s": round(
-            len(trace) / batched["wall_s"] if batched["wall_s"] > 0 else 0.0,
-            2,
-        ),
-        "streamed_events_per_s": round(
-            len(trace) / streamed["wall_s"]
-            if streamed["wall_s"] > 0 else 0.0,
-            2,
-        ),
-        "batched_max_rss_mb": batched["max_rss_mb"],
-        "streamed_max_rss_mb": streamed["max_rss_mb"],
-        "speedup": round(speedup, 3),
-        "identical": identical,
+        "record_sink": record_sink,
+        "events": result.offered,
+        "wall_s": round(result.wall_s, 4),
+        "max_rss_mb": round(result.rss_mb, 1),
+        # Identity across subprocess boundaries: the canonical report
+        # rendering hashed, compared by the parent per comparison point.
+        "report_sha256": hashlib.sha256(report.encode("utf-8")).hexdigest(),
     }
 
 
-def multicore_point(scale: float = None,
-                    configs=((1, 1), (2, 2), (4, 4))) -> dict:
-    """Shards×workers sweep, both engines, each in a fresh subprocess.
+def replay_subprocess(scale: float = None, workers: int = WORKERS,
+                      record_sink: str = "memory") -> dict:
+    """:func:`isolated_replay` in a fresh interpreter, so wall clock and
+    the monotonic RSS high-water mark belong to that one replay — and
+    report identity is still checked by hash across the boundary."""
+    if scale is None:
+        scale = SCALE
+    code = (
+        "import json, runpy, sys; "
+        "bench = runpy.run_path(sys.argv[1]); "
+        "print(json.dumps(bench['isolated_replay'](*json.loads(sys.argv[2]))))"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(_SRC), env.get("PYTHONPATH")])
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code, __file__,
+         json.dumps([scale, workers, record_sink])],
+        capture_output=True, text=True, check=True, env=env,
+    )
+    return json.loads(out.stdout.strip().splitlines()[-1])
 
-    One point with a ``sweep`` row per ``(shards, workers)`` pair; the
-    report SHA-256 must be identical across every engine and
-    configuration — the sweep doubles as the shard/worker-invariance
-    check at benchmark scale.
+
+def multicore_point(scale: float = None, worker_counts=(1, 2, 4)) -> dict:
+    """Worker-count sweep over the skewed trace, each in a fresh
+    subprocess.
+
+    One point with a ``sweep`` row per worker count; the report SHA-256
+    must be identical across every row — the sweep doubles as the
+    worker-invariance check at benchmark scale.
     """
-    cores = os.cpu_count() or 1
     rows = []
     hashes = set()
     events = None
-    for shards, workers in configs:
-        batched = engine_subprocess("batched", scale, workers, shards)
-        streamed = engine_subprocess("streamed", scale, workers, shards)
-        hashes.update((batched["report_sha256"], streamed["report_sha256"]))
-        events = streamed["events"]
+    for workers in worker_counts:
+        run = replay_subprocess(scale, workers)
+        hashes.add(run["report_sha256"])
+        events = run["events"]
         rows.append({
-            "shards": shards,
             "workers": workers,
-            "batched_wall_s": batched["wall_s"],
-            "streamed_wall_s": streamed["wall_s"],
-            "batched_max_rss_mb": batched["max_rss_mb"],
-            "streamed_max_rss_mb": streamed["max_rss_mb"],
+            "wall_s": run["wall_s"],
+            "max_rss_mb": run["max_rss_mb"],
         })
     point = {
         "bench": "replay_multicore",
         "events": events,
-        "cpu_count": cores,
+        "cpu_count": os.cpu_count() or 1,
         "sweep": rows,
         "identical": len(hashes) == 1,
     }
@@ -236,7 +186,7 @@ def multicore_point(scale: float = None,
 
 
 def spill_point(scale: float = None, workers: int = WORKERS) -> dict:
-    """Streamed-engine parent peak RSS: in-memory vs disk-spill sink.
+    """Pooled replay's parent peak RSS: in-memory vs disk-spill sink.
 
     Both runs are fresh subprocesses over the same skewed trace; the
     reports must be byte-identical (SHA-256 of the canonical
@@ -244,10 +194,8 @@ def spill_point(scale: float = None, workers: int = WORKERS) -> dict:
     must hold parent peak RSS strictly below the in-memory sink's —
     the CI gate that keeps "bounded memory" honest.
     """
-    memory = engine_subprocess("streamed", scale, workers)
-    spill = engine_subprocess(
-        "streamed", scale, workers, record_sink="spill"
-    )
+    memory = replay_subprocess(scale, workers)
+    spill = replay_subprocess(scale, workers, record_sink="spill")
     point = {
         "bench": "replay_spill_rss",
         "events": memory["events"],
@@ -281,25 +229,3 @@ def test_bench_replay_throughput(benchmark):
     else:
         # Single core: no speedup possible; bound the pool overhead.
         assert point["parallel_wall_s"] < point["serial_wall_s"] * 3.0, point
-
-
-def test_bench_replay_skew_stealing(benchmark):
-    point = benchmark.pedantic(skew_point, rounds=1, iterations=1)
-    print("BENCH " + json.dumps(point, sort_keys=True))
-    benchmark.extra_info.update(point)
-
-    # Scheduling must never leak into results, at any core count.
-    assert point["identical"], point
-    # The skew must be real, or the comparison measures nothing: the
-    # busiest static shard carries the hot cell plus strays.
-    assert point["max_cell_events"] * 1.5 < point["max_shard_events"], point
-    cores = point["cpu_count"]
-    if cores >= 4:
-        # The ISSUE acceptance bar: work stealing beats static batching
-        # by >= 1.3x on the skewed trace at 4 workers.
-        assert point["speedup"] >= 1.3, point
-    elif cores >= 2:
-        assert point["speedup"] >= 1.1, point
-    else:
-        # Single core: same work either way; bound scheduling overhead.
-        assert point["streamed_wall_s"] < point["batched_wall_s"] * 1.5, point

@@ -5,7 +5,7 @@ One entry point for everything the reproduction can do::
     repro run --app wc --system dataflower --arrivals constant:60:20
     repro run --app ml_ensemble --format json \\
         --arrivals trace:examples/traces/mixed_tenants.csv
-    repro replay examples/traces/mixed_tenants.csv --shards 4 --workers 4
+    repro replay examples/traces/mixed_tenants.csv --workers 4
     repro synth --tenants 16 --duration-s 120 --mean-rpm 30 \\
         --apps wc,etl --seed 7 --output big.csv
     repro experiments fig11 --scale 0.25
@@ -29,13 +29,12 @@ Installed as a ``console_scripts`` entry (``repro``) and runnable as
       (see :mod:`repro.loadgen.trace`).
 
 ``replay``
-    Streaming parallel trace replay (:mod:`repro.parallel`): partition a
-    trace into cells by ``--policy`` and replay them across ``--workers``
-    processes — by default through the cell-granular work-stealing
-    scheduler with an online merge (``--stream``); ``--no-stream`` falls
-    back to the static hash-batched engine (``--shards`` batches).  The
-    merged report is bit-identical at any shard/worker/scheduling
-    setting (``docs/scaling.md``); wall-clock and peak-RSS facts print
+    Parallel trace replay (:mod:`repro.parallel`): partition a trace
+    into cells by ``--policy`` and replay them across ``--workers``
+    processes (default 1: in-process, serially) through the
+    cell-granular work-stealing scheduler with an online merge.  The
+    merged report is bit-identical at any ``--workers`` setting
+    (``docs/scaling.md``); wall-clock and peak-RSS facts print
     separately under ``parallel``.
     ``--tenant-config`` makes the replay heterogeneous: each tenant's
     cell runs under its own profile — system, placement, cluster, and
@@ -304,7 +303,7 @@ def _run_heterogeneous_trace(args: argparse.Namespace, trace) -> int:
 
     config = _load_tenant_config(args.tenant_config, args.system, args.placement)
     spec = _replay_spec_from_args(args).with_tenant_config(config)
-    result = run_parallel_replay(trace, spec, shards=1, workers=1)
+    result = run_parallel_replay(trace, spec, workers=1)
     payload = result.to_dict()
     payload["app"] = args.app
     payload["arrivals"] = args.arrivals
@@ -436,9 +435,7 @@ def cmd_replay(args: argparse.Namespace) -> int:
         get_placement_policy(args.placement)
     except (KeyError, ValueError) as exc:
         raise CliError(str(exc.args[0] if exc.args else exc)) from None
-    if args.shards < 1:
-        raise CliError("--shards must be >= 1")
-    if args.workers is not None and args.workers < 1:
+    if args.workers < 1:
         raise CliError("--workers must be >= 1")
     retry = RetryPolicy(
         max_attempts=args.max_attempts, deadline_s=args.deadline_s
@@ -472,8 +469,8 @@ def cmd_replay(args: argparse.Namespace) -> int:
 
         metrics = MetricsRegistry()
     result = run_parallel_replay(
-        trace, spec, shards=args.shards, workers=args.workers, policy=policy,
-        stream=args.stream, retry=retry, fault_plan=fault_plan,
+        trace, spec, workers=args.workers, policy=policy,
+        retry=retry, fault_plan=fault_plan,
         on_cell_failure=args.on_cell_failure, metrics=metrics,
     )
     if metrics is not None:
@@ -486,14 +483,11 @@ def cmd_replay(args: argparse.Namespace) -> int:
     payload = result.to_dict()
     payload["trace"] = args.trace
     # Scheduling facts live outside the deterministic report body: the
-    # merged results above are identical at any --shards/--workers and
-    # with or without --stream.
+    # merged results above are identical at any --workers.
     payload["parallel"] = {
         "policy": result.policy_name,
         "cells": result.cell_count,
-        "shards": result.shards,
         "workers": result.workers,
-        "stream": result.streamed,
         "wall_s": result.wall_s,
         "events_per_s": result.events_per_s(),
         "max_rss_mb": result.rss_mb,
@@ -520,9 +514,7 @@ def _replay_report_table(report: dict) -> str:
             ["workflow", report["workflow"]],
             ["policy", parallel["policy"]],
             ["cells", parallel["cells"]],
-            ["shards", parallel["shards"]],
             ["workers", parallel["workers"]],
-            ["stream", parallel["stream"]],
             ["wall_s", parallel["wall_s"]],
             ["events_per_s", parallel["events_per_s"]],
             ["max_rss_mb", parallel["max_rss_mb"]],
@@ -788,16 +780,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="per-tenant profile file: default profile + "
                         "per-tenant system/placement/limit overrides "
                         "(JSON or YAML-lite, see docs/tenancy.md)")
-    replay.add_argument("--shards", type=int, default=1,
-                        help="cell batches for --no-stream; also the "
-                        "--workers default (default: 1, serial)")
-    replay.add_argument("--workers", type=int, default=None,
-                        help="worker processes (default: min(shards, cores))")
-    replay.add_argument("--stream", action=argparse.BooleanOptionalAction,
-                        default=True,
-                        help="cell-granular work-stealing scheduler with "
-                        "online merge (default); --no-stream uses the "
-                        "static hash-batched engine")
+    replay.add_argument("--workers", type=int, default=1,
+                        help="worker processes (default: 1, in-process "
+                        "serial replay)")
     replay.add_argument("--spill-dir", default=None, metavar="PATH",
                         help="spill merged records to sorted run files "
                         "under this directory instead of holding them in "

@@ -118,7 +118,7 @@ def _tenancy_result(scale: float) -> ExperimentResult:
             "tenant1": TenantProfile(system="faasflow", placement="offset:1"),
         },
     )
-    report = run_parallel_replay(trace, spec, shards=2, workers=1).to_dict()
+    report = run_parallel_replay(trace, spec, workers=1).to_dict()
     rows = []
     for tenant, stats in sorted(report["tenants"].items()):
         profile = stats.get("profile", {})
@@ -142,7 +142,7 @@ def _tenancy_result(scale: float) -> ExperimentResult:
         rows,
         notes=[
             "one trace, per-tenant profiles (repro replay --tenant-config); "
-            "merged report is bit-identical at any --shards/--workers",
+            "merged report is bit-identical at any --workers",
         ],
     )
 

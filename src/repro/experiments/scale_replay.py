@@ -1,9 +1,9 @@
-"""Beyond-paper scale-up: sharded replay throughput vs worker count.
+"""Beyond-paper scale-up: parallel replay throughput vs worker count.
 
 Replays one synthesized multi-tenant trace (Azure-trace-style skewed
 Poisson arrivals, the shape DataFlower's §9 workloads and follow-ups
 like DFlow/Triggerflow stress) through :mod:`repro.parallel` at a sweep
-of shard/worker counts, measuring wall-clock replay throughput
+of worker counts, measuring wall-clock replay throughput
 (events/s) and the speedup over the serial path.  The merged simulated
 metrics are asserted identical across the sweep — parallelism changes
 wall-clock time only, never results.
@@ -23,7 +23,7 @@ from ..parallel import ReplaySpec, run_parallel_replay
 from .registry import ExperimentResult, subsample
 
 EXPERIMENT_ID = "scale-replay"
-TITLE = "Sharded replay: wall-clock throughput vs workers"
+TITLE = "Parallel replay: wall-clock throughput vs workers"
 
 TENANTS = 8
 DURATION_S = 120.0
@@ -46,22 +46,19 @@ def run(scale: float = 1.0) -> List[ExperimentResult]:
     serial_wall = None
     baseline_report = None
     for workers in subsample(WORKER_GRID, scale):
-        result = run_parallel_replay(
-            trace, spec, shards=workers, workers=workers
-        )
+        result = run_parallel_replay(trace, spec, workers=workers)
         report = result.to_dict()
         if baseline_report is None:
             baseline_report = report
         elif report != baseline_report:  # pragma: no cover - determinism guard
             raise AssertionError(
-                "sharded replay diverged from the serial report"
+                "parallel replay diverged from the serial report"
             )
         if serial_wall is None:
             serial_wall = result.wall_s
         rows.append(
             [
                 workers,
-                result.shards,
                 result.cell_count,
                 len(trace),
                 result.wall_s,
@@ -76,7 +73,7 @@ def run(scale: float = 1.0) -> List[ExperimentResult]:
             EXPERIMENT_ID,
             TITLE,
             [
-                "workers", "shards", "cells", "events", "wall_s",
+                "workers", "cells", "events", "wall_s",
                 "events_per_s", "speedup", "completed", "p99_s",
             ],
             rows,

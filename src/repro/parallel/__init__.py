@@ -5,8 +5,8 @@ The layer between the load generator and the simulator: it partitions an
 (:mod:`~repro.parallel.policy`), replays each in its own fresh simulated
 world — in worker processes when ``workers > 1``, scheduled by a
 cell-granular work-stealing queue — from a picklable
-:class:`~repro.parallel.spec.ReplaySpec`, and streams the per-cell
-metrics into one online, deterministic merge
+:class:`~repro.parallel.spec.ReplaySpec`, and folds every executor's
+per-cell outcomes into one online, deterministic merge
 (:mod:`~repro.parallel.engine`).  ``repro replay`` is the CLI front-end;
 ``docs/scaling.md`` covers the architecture and policy trade-offs.
 """
@@ -14,11 +14,8 @@ metrics into one online, deterministic merge
 from .engine import (
     CellResult,
     ParallelReplayResult,
-    ShardResult,
     StreamingMerge,
     max_rss_mb,
-    merge_shard_results,
-    partition_trace,
     replay_cell,
     run_parallel_replay,
 )
@@ -63,7 +60,6 @@ __all__ = [
     "ResolvedProfile",
     "RetryPolicy",
     "ShardPolicy",
-    "ShardResult",
     "StreamingMerge",
     "TenantConfig",
     "TenantProfile",
@@ -74,8 +70,6 @@ __all__ = [
     "classify_failure",
     "get_shard_policy",
     "max_rss_mb",
-    "merge_shard_results",
-    "partition_trace",
     "replay_cell",
     "run_parallel_replay",
     "shard_policy_names",

@@ -1,27 +1,25 @@
-"""Streaming work-stealing trace replay: cells → workers → one report.
+"""Trace replay: cells → executor → one fold → one report.
 
 The pipeline:
 
 1. A :class:`~repro.parallel.policy.ShardPolicy` splits the trace into
    *cells* — independent sub-traces that never interact (per tenant by
    default).  The cell partition depends only on trace + policy.
-2. The **streaming engine** (default) submits cells individually to a
-   ``ProcessPoolExecutor`` via ``submit()``, costliest cell first,
-   through a sliding window of ``2 * workers`` outstanding tasks, and
-   consumes :class:`CellResult`\\ s as they complete.  Workers pull the
-   next cell the moment they finish one — fast workers steal the
-   remaining queue instead of idling behind a skewed tenant, so the
-   makespan approaches LPT-optimal regardless of how skewed the cells
-   are.  Each result folds into an online :class:`StreamingMerge` as it
-   arrives and is then dropped, so peak memory is bounded by the final
-   merged report plus the window's worth of in-flight cells — never by
-   whole-shard pickles.
-3. The **batched engine** (``stream=False``, the pre-streaming
-   behavior) packs cells into ``shards`` batches by a stable hash of
-   the cell key (:func:`partition_trace`) and replays each batch back
-   to back in one worker task.  It survives as the measured baseline
-   work-stealing is benchmarked against.
-4. Both paths fold through the same :class:`StreamingMerge`, which
+2. An **executor** runs the cells and yields one outcome per cell — a
+   :class:`CellResult`, or the :class:`~repro.parallel.resilience.\
+CellFailure` of a cell whose retry budget ran out — in completion
+   order.  There are three: the in-process serial executor (one
+   worker), the local work-stealing pool (:func:`local_executor` with
+   ``workers > 1``), and the remote fleet behind ``repro serve
+   --workers remote``.  The pool submits cells individually to a
+   ``ProcessPoolExecutor``, costliest cell first, through a sliding
+   window of ``2 * workers`` outstanding tasks: workers pull the next
+   cell the moment they finish one, so fast workers steal the
+   remaining queue instead of idling behind a skewed tenant.
+3. One fold, :func:`replay`, consumes any executor's outcomes: each
+   result folds into an online :class:`StreamingMerge` as it arrives
+   and is then dropped, so peak memory is bounded by the final merged
+   report plus the window's worth of in-flight cells.  The merge
    accepts cells in *any* arrival order and canonicalizes at
    :meth:`~StreamingMerge.finalize`: per-cell summaries fold in
    sorted-cell-key order (so even float-summation order is
@@ -36,24 +34,23 @@ the ordinary :func:`~repro.loadgen.trace.run_trace` on the cell's
 events.
 
 Because cells, seeds, and the canonical merge order are all independent
-of shard count, worker count, and completion order, the merged report
-is bit-identical across ``--shards``/``--workers``/``--stream``
-settings — parallelism and scheduling never change results, only
-wall-clock time and memory.
+of the executor, its worker count, and completion order, the merged
+report is bit-identical at any ``--workers`` setting, local or remote —
+parallelism and scheduling never change results, only wall-clock time
+and memory.
 
 **Resilience** (see :mod:`repro.parallel.resilience` and
 ``docs/robustness.md``): every cell attempt is byte-identical to every
 other attempt of the same cell — ``cell_seed`` is a pure function of
 (spec, cell) — so failed attempts are simply re-derived and re-run.
-Both engines survive worker death: a ``BrokenProcessPool`` is caught,
-the pool is rebuilt, and the in-flight cells (streamed) or shard
-payloads (batched) are resubmitted at the next attempt number.  Cells
-retry per a deterministic :class:`~repro.parallel.resilience.\
-RetryPolicy` (seeded-jitter backoff, optional per-attempt ``SIGALRM``
-deadline); a cell that exhausts its attempts either aborts the run
-(``on_cell_failure="fail"``, the default — a
-:class:`~repro.parallel.resilience.CellFailedError`) or degrades it
-(``"skip"`` — the merged report gains a deterministic
+The pool survives worker death: a ``BrokenProcessPool`` is caught, the
+pool is rebuilt, and the in-flight cells are resubmitted at the next
+attempt number.  Cells retry per a deterministic
+:class:`~repro.parallel.resilience.RetryPolicy` (seeded-jitter backoff,
+optional per-attempt ``SIGALRM`` deadline); a cell that exhausts its
+attempts either aborts the run (``on_cell_failure="fail"``, the
+default — a :class:`~repro.parallel.resilience.CellFailedError`) or
+degrades it (``"skip"`` — the merged report gains a deterministic
 ``replay.failed_cells`` section and the surviving cells still merge
 canonically).  An optional
 :class:`~repro.parallel.resilience.HostFaultPlan` injects
@@ -70,15 +67,23 @@ from collections import deque
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
-from itertools import islice
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
+from typing import (
+    Callable,
+    Dict,
+    Generator,
+    Iterable,
+    List,
+    Optional,
+    Tuple,
+    Union,
+)
 
 from ..loadgen.trace import InvocationTrace, TraceRunResult, run_trace
 from ..metrics.latency import LatencySummary, RequestRecord
 from ..metrics.telemetry import MetricsRegistry
 from ..metrics.usage import UsageSummary
-from .policy import ShardPolicy, get_shard_policy, stable_hash
+from .policy import ShardPolicy, get_shard_policy
 from .resilience import (
     CellFailedError,
     CellFailure,
@@ -97,13 +102,13 @@ from .spec import ReplaySpec
 
 __all__ = [
     "CellResult",
+    "Executor",
+    "Outcome",
     "ParallelReplayResult",
-    "ShardResult",
     "StreamingMerge",
-    "fold_remote_cells",
+    "local_executor",
     "max_rss_mb",
-    "merge_shard_results",
-    "partition_trace",
+    "replay",
     "replay_cell",
     "run_parallel_replay",
 ]
@@ -187,40 +192,21 @@ class CellResult:
 
 
 @dataclass
-class ShardResult:
-    """Everything one shard (= one batched worker task) produced."""
-
-    index: int
-    cells: List[CellResult]
-    wall_s: float
-    #: Cells that exhausted their retry budget inside the worker
-    #: (``on_cell_failure="skip"`` only — ``"fail"`` raises instead).
-    failures: List[CellFailure] = field(default_factory=list)
-    #: In-worker retry attempts consumed beyond each cell's first.
-    retries: int = 0
-
-
-@dataclass
 class ParallelReplayResult(TraceRunResult):
     """A merged :class:`TraceRunResult` plus replay-engine bookkeeping.
 
     ``to_dict`` stays deterministic — it reports the policy and cell
-    count (functions of trace + policy alone) but *not* shard/worker
-    counts, scheduling mode, or wall-clock times, so two runs of the
+    count (functions of trace + policy alone) but *not* worker counts,
+    the executor, or wall-clock times, so two runs of the
     same trace at different parallelism produce byte-identical reports.
-    The scheduling facts live on the object (:attr:`shards`,
-    :attr:`workers`, :attr:`streamed`, :attr:`wall_s`, :attr:`rss_mb`,
-    per-cell :attr:`cell_wall_s`) for benchmarks and the CLI to surface
-    separately.
+    The scheduling facts live on the object (:attr:`workers`,
+    :attr:`wall_s`, :attr:`rss_mb`, per-cell :attr:`cell_wall_s`) for
+    benchmarks and the CLI to surface separately.
     """
 
     policy_name: str = "tenant"
     cell_count: int = 0
-    shards: int = 1
     workers: int = 1
-    #: Whether the streaming work-stealing scheduler ran (vs the static
-    #: hash-batched baseline).  Scheduling detail only — never reported.
-    streamed: bool = True
     wall_s: float = 0.0
     #: Parent-process peak RSS after the run, MB — where merge/pickle
     #: memory lives (a high-water mark including everything the host
@@ -238,7 +224,7 @@ class ParallelReplayResult(TraceRunResult):
     #: tenant -> resolved-profile tag, populated only when the spec
     #: carried tenant profiles (heterogeneous replay); functions of
     #: (trace, spec) alone, so including them in reports stays
-    #: shard-invariant.
+    #: executor-invariant.
     tenant_profile_tags: Dict[str, dict] = field(default_factory=dict)
     #: Cells that terminally failed under ``on_cell_failure="skip"``.
     #: Deterministic (canonical messages, no PIDs/timings); rendered
@@ -302,9 +288,9 @@ class ParallelReplayResult(TraceRunResult):
 def max_rss_mb() -> float:
     """Peak RSS high-water mark of *this* process, in MB.
 
-    Parent-side only, deliberately: the merge memory — whole-shard
-    pickle buffers versus streamed per-cell results — lives in the
-    parent, while each worker holds one cell world under either engine.
+    Parent-side only, deliberately: the merge memory — the streamed
+    per-cell results and the record sink — lives in the parent, while
+    each worker holds one cell world at a time.
     (``RUSAGE_CHILDREN``'s ``ru_maxrss`` is the max over any single
     reaped child, not a sum, so folding it in would only blur the
     signal.)  ``getrusage`` reports kilobytes on Linux and bytes on
@@ -321,37 +307,13 @@ def max_rss_mb() -> float:
     return peak / scale
 
 
-def partition_trace(
-    trace: InvocationTrace,
-    shards: int,
-    policy: Union[str, ShardPolicy] = "tenant",
-) -> List[List[Cell]]:
-    """Split a trace into ``shards`` batches of policy-defined cells.
-
-    Cells assign to shards by a stable hash of their key, so the same
-    trace + policy + shard count always yields the same batches; some
-    batches may be empty when cells are fewer than shards.  This static
-    assignment is the batched (``stream=False``) engine's unit of work
-    distribution — the streaming engine schedules cells individually
-    instead.
-    """
-    if shards < 1:
-        raise ValueError("shards must be >= 1")
-    if isinstance(policy, str):
-        policy = get_shard_policy(policy)
-    batches: List[List[Cell]] = [[] for _ in range(shards)]
-    for key, cell_trace in policy.split(trace):
-        batches[stable_hash(f"shard-of:{key}") % shards].append((key, cell_trace))
-    return batches
-
-
 def replay_cell(spec: ReplaySpec, key: str, cell_trace: InvocationTrace) -> CellResult:
     """Replay one cell in a fresh world built from the spec.
 
     The cell replays under its tenant's resolved profile: system,
     placement, cluster, and request defaults may all differ per tenant
     (heterogeneous tenancy), but resolution is a pure function of
-    (spec, cell), so shard invariance is preserved.
+    (spec, cell), so the report stays executor-invariant.
     """
     start = time.perf_counter()
     resolved = spec.resolve(key, cell_trace)
@@ -422,59 +384,6 @@ def _replay_cell_task(
         return replay_cell(spec, key, cell_trace)
 
 
-def _replay_shard(
-    payload: Tuple[
-        ReplaySpec, int, List[Cell], int, RetryPolicy,
-        Optional[HostFaultPlan], str,
-    ],
-) -> ShardResult:
-    """Batched worker entry point: replay one shard's cells back to back.
-
-    Retries happen *inside* the worker (an app-level failure costs one
-    cell re-run, not a shard resubmission); only worker death escalates
-    to the parent, which resubmits the whole payload at
-    ``attempt_base + 1`` — the completed cells died with the worker, and
-    re-running them is byte-identical anyway.
-    """
-    spec, index, cells, attempt_base, retry, faults, on_cell_failure = payload
-    start = time.perf_counter()
-    results: List[CellResult] = []
-    failures: List[CellFailure] = []
-    retries = 0
-    for key, cell_trace in cells:
-        attempt = attempt_base
-        while True:
-            try:
-                results.append(
-                    _replay_cell_task(
-                        spec, key, cell_trace, attempt, retry, faults
-                    )
-                )
-                break
-            except Exception as exc:
-                if attempt < retry.max_attempts:
-                    attempt += 1
-                    retries += 1
-                    continue
-                failure = CellFailure(
-                    key=key,
-                    kind=classify_failure(exc),
-                    attempts=attempt,
-                    message=_failure_message(exc),
-                )
-                if on_cell_failure == "fail":
-                    raise CellFailedError(failure) from exc
-                failures.append(failure)
-                break
-    return ShardResult(
-        index=index,
-        cells=results,
-        wall_s=time.perf_counter() - start,
-        failures=failures,
-        retries=retries,
-    )
-
-
 @dataclass
 class _CellFold:
     """The bounded-size residue one folded cell leaves behind: every
@@ -504,12 +413,11 @@ class StreamingMerge:
     independent of scheduling — and the sink k-way merges its per-cell
     sorted runs by the globally unique ``(submit_time, request_id)``
     key, releasing each run as it drains.  The result is byte-identical
-    to the legacy whole-batch merge at every shard/worker/steal order,
-    under either sink.
+    at every worker count and arrival order, under either sink.
 
     Memory stays bounded by the sink's policy: the in-memory sink by
     the final merged report, the spilling sink by its record threshold
-    — never by whole-shard pickles or a second sort buffer.
+    — never by a second sort buffer.
     """
 
     def __init__(
@@ -593,24 +501,6 @@ class StreamingMerge:
         )
 
 
-def merge_shard_results(
-    shard_results: List[ShardResult],
-    trace: InvocationTrace,
-    spec: ReplaySpec,
-) -> ParallelReplayResult:
-    """Fold per-shard cell results into one deterministic merged report.
-
-    A thin wrapper over :class:`StreamingMerge` — the batched and
-    streaming engines share one canonical merge, which is what makes
-    their reports byte-identical by construction.
-    """
-    merge = StreamingMerge(trace, spec)
-    for shard in shard_results:
-        for cell in shard.cells:
-            merge.add(cell)
-    return merge.finalize()
-
-
 def _validate(trace: InvocationTrace, spec: ReplaySpec, policy: ShardPolicy) -> None:
     if spec.has_profiles and policy.name != "tenant":
         # Profiles key on tenant cells.  Under other partitions the same
@@ -675,30 +565,48 @@ def _frozen_gc():
         gc.unfreeze()
 
 
-#: One streamed task: ``(cell key, sub-trace, attempt number)``.
+#: What an executor yields per cell: its result, or the terminal
+#: failure of a cell whose retry budget ran out.
+Outcome = Union[CellResult, CellFailure]
+
+#: An executor: given the cells still to run, yield exactly one
+#: :data:`Outcome` per cell, in completion order.  The in-process
+#: serial fold, the local work-stealing pool, and the remote fleet
+#: (``repro serve --workers remote``) are the three executors; all of
+#: them feed the one fold in :func:`replay`.
+Executor = Callable[[List[Cell]], Generator[Outcome, None, None]]
+
+#: One pooled task: ``(cell key, sub-trace, attempt number)``.
 _CellTask = Tuple[str, InvocationTrace, int]
+
+
+def _exhausted(key: str, attempt: int, exc: BaseException) -> CellFailure:
+    """The terminal failure of a cell whose last attempt raised ``exc``."""
+    return CellFailure(
+        key=key,
+        kind=classify_failure(exc),
+        attempts=attempt,
+        message=_failure_message(exc),
+    )
 
 
 def _stream_cells(
     cells: List[Cell],
     spec: ReplaySpec,
     workers: int,
-    fold: Callable[[CellResult], None],
     policy: ShardPolicy,
     retry: RetryPolicy,
     fault_plan: Optional[HostFaultPlan],
-    on_cell_failure: str,
-    failures: List[CellFailure],
     metrics: Optional[MetricsRegistry] = None,
-) -> None:
-    """Work-stealing fan-out: one task per cell, folded as completed.
+) -> Generator[Outcome, None, None]:
+    """Work-stealing fan-out: one task per cell, yielded as completed.
 
     Cells submit costliest-first (:meth:`ShardPolicy.cell_cost`, key as
     tie-break) — the LPT heuristic — so a skewed tenant starts
     immediately while the small cells pack around it.  Submission runs
     through a sliding window of ``2 * workers`` outstanding tasks: a
     replacement cell is submitted as each result is consumed, so
-    workers never starve while the main thread folds, and — unlike
+    workers never starve while the consumer folds, and — unlike
     submitting everything up front, where every completed-but-unfolded
     future would hold its unpickled records — no more than the window's
     worth of cell results ever exists outside the merge.
@@ -707,10 +615,13 @@ def _stream_cells(
     ``BrokenProcessPool``, every in-flight task is re-derived from the
     future→task map, the dead pool is replaced, and the tasks requeue at
     their next attempt number — results that completed before the crash
-    have already folded, and re-running the rest is byte-identical.
-    Other exceptions charge only their own cell, which retries per
-    ``retry`` until its budget runs out and then fails the run
-    (``on_cell_failure="fail"``) or lands in ``failures`` (``"skip"``).
+    have already been yielded, and re-running the rest is
+    byte-identical.  Other exceptions charge only their own cell, which
+    retries per ``retry`` until its budget runs out and then yields its
+    :class:`CellFailure`.
+
+    Closing the generator (the fold aborting) shuts the pool down with
+    its queued cells cancelled and its worker processes joined.
     """
     ordered = sorted(
         cells, key=lambda cell: (-policy.cell_cost(cell[1]), cell[0])
@@ -723,22 +634,16 @@ def _stream_cells(
     submitted = 0
     max_workers = min(workers, len(ordered))
 
-    def handle_failure(task: _CellTask, exc: BaseException) -> None:
+    def handle_failure(
+        task: _CellTask, exc: BaseException
+    ) -> Optional[CellFailure]:
         key, cell_trace, attempt = task
         if attempt < retry.max_attempts:
             todo.append((key, cell_trace, attempt + 1))
             if metrics is not None:
                 metrics.counter("repro_cell_retries_total").inc()
-            return
-        failure = CellFailure(
-            key=key,
-            kind=classify_failure(exc),
-            attempts=attempt,
-            message=_failure_message(exc),
-        )
-        if on_cell_failure == "fail":
-            raise CellFailedError(failure) from exc
-        failures.append(failure)
+            return None
+        return _exhausted(key, attempt, exc)
 
     with _frozen_gc():
         pool = ProcessPoolExecutor(max_workers=max_workers)
@@ -785,15 +690,17 @@ def _stream_cells(
                     task = inflight.pop(future)
                     exc = future.exception()
                     if exc is None:
-                        # Fold results that survived before charging any
-                        # crash — a completed-but-unfolded result is
+                        # Yield results that survived before charging
+                        # any crash — a completed-but-unfolded result is
                         # still good even when a sibling died.
-                        fold(future.result())
+                        yield future.result()
                     elif isinstance(exc, BrokenProcessPool):
                         broken = exc
                         crashed.append(task)
                     else:
-                        handle_failure(task, exc)
+                        failure = handle_failure(task, exc)
+                        if failure is not None:
+                            yield failure
                 if broken is not None:
                     crashed.extend(inflight.values())
                     inflight.clear()
@@ -802,39 +709,35 @@ def _stream_cells(
                     pool.shutdown(wait=True)
                     pool = ProcessPoolExecutor(max_workers=max_workers)
                     for task in crashed:
-                        handle_failure(task, broken)
+                        failure = handle_failure(task, broken)
+                        if failure is not None:
+                            yield failure
         finally:
-            pool.shutdown(wait=False, cancel_futures=True)
+            pool.shutdown(wait=True, cancel_futures=True)
 
 
 def _serial_stream(
     cells: List[Cell],
     spec: ReplaySpec,
-    fold: Callable[[CellResult], None],
     retry: RetryPolicy,
     fault_plan: Optional[HostFaultPlan],
-    on_cell_failure: str,
-    failures: List[CellFailure],
     metrics: Optional[MetricsRegistry] = None,
-) -> None:
-    """The in-process serial fold, with full retry/failure semantics.
+) -> Generator[Outcome, None, None]:
+    """The in-process serial executor, with full retry/failure semantics.
 
     Kill faults raise :class:`~repro.parallel.resilience.\
 WorkerCrashError` here instead of SIGKILLing (the plan's parent-pid
     guard), so single-worker replays exercise the same classify → retry
-    → degrade path the pooled engines do — and the crash-identity
-    property holds at ``workers=1``.
+    → degrade path the pool does — and the crash-identity property
+    holds at ``workers=1``.
     """
     for key, cell_trace in cells:
         attempt = 1
         while True:
             try:
-                fold(
-                    _replay_cell_task(
-                        spec, key, cell_trace, attempt, retry, fault_plan
-                    )
+                outcome: Outcome = _replay_cell_task(
+                    spec, key, cell_trace, attempt, retry, fault_plan
                 )
-                break
             except Exception as exc:
                 if metrics is not None and (
                     classify_failure(exc) == "worker-crash"
@@ -845,141 +748,80 @@ WorkerCrashError` here instead of SIGKILLing (the plan's parent-pid
                     if metrics is not None:
                         metrics.counter("repro_cell_retries_total").inc()
                     continue
-                failure = CellFailure(
-                    key=key,
-                    kind=classify_failure(exc),
-                    attempts=attempt,
-                    message=_failure_message(exc),
-                )
-                if on_cell_failure == "fail":
-                    raise CellFailedError(failure) from exc
-                failures.append(failure)
-                break
+                outcome = _exhausted(key, attempt, exc)
+            yield outcome
+            break
 
 
-def _run_shards(
-    payloads: List[tuple],
+def local_executor(
+    spec: ReplaySpec,
     workers: int,
-    fold_shard: Callable[[ShardResult], None],
-    retry: RetryPolicy,
-    on_cell_failure: str,
-    failures: List[CellFailure],
+    policy: Union[str, ShardPolicy] = "tenant",
+    retry: Optional[RetryPolicy] = None,
+    fault_plan: Optional[HostFaultPlan] = None,
     metrics: Optional[MetricsRegistry] = None,
-) -> None:
-    """Batched fan-out that survives worker death.
+) -> Executor:
+    """The executor for ``workers`` local processes.
 
-    Cell-level retries live inside :func:`_replay_shard`; this loop
-    handles only the failure mode workers cannot handle themselves —
-    their own death.  A ``BrokenProcessPool`` resubmits every in-flight
-    shard payload at ``attempt_base + 1`` on a fresh pool (completed
-    shards already folded; the dead ones' partial work is re-derived
-    byte-identically).  A shard whose attempt base passes the retry
-    budget converts wholesale into worker-crash cell failures.
+    One worker (or at most one pending cell) runs the in-process serial
+    executor; more run the work-stealing process pool.  ``retry``
+    (default :class:`RetryPolicy()
+    <repro.parallel.resilience.RetryPolicy>`) governs per-cell attempt
+    budgets, backoff, and deadlines; ``fault_plan`` deterministically
+    injects host faults (tests/chaos harness).  Neither perturbs cell
+    seeds, so a run that recovers from every fault stays byte-identical
+    to a fault-free run.
     """
-    max_workers = min(workers, len(payloads))
+    if isinstance(policy, str):
+        policy = get_shard_policy(policy)
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
+    if retry is None:
+        retry = RetryPolicy()
+    retry.validate()
+    if fault_plan is not None:
+        fault_plan.validate()
 
-    def exhaust(payload: tuple, exc: BaseException) -> None:
-        _spec, _index, cells, attempt_base, *_ = payload
-        shard_failures = [
-            CellFailure(
-                key=key,
-                kind="worker-crash",
-                attempts=attempt_base,
-                message=_failure_message(exc),
-            )
-            for key, _cell_trace in cells
-        ]
-        if on_cell_failure == "fail":
-            raise CellFailedError(shard_failures[0]) from exc
-        failures.extend(shard_failures)
+    def execute(cells: List[Cell]) -> Generator[Outcome, None, None]:
+        if workers == 1 or len(cells) <= 1:
+            return _serial_stream(cells, spec, retry, fault_plan, metrics)
+        return _stream_cells(
+            cells, spec, workers, policy, retry, fault_plan, metrics
+        )
 
-    with _frozen_gc():
-        pool = ProcessPoolExecutor(max_workers=max_workers)
-        inflight: Dict[object, tuple] = {}
-        try:
-            for payload in payloads:
-                inflight[pool.submit(_replay_shard, payload)] = payload
-            while inflight:
-                done, _ = wait(list(inflight), return_when=FIRST_COMPLETED)
-                crashed: List[tuple] = []
-                broken: Optional[BaseException] = None
-                for future in done:
-                    payload = inflight.pop(future)
-                    exc = future.exception()
-                    if exc is None:
-                        fold_shard(future.result())
-                    elif isinstance(exc, BrokenProcessPool):
-                        broken = exc
-                        crashed.append(payload)
-                    else:
-                        # CellFailedError from a worker's "fail" mode,
-                        # or an unexpected host error — both abort.
-                        raise exc
-                if broken is not None:
-                    crashed.extend(inflight.values())
-                    inflight.clear()
-                    if metrics is not None:
-                        metrics.counter("repro_worker_crashes_total").inc()
-                    pool.shutdown(wait=True)
-                    pool = ProcessPoolExecutor(max_workers=max_workers)
-                    for payload in crashed:
-                        spec, index, cells, attempt_base, *rest = payload
-                        if attempt_base < retry.max_attempts:
-                            resubmit = (
-                                spec, index, cells, attempt_base + 1, *rest
-                            )
-                            inflight[
-                                pool.submit(_replay_shard, resubmit)
-                            ] = resubmit
-                            if metrics is not None:
-                                metrics.counter(
-                                    "repro_cell_retries_total"
-                                ).inc(len(cells))
-                        else:
-                            exhaust(payload, broken)
-        finally:
-            pool.shutdown(wait=False, cancel_futures=True)
+    return execute
 
 
-def run_parallel_replay(
+def replay(
     trace: InvocationTrace,
     spec: ReplaySpec,
-    shards: int = 1,
-    workers: Optional[int] = None,
+    execute: Executor,
     policy: Union[str, ShardPolicy] = "tenant",
-    stream: bool = True,
     on_cell: Optional[Callable[[CellResult], None]] = None,
     completed_cells: Optional[Iterable[CellResult]] = None,
     metrics: Optional[MetricsRegistry] = None,
-    retry: Optional[RetryPolicy] = None,
-    fault_plan: Optional[HostFaultPlan] = None,
     on_cell_failure: str = "fail",
 ) -> ParallelReplayResult:
-    """Replay a trace across worker processes and merge the results.
+    """Fold one executor's outcomes into the canonical merged report.
 
-    ``stream=True`` (the default) runs the cell-granular work-stealing
-    scheduler: ``workers`` processes (default ``min(shards,
-    cpu_count)``) pull cells from a longest-first queue and results fold
-    into the merge as they complete, in whatever order they finish.
-    ``stream=False`` runs the legacy static engine: cells pack into
-    ``shards`` hash-assigned batches, each replayed whole by one worker
-    task.  The merged report depends only on ``(trace, spec, policy)``
-    — never on ``shards``, ``workers``, ``stream``, or completion
-    order.  At one worker (or one cell) both modes degrade to the same
-    in-process serial fold.
+    The single fold every executor shares: validate, pre-fold the
+    ``completed_cells`` checkpoint, hand the remaining cells to
+    ``execute``, fold each yielded outcome, and finalize.  The merged
+    report depends only on ``(trace, spec, policy)`` — never on the
+    executor, its worker count, or completion order.
 
-    ``on_cell`` is an observation hook: it runs in the parent process
+    ``on_cell`` is an observation hook: it runs in the calling thread
     with each :class:`CellResult` immediately after that cell folds
     into the merge, in completion order (which is scheduling-dependent
     under parallelism — observers must not infer order).  The HTTP
-    service streams per-cell progress through it without forking the
-    engine.  The hook must treat the cell as read-only; an exception it
-    raises aborts the replay.
+    service journals and streams per-cell progress through it.  The
+    hook must treat the cell as read-only; an exception it raises
+    aborts the replay.
 
     ``completed_cells`` is the checkpoint/resume entry point: cells
     already replayed (e.g. rebuilt from a durable run journal via
     :meth:`CellResult.from_payload`) fold straight into the merge and
-    are *skipped* by the replay — only the remaining cells execute.
+    are *skipped* by the executor — only the remaining cells execute.
     Because per-cell seeds and the canonical merge order are functions
     of (trace, spec, policy) alone, resuming from any subset of
     completed cells produces a report byte-identical to an
@@ -990,112 +832,64 @@ def run_parallel_replay(
 
     ``metrics`` is an optional
     :class:`~repro.metrics.telemetry.MetricsRegistry` the run
-    populates as it goes: cells completed/resumed/stolen, per-tenant
-    request counts and latency histograms, and per-phase wall-clock
-    (also recorded on the result's :attr:`~ParallelReplayResult.\
+    populates as it goes: cells completed/resumed, per-tenant request
+    counts and latency histograms, and per-phase wall-clock (also
+    recorded on the result's :attr:`~ParallelReplayResult.\
 phase_wall_s`).  Telemetry never feeds back into the replay, so the
     merged report stays byte-identical with or without a registry.
 
-    ``retry`` (default :class:`RetryPolicy()
-    <repro.parallel.resilience.RetryPolicy>`) governs per-cell attempt
-    budgets, backoff, and deadlines; ``fault_plan`` deterministically
-    injects host faults (tests/chaos harness); ``on_cell_failure``
-    picks between aborting on the first exhausted cell (``"fail"``) and
-    degrading the report with a ``failed_cells`` section (``"skip"``).
-    None of the three perturbs cell seeds or merge order, so a run that
-    recovers from every fault stays byte-identical to a fault-free run.
+    ``on_cell_failure`` picks between aborting on the first exhausted
+    cell (``"fail"`` — a :class:`~repro.parallel.resilience.\
+CellFailedError`) and degrading the report with a ``failed_cells``
+    section (``"skip"``).
+
+    However the fold ends — finished, a failed cell, a raising hook —
+    it closes the executor's generator, so a pool shuts down and a
+    fleet run releases its queued and leased cells before the call
+    returns, and a spilling record sink removes its run files on error.
     """
     t_prepare = time.perf_counter()
     if isinstance(policy, str):
         policy = get_shard_policy(policy)
     _validate(trace, spec, policy)
-    if workers is None:
-        workers = min(shards, os.cpu_count() or 1)
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
-    if shards < 1:
-        raise ValueError("shards must be >= 1")
     if on_cell_failure not in ON_CELL_FAILURE_MODES:
         raise ValueError(
             f"on_cell_failure must be one of {list(ON_CELL_FAILURE_MODES)}, "
             f"got {on_cell_failure!r}"
         )
-    if retry is None:
-        retry = RetryPolicy()
-    retry.validate()
-    if fault_plan is not None:
-        fault_plan.validate()
     failures: List[CellFailure] = []
     merge = StreamingMerge(trace, spec)
-    skip: set = set()
-    if completed_cells is not None:
-        for cell in completed_cells:
+    try:
+        cells = policy.split(trace)
+        resumed: set = set()
+        for cell in completed_cells or ():
             merge.add(cell)  # a duplicate key raises here
-            skip.add(cell.key)
+            resumed.add(cell.key)
             if metrics is not None:
                 observe_cell_metrics(metrics, cell, resumed=True)
-        if skip:
-            known = {key for key, _ in policy.split(trace)}
-            unknown = sorted(skip - known)
-            if unknown:
-                raise ValueError(
-                    f"completed cells {unknown} are not cells of this "
-                    f"trace under the {policy.name!r} policy"
-                )
-
-    def fold(cell: CellResult) -> None:
-        merge.add(cell)
-        if metrics is not None:
-            observe_cell_metrics(metrics, cell)
-        if on_cell is not None:
-            on_cell(cell)
-
-    def fold_shard(shard: ShardResult) -> None:
-        for cell in shard.cells:
-            fold(cell)
-        failures.extend(shard.failures)
-        if metrics is not None and shard.retries:
-            metrics.counter("repro_cell_retries_total").inc(shard.retries)
-
-    start = time.perf_counter()
-    prepare_s = start - t_prepare
-    try:
-        if stream:
-            cells = [
-                cell for cell in policy.split(trace) if cell[0] not in skip
-            ]
-            if workers == 1 or len(cells) <= 1:
-                # In-process serial fold with the same retry semantics;
-                # kill faults degrade to WorkerCrashError here (the
-                # fault plan never SIGKILLs its own parent process).
-                _serial_stream(
-                    cells, spec, fold, retry, fault_plan,
-                    on_cell_failure, failures, metrics,
-                )
-            else:
-                _stream_cells(
-                    cells, spec, workers, fold, policy,
-                    retry, fault_plan, on_cell_failure, failures,
-                    metrics=metrics,
-                )
-        else:
-            batches = [
-                [cell for cell in batch if cell[0] not in skip]
-                for batch in partition_trace(trace, shards, policy)
-            ]
-            payloads = [
-                (spec, index, cells, 1, retry, fault_plan, on_cell_failure)
-                for index, cells in enumerate(batches)
-                if cells
-            ]
-            if workers == 1 or len(payloads) <= 1:
-                for payload in payloads:
-                    fold_shard(_replay_shard(payload))
-            else:
-                _run_shards(
-                    payloads, workers, fold_shard, retry,
-                    on_cell_failure, failures, metrics,
-                )
+        unknown = sorted(resumed - {key for key, _ in cells})
+        if unknown:
+            raise ValueError(
+                f"completed cells {unknown} are not cells of this "
+                f"trace under the {policy.name!r} policy"
+            )
+        start = time.perf_counter()
+        prepare_s = start - t_prepare
+        outcomes = execute([cell for cell in cells if cell[0] not in resumed])
+        try:
+            for outcome in outcomes:
+                if isinstance(outcome, CellFailure):
+                    if on_cell_failure == "fail":
+                        raise CellFailedError(outcome)
+                    failures.append(outcome)
+                    continue
+                merge.add(outcome)
+                if metrics is not None:
+                    observe_cell_metrics(metrics, outcome)
+                if on_cell is not None:
+                    on_cell(outcome)
+        finally:
+            outcomes.close()
         wall_s = time.perf_counter() - start
         t_finalize = time.perf_counter()
         merged = merge.finalize()
@@ -1108,9 +902,6 @@ phase_wall_s`).  Telemetry never feeds back into the replay, so the
     merged.failed_cells = sorted(failures, key=lambda failure: failure.key)
     finalize_s = time.perf_counter() - t_finalize
     merged.policy_name = policy.name
-    merged.shards = shards
-    merged.workers = workers
-    merged.streamed = stream
     merged.wall_s = wall_s
     merged.phase_wall_s = {
         "prepare": prepare_s,
@@ -1130,102 +921,37 @@ phase_wall_s`).  Telemetry never feeds back into the replay, so the
     return merged
 
 
-def fold_remote_cells(
+def run_parallel_replay(
     trace: InvocationTrace,
     spec: ReplaySpec,
-    outcomes: Iterable[Union[CellResult, CellFailure]],
+    shards: int = 1,
+    workers: Optional[int] = None,
     policy: Union[str, ShardPolicy] = "tenant",
     on_cell: Optional[Callable[[CellResult], None]] = None,
     completed_cells: Optional[Iterable[CellResult]] = None,
     metrics: Optional[MetricsRegistry] = None,
+    retry: Optional[RetryPolicy] = None,
+    fault_plan: Optional[HostFaultPlan] = None,
     on_cell_failure: str = "fail",
 ) -> ParallelReplayResult:
-    """Fold remotely executed cells into the same canonical merged report.
+    """Replay a trace on ``workers`` local processes and merge the results.
 
-    The remote-fleet entry point (``repro serve --workers remote``):
-    cells execute on ``repro worker`` processes elsewhere, and the
-    control plane consumes their outcomes — :class:`CellResult` payloads
-    delivered over HTTP, or :class:`~repro.parallel.resilience.\
-CellFailure` records for cells whose retry budget ran out — from the
-    blocking ``outcomes`` iterable.  Everything folds through the exact
-    :class:`StreamingMerge` the local engines use, so a fleet replay is
-    byte-identical to ``run_parallel_replay`` of the same (trace, spec,
-    policy) regardless of worker count, lease order, or worker death.
-
-    ``on_cell``, ``completed_cells`` (journal resume), ``metrics``, and
-    ``on_cell_failure`` carry the semantics of
-    :func:`run_parallel_replay`: the hook fires per freshly delivered
-    cell, resumed cells fold without re-execution, and an exhausted cell
-    either aborts the fold (``"fail"`` — a :class:`~repro.parallel.\
-resilience.CellFailedError`) or lands in the report's ``failed_cells``
-    section (``"skip"``).
+    :func:`replay` over :func:`local_executor`: at one worker the cells
+    replay in-process, serially; at more, ``workers`` processes pull
+    cells from a longest-first queue and results fold into the merge as
+    they complete.  ``workers`` defaults to ``min(shards, cpu_count)``
+    — ``shards`` means nothing else.  ``on_cell``, ``completed_cells``,
+    ``metrics``, and ``on_cell_failure`` are :func:`replay`'s;
+    ``retry`` and ``fault_plan`` are :func:`local_executor`'s.
     """
-    t_prepare = time.perf_counter()
-    if isinstance(policy, str):
-        policy = get_shard_policy(policy)
-    _validate(trace, spec, policy)
-    if on_cell_failure not in ON_CELL_FAILURE_MODES:
-        raise ValueError(
-            f"on_cell_failure must be one of {list(ON_CELL_FAILURE_MODES)}, "
-            f"got {on_cell_failure!r}"
-        )
-    failures: List[CellFailure] = []
-    merge = StreamingMerge(trace, spec)
-    skip: set = set()
-    if completed_cells is not None:
-        for cell in completed_cells:
-            merge.add(cell)  # a duplicate key raises here
-            skip.add(cell.key)
-            if metrics is not None:
-                observe_cell_metrics(metrics, cell, resumed=True)
-        if skip:
-            known = {key for key, _ in policy.split(trace)}
-            unknown = sorted(skip - known)
-            if unknown:
-                raise ValueError(
-                    f"completed cells {unknown} are not cells of this "
-                    f"trace under the {policy.name!r} policy"
-                )
-    start = time.perf_counter()
-    prepare_s = start - t_prepare
-    try:
-        for outcome in outcomes:
-            if isinstance(outcome, CellFailure):
-                if on_cell_failure == "fail":
-                    raise CellFailedError(outcome)
-                failures.append(outcome)
-                continue
-            merge.add(outcome)
-            if metrics is not None:
-                observe_cell_metrics(metrics, outcome)
-            if on_cell is not None:
-                on_cell(outcome)
-        wall_s = time.perf_counter() - start
-        t_finalize = time.perf_counter()
-        merged = merge.finalize()
-    except BaseException:
-        merge.sink.close()
-        raise
-    merged.failed_cells = sorted(failures, key=lambda failure: failure.key)
-    finalize_s = time.perf_counter() - t_finalize
-    merged.policy_name = policy.name
-    merged.shards = 1
-    merged.workers = 1
-    merged.streamed = True
-    merged.wall_s = wall_s
-    merged.phase_wall_s = {
-        "prepare": prepare_s,
-        "execute": wall_s,
-        "finalize": finalize_s,
-    }
-    if metrics is not None:
-        for phase, seconds in merged.phase_wall_s.items():
-            metrics.histogram("repro_run_phase_seconds", phase=phase).observe(
-                seconds
-            )
-        if merge.sink.spilled_records:
-            metrics.counter("repro_records_spilled_total").inc(
-                merge.sink.spilled_records
-            )
-    merged.rss_mb = max_rss_mb()
-    return merged
+    if shards < 1:
+        raise ValueError("shards must be >= 1")
+    if workers is None:
+        workers = min(shards, os.cpu_count() or 1)
+    execute = local_executor(spec, workers, policy, retry, fault_plan, metrics)
+    result = replay(
+        trace, spec, execute, policy, on_cell, completed_cells, metrics,
+        on_cell_failure,
+    )
+    result.workers = workers
+    return result

@@ -4,13 +4,9 @@ A :class:`ShardPolicy` maps every :class:`~repro.loadgen.trace.TraceEvent`
 to a *cell key*.  A cell is the unit of simulation in the sharded replay
 engine: all events sharing a key replay together in one fresh simulated
 world, and different cells never interact.  Crucially the cell partition
-depends only on the trace and the policy — never on how many shards or
-worker processes the run uses — which is what makes the merged report
-bit-identical across ``--shards``/``--workers`` settings.
-
-Shards are merely batches of cells handed to worker processes; the
-stable cell→shard assignment lives in
-:func:`repro.parallel.engine.partition_trace`.
+depends only on the trace and the policy — never on how many worker
+processes the run uses or which executor runs it — which is what makes
+the merged report bit-identical across ``--workers`` settings.
 
 Two built-in policies:
 

@@ -18,7 +18,7 @@ A layer that switches the execution system discards system-config
 overrides accumulated for the previous system (they target a different
 config class).  Profile resolution is a pure function of (spec, cell),
 so heterogeneous replays keep the engine's guarantee: merged reports are
-bit-identical at any ``--shards``/``--workers`` setting.
+bit-identical at any ``--workers`` setting.
 
 Everything validates eagerly against the system/placement registries via
 :meth:`TenantConfig.validate`, so a bad profile fails fast in the CLI

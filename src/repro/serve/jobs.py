@@ -3,11 +3,12 @@
 A submitted run becomes a :class:`Job` that moves through ``queued →
 running → done | failed`` (or ``queued → interrupted`` when a clean
 shutdown abandons it).  A fixed pool of daemon *job-worker threads*
-pulls jobs off a FIFO queue and executes each through
-:func:`repro.parallel.engine.run_parallel_replay` — the in-process
-serial fold when the request asked for one worker, the streaming
-work-stealing process pool otherwise — so the service adds scheduling
-around the engine, never a second execution path.
+pulls jobs off a FIFO queue and executes each through the engine's one
+fold, :func:`repro.parallel.engine.replay`, picking only the executor —
+the in-process serial executor when the request asked for one worker,
+the work-stealing process pool for more, the remote fleet for
+``"workers": "remote"`` — so the service adds scheduling around the
+engine, never a second execution path.
 
 Progress streams through the engine's ``on_cell`` hook: every folded
 :class:`~repro.parallel.engine.CellResult` appends one stable event
@@ -49,6 +50,7 @@ import tempfile
 import threading
 import time
 from collections import deque
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import islice
 from pathlib import Path
@@ -56,11 +58,7 @@ from typing import Deque, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..metrics.report import event_envelope
 from ..metrics.telemetry import MetricsRegistry, validate_event
-from ..parallel.engine import (
-    CellResult,
-    fold_remote_cells,
-    run_parallel_replay,
-)
+from ..parallel.engine import CellResult, local_executor, replay
 from ..parallel.policy import get_shard_policy
 from ..parallel.profiles import TenantConfig
 from ..parallel.sink import record_to_payload
@@ -228,6 +226,12 @@ class Job:
     #: past the highest journaled seq, so post-restart events never
     #: reuse a number a pre-crash follower already saw).
     next_seq: int = 0
+    #: True while a :meth:`JobStore._reserved` block is open (its seqs
+    #: claimed, its events not yet appended).
+    reserving: bool = False
+    #: Envelopes appended while :attr:`reserving`: their seqs follow
+    #: the open block's, so they land right after it does.
+    held: List[dict] = field(default_factory=list)
 
 
 class JobStore:
@@ -764,7 +768,7 @@ class JobStore:
                 if index >= job.events_dropped:
                     while (
                         job.events_dropped + len(job.events) <= index
-                        and job.status not in _TERMINAL
+                        and not self._settled(job)
                     ):
                         self._cond.wait(poll_s)
                         if (
@@ -784,7 +788,7 @@ class JobStore:
                 else:
                     spool_to = job.events_dropped
                 finished = (
-                    job.status in _TERMINAL
+                    self._settled(job)
                     and spool_to is None
                     and index >= job.events_dropped + len(job.events)
                 )
@@ -820,18 +824,30 @@ class JobStore:
         """Append one envelope and wake subscribers (lock held).
 
         ``seq`` defaults to the job's next number; passing one of a
-        :meth:`_reserve`-d block appends at that reserved number.
-        Every envelope is validated against the telemetry schema on the
-        way in — the store structurally cannot emit an invalid event.
-        Returns the assigned seq.
+        :meth:`_reserved` block appends at that reserved number.  An
+        unreserved append while a block is open is held back until the
+        block lands, so the log stays in seq order.  Every envelope is
+        validated against the telemetry schema on the way in — the
+        store structurally cannot emit an invalid event.  Returns the
+        assigned seq.
         """
         if seq is None:
             seq = job.next_seq
+            held = job.reserving
+        else:
+            held = False
         job.next_seq = max(job.next_seq, seq + 1)
-        job.events.append(
-            validate_event(event_envelope(kind, body, seq=seq))
-        )
-        if kind == "cell":
+        envelope = validate_event(event_envelope(kind, body, seq=seq))
+        if held:
+            job.held.append(envelope)
+        else:
+            self._push(job, envelope)
+        return seq
+
+    def _push(self, job: Job, envelope: dict) -> None:
+        """Put one envelope on the job's event log (lock held)."""
+        job.events.append(envelope)
+        if envelope["event"] == "cell":
             job.cells_done += 1
         cap = self.max_events_per_run
         if cap is not None:
@@ -845,20 +861,37 @@ class JobStore:
                     self._spool.append(job.id, evicted)
                 job.events_dropped += 1
         self._cond.notify_all()
-        return seq
+
+    @contextmanager
+    def _reserved(self, job: Job, count: int) -> Iterator[int]:
+        """Claim ``count`` consecutive seqs; yields the first.
+
+        For event blocks the journal records before they become
+        visible: the seqs are claimed *before* the journal fsync (which
+        runs outside the store lock), so the journaled "last emitted
+        seq" is exact.  Until the block exits, unreserved appends — a
+        fleet lease event, the shutdown sweep — take seqs after the
+        block's and are held back; they land as the block exits, right
+        behind its events, so followers see strictly increasing seqs.
+        """
+        with self._cond:
+            first = job.next_seq
+            job.next_seq += count
+            job.reserving = True
+        try:
+            yield first
+        finally:
+            with self._cond:
+                job.reserving = False
+                held, job.held = job.held, []
+                for envelope in held:
+                    self._push(job, envelope)
+                self._cond.notify_all()
 
     @staticmethod
-    def _reserve(job: Job, count: int) -> int:
-        """Claim ``count`` consecutive seqs (lock held); returns the first.
-
-        Seqs are reserved *before* the journal fsync that records them,
-        so a concurrent append (e.g. the shutdown sweep) can never be
-        assigned a number the journal is about to claim — the journaled
-        "last emitted seq" is correct even under that race.
-        """
-        first = job.next_seq
-        job.next_seq += count
-        return first
+    def _settled(job: Job) -> bool:
+        """Terminal, with every event the run will emit on its log."""
+        return job.status in _TERMINAL and not job.reserving
 
     @staticmethod
     def _accumulate(totals: Dict[str, int], cell_body: dict) -> None:
@@ -937,115 +970,91 @@ class JobStore:
             # the journal, then the progress events wake subscribers.
             # The hook fires only for newly executed cells — journal-
             # recovered ones folded without re-running and are already
-            # journaled.  (The fsync runs outside the store lock.)
-            # Seqs for the cell + progress pair are reserved first so
-            # the journaled "last emitted seq" is exact even if another
-            # event lands between the fsync and the append.
+            # journaled.
             body = self._cell_event_body(job.id, cell)
-            with self._cond:
-                first = self._reserve(job, 2)
-            if self._journal is not None:
-                self._journal.record_cell(
-                    job.id,
-                    cell.key,
-                    request.spec.cell_identity(cell.key),
-                    cell.to_payload(),
-                    seq=first + 1,
-                )
-            self._accumulate(totals, body)
-            progress = self._progress_body(job, totals)
-            with self._cond:
-                if job.status == "running":
-                    self._append(job, "cell", body, seq=first)
-                    self._append(job, "progress", progress, seq=first + 1)
+            with self._reserved(job, 2) as first:
+                if self._journal is not None:
+                    self._journal.record_cell(
+                        job.id,
+                        cell.key,
+                        request.spec.cell_identity(cell.key),
+                        cell.to_payload(),
+                        seq=first + 1,
+                    )
+                self._accumulate(totals, body)
+                progress = self._progress_body(job, totals)
+                with self._cond:
+                    if job.status == "running":
+                        self._append(job, "cell", body, seq=first)
+                        self._append(job, "progress", progress, seq=first + 1)
 
         try:
             if request.workers == "remote":
-                result = self._execute_remote(job, request, on_cell)
+                execute = self._fleet_executor(job, request)
             else:
-                # shards=workers keeps the static batched engine
-                # (stream=False) actually parallel at the requested
-                # width; the streaming engine ignores shards, and the
-                # merged report is shard-invariant either way.
-                result = run_parallel_replay(
-                    request.trace,
+                execute = local_executor(
                     request.spec,
-                    shards=request.workers,
-                    workers=request.workers,
-                    stream=request.stream,
-                    on_cell=on_cell,
-                    completed_cells=job.preloaded or None,
-                    metrics=self.metrics,
+                    request.workers,
                     retry=request.retry,
                     fault_plan=request.faults,
-                    on_cell_failure=request.on_cell_failure,
+                    metrics=self.metrics,
                 )
+            result = replay(
+                request.trace,
+                request.spec,
+                execute,
+                on_cell=on_cell,
+                completed_cells=job.preloaded or None,
+                metrics=self.metrics,
+                on_cell_failure=request.on_cell_failure,
+            )
             report = result.to_dict()
             failed_cells = len(result.failed_cells)
             # The terminal batch: the run's counter totals (matching
             # the report exactly), its phase-timing gauges, then the
-            # report itself — seqs reserved up front so the journaled
-            # done record names the report event's seq.
-            counters = [
-                ("requests_offered", totals["offered"]),
-                ("requests_completed", totals["completed"]),
-                ("requests_failed", totals["failed"]),
-                ("cells_completed", totals["cells_done"]),
-            ]
-            gauges = [
-                ("phase_seconds", {"phase": phase}, round(seconds, 6))
+            # report itself — the journaled done record names the
+            # report event's seq.
+            batch = [
+                ("counter", {"run_id": job.id, "name": name, "value": value})
+                for name, value in (
+                    ("requests_offered", totals["offered"]),
+                    ("requests_completed", totals["completed"]),
+                    ("requests_failed", totals["failed"]),
+                    ("cells_completed", totals["cells_done"]),
+                )
+            ] + [
+                ("gauge", {"run_id": job.id, "name": "phase_seconds",
+                           "value": round(seconds, 6),
+                           "labels": {"phase": phase}})
                 for phase, seconds in sorted(result.phase_wall_s.items())
             ]
-            batch = len(counters) + len(gauges) + 1
-            with self._cond:
-                first = self._reserve(job, batch)
-            if self._journal is not None:
-                self._journal.record_done(
-                    job.id, report, seq=first + batch - 1
-                )
-            with self._cond:
-                if job.status != "running":
-                    return  # the shutdown sweep already closed this run
-                seq = first
-                for name, value in counters:
-                    self._append(
-                        job, "counter",
-                        {"run_id": job.id, "name": name, "value": value},
-                        seq=seq,
+            if failed_cells:
+                # The run finished but skipped cells that exhausted
+                # their retries (on_cell_failure="skip"): terminal kind
+                # "degraded", still a done run — the report is complete
+                # for every surviving cell.
+                batch.append(("degraded", {"run_id": job.id, "report": report,
+                                           "failed_cells": failed_cells}))
+            else:
+                batch.append(("report", {"run_id": job.id, "report": report}))
+            with self._reserved(job, len(batch)) as first:
+                if self._journal is not None:
+                    self._journal.record_done(
+                        job.id, report, seq=first + len(batch) - 1
                     )
-                    seq += 1
-                for name, labels, value in gauges:
-                    self._append(
-                        job, "gauge",
-                        {"run_id": job.id, "name": name, "value": value,
-                         "labels": labels},
-                        seq=seq,
-                    )
-                    seq += 1
-                job.report = report
-                job.status = "done"
-                # Keep the merged record handle (list or disk-backed
-                # SpilledRecords) pageable via /records until the run
-                # leaves the record-retention window.
-                job.records = result.records
-                job.preloaded = None
-                if failed_cells:
-                    # The run finished but skipped cells that exhausted
-                    # their retries (on_cell_failure="skip"): terminal
-                    # kind "degraded", still a done run — the report is
-                    # complete for every surviving cell.
-                    self._append(
-                        job, "degraded",
-                        {"run_id": job.id, "report": report,
-                         "failed_cells": failed_cells},
-                        seq=seq,
-                    )
-                else:
-                    self._append(
-                        job, "report", {"run_id": job.id, "report": report},
-                        seq=seq,
-                    )
-                self._evict()
+                with self._cond:
+                    if job.status != "running":
+                        return  # the shutdown sweep already closed this run
+                    job.report = report
+                    job.status = "done"
+                    # Keep the merged record handle (list or disk-backed
+                    # SpilledRecords) pageable via /records until the run
+                    # leaves the record-retention window.
+                    job.records = result.records
+                    job.preloaded = None
+                    for seq, (kind, body) in enumerate(batch, first):
+                        self._append(job, kind, body, seq=seq)
+                    self._evict()
             self.metrics.counter(
                 "repro_runs_total",
                 status="degraded" if failed_cells else "done",
@@ -1067,41 +1076,34 @@ class JobStore:
             ).inc()
         except Exception as exc:  # noqa: BLE001 - a job must never kill its worker
             error = f"{type(exc).__name__}: {exc}"
-            with self._cond:
-                first = self._reserve(job, 1)
-            if self._journal is not None:
-                self._journal.record_failed(job.id, error, seq=first)
-            with self._cond:
-                if job.status != "running":
-                    return  # the shutdown sweep already closed this run
-                job.status = "failed"
-                job.error = error
-                job.preloaded = None
-                self._append(
-                    job, "error", {"run_id": job.id, "message": job.error},
-                    seq=first,
-                )
-                self._evict()
+            with self._reserved(job, 1) as first:
+                if self._journal is not None:
+                    self._journal.record_failed(job.id, error, seq=first)
+                with self._cond:
+                    if job.status != "running":
+                        return  # the shutdown sweep already closed this run
+                    job.status = "failed"
+                    job.error = error
+                    job.preloaded = None
+                    self._append(
+                        job, "error",
+                        {"run_id": job.id, "message": job.error},
+                        seq=first,
+                    )
+                    self._evict()
             self.metrics.counter("repro_runs_total", status="failed").inc()
 
-    def _execute_remote(self, job: Job, request: RunRequest, on_cell):
-        """Run one job on the remote fleet instead of a local pool.
+    def _fleet_executor(self, job: Job, request: RunRequest):
+        """The executor that runs a job's cells on the remote fleet.
 
-        The cells queue into the :class:`~repro.serve.workers.\
-WorkerRegistry` and the delivered outcomes fold through
-        :func:`~repro.parallel.engine.fold_remote_cells` — the same
-        ``StreamingMerge`` / ``on_cell`` / journal discipline as local
-        execution, so the report, the per-cell journal records, and the
+        The pending cells queue into the :class:`~repro.serve.workers.\
+WorkerRegistry` and its delivered outcomes feed the same fold a local
+        run uses, so the report, the per-cell journal records, and the
         event stream are byte-identical to ``repro replay`` at the same
-        seed.  Journal-recovered cells never re-queue: only the missing
-        cells go to the fleet.
+        seed.  Journal-recovered cells never re-queue: the fold hands
+        the executor only the missing cells.  However the fold ends,
+        closing the executor drops the job's queued and leased cells.
         """
-        done = {cell.key for cell in job.preloaded or ()}
-        pending = sorted(
-            key
-            for key, _ in get_shard_policy("tenant").split(request.trace)
-            if key not in done
-        )
         payload = dict(request.payload or {})
         if (
             payload.get("tenant_config") is None
@@ -1113,19 +1115,17 @@ WorkerRegistry` and the delivered outcomes fold through
             # and the folded cells silently diverge from the validated
             # run.
             payload["tenant_config"] = self._default_tenant_config.to_payload()
-        fleet_job = self.fleet.submit(job.id, payload, pending, request.retry)
-        try:
-            return fold_remote_cells(
-                request.trace,
-                request.spec,
-                self.fleet.results(fleet_job),
-                on_cell=on_cell,
-                completed_cells=job.preloaded or None,
-                metrics=self.metrics,
-                on_cell_failure=request.on_cell_failure,
+
+        def execute(cells):
+            fleet_job = self.fleet.submit(
+                job.id, payload, [key for key, _ in cells], request.retry
             )
-        finally:
-            self.fleet.finish(fleet_job)
+            try:
+                yield from self.fleet.results(fleet_job)
+            finally:
+                self.fleet.finish(fleet_job)
+
+        return execute
 
     def _fleet_event(self, job_id: str, kind: str, body: dict) -> None:
         """Mirror fleet lease activity onto the owning run's stream.

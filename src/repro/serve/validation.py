@@ -12,8 +12,8 @@ A validated request becomes a :class:`RunRequest`: the
 :class:`~repro.loadgen.trace.InvocationTrace` to replay, the
 :class:`~repro.parallel.spec.ReplaySpec` built exactly the way the CLI
 builds it (so a served run's report is byte-identical to the same seed
-replayed via ``repro replay``), and the scheduling knobs (``workers``,
-``stream``) that never affect the report.
+replayed via ``repro replay``), and the scheduling knob (``workers``)
+that never affects the report.
 """
 
 from __future__ import annotations
@@ -48,7 +48,6 @@ _REQUEST_KEYS = {
     "synth",
     "tenant_config",
     "workers",
-    "stream",
     "record_sink",
     "max_records_in_memory",
     "tenant",
@@ -84,8 +83,6 @@ class RunRequest:
     #: the string ``"remote"``: cells execute on the registered
     #: ``repro worker`` fleet via the lease queue (``docs/workers.md``).
     workers: Union[int, str] = 1
-    #: Streaming work-stealing scheduler vs the static batched engine.
-    stream: bool = True
     #: Who submitted the run (admission-control identity; free-form).
     tenant: Optional[str] = None
     #: The submitting tenant's concurrent-run quota, resolved from the
@@ -272,9 +269,6 @@ def parse_run_request(
         workers: Union[int, str] = "remote"
     else:
         workers = _opt_int(payload, "workers", minimum=1) or 1
-    stream = payload.get("stream", True)
-    if not isinstance(stream, bool):
-        raise _type_error("stream", "a boolean", stream)
     tenant = payload.get("tenant")
     if tenant is not None and not isinstance(tenant, str):
         raise _type_error("tenant", "a string", tenant)
@@ -384,14 +378,13 @@ def parse_run_request(
         "trace": {"name": trace.name, "events": len(trace),
                   "tenants": len(trace.tenants())},
         "workers": workers,
-        "stream": stream,
         "tenant_config": config is not None,
         "record_sink": sink_kind,
     }
     if tenant is not None:
         summary["tenant"] = tenant
     return RunRequest(
-        trace=trace, spec=spec, workers=workers, stream=stream,
+        trace=trace, spec=spec, workers=workers,
         tenant=tenant, max_concurrent_runs=max_concurrent_runs,
         retry=retry, faults=faults, on_cell_failure=on_cell_failure,
         summary=summary, payload=payload,

@@ -45,9 +45,9 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Deque, Dict, Iterator, List, Optional, Union
+from typing import Callable, Deque, Dict, Iterator, List, Optional
 
-from ..parallel.engine import CellResult
+from ..parallel.engine import CellResult, Outcome
 from ..parallel.resilience import FAILURE_KINDS, CellFailure, RetryPolicy
 
 __all__ = [
@@ -58,9 +58,6 @@ __all__ = [
     "WorkerAuthError",
     "WorkerRegistry",
 ]
-
-#: An outcome the registry delivers to the fold loop.
-Outcome = Union[CellResult, CellFailure]
 
 
 class UnknownWorker(KeyError):

@@ -187,7 +187,7 @@ def test_replay_table_report(capsys):
     from pathlib import Path
 
     trace = Path(__file__).parent.parent / "examples/traces/mixed_tenants.csv"
-    code = main(["replay", str(trace), "--shards", "2"])
+    code = main(["replay", str(trace), "--workers", "2"])
     assert code == 0
     out = capsys.readouterr().out
     assert "sharded replay report" in out
@@ -195,19 +195,21 @@ def test_replay_table_report(capsys):
     assert "acme" in out  # per-tenant breakdown survives the merge
 
 
-def test_replay_shard_count_invariant_json(tmp_path, capsys):
-    """--shards 4 and --shards 1 print the same merged report."""
+def test_replay_worker_count_invariant_json(tmp_path, capsys):
+    """--workers 4 and --workers 1 print the same merged report."""
     path = tmp_path / "t.json"
     path.write_text(SAMPLE_TRACE)
     reports = []
-    for shards in ("1", "4"):
+    for workers in ("1", "4"):
         code = main([
-            "replay", str(path), "--app", "wc", "--shards", shards,
+            "replay", str(path), "--app", "wc", "--workers", workers,
             "--format", "json",
         ])
         assert code == 0
         report = json.loads(capsys.readouterr().out)
-        assert report.pop("parallel")["shards"] == int(shards)
+        parallel = report.pop("parallel")
+        assert parallel["workers"] == int(workers)
+        assert "shards" not in parallel and "stream" not in parallel
         reports.append(report)
     assert reports[0] == reports[1]
     assert reports[0]["replay"] == {"policy": "tenant", "cells": 2}
@@ -224,9 +226,14 @@ def test_replay_appless_trace_needs_app(tmp_path, capsys):
 def test_replay_rejects_bad_flags(tmp_path, capsys):
     path = tmp_path / "t.json"
     path.write_text(SAMPLE_TRACE)
-    assert main(["replay", str(path), "--app", "wc", "--shards", "0"]) == 2
+    assert main(["replay", str(path), "--app", "wc", "--workers", "0"]) == 2
     assert main(["replay", str(path), "--app", "wc", "--policy", "warp"]) == 2
     assert main(["replay", "/no/such/trace.json", "--app", "wc"]) == 2
+    # The batched-engine knobs are gone: argparse rejects them.
+    for removed in (["--shards", "2"], ["--stream"]):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["replay", str(path), "--app", "wc", *removed])
+        assert exit_info.value.code == 2
     capsys.readouterr()
 
 
@@ -280,9 +287,9 @@ def test_replay_tenant_config_echoes_profile_table(tmp_path, capsys):
 def test_replay_tenant_config_shard_invariant(tmp_path, capsys):
     trace_path, config_path = _write_tenant_fixtures(tmp_path)
     reports = []
-    for shards in ("1", "4"):
+    for workers in ("1", "4"):
         code = main([
-            "replay", str(trace_path), "--app", "wc", "--shards", shards,
+            "replay", str(trace_path), "--app", "wc", "--workers", workers,
             "--tenant-config", str(config_path), "--format", "json",
         ])
         assert code == 0
@@ -429,7 +436,7 @@ def test_example_tenant_config_validates_and_runs(capsys):
     code = main([
         "replay", str(root / "examples/traces/mixed_tenants.csv"),
         "--tenant-config", str(root / "examples/tenant_profiles.json"),
-        "--shards", "2", "--format", "json",
+        "--workers", "2", "--format", "json",
     ])
     assert code == 0
     report = json.loads(capsys.readouterr().out)

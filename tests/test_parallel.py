@@ -1,4 +1,4 @@
-"""Tests for the sharded parallel replay engine (`repro.parallel`)."""
+"""Tests for the parallel replay engine (`repro.parallel`)."""
 
 import pytest
 
@@ -9,12 +9,9 @@ from repro.parallel import (
     TenantShardPolicy,
     TimeSliceShardPolicy,
     get_shard_policy,
-    merge_shard_results,
-    partition_trace,
     replay_cell,
     run_parallel_replay,
 )
-from repro.parallel.engine import ShardResult
 
 MIXED_CSV = """at_s,tenant,app,input_bytes,fanout,seed
 0.0,a,wc,4MB,4,0
@@ -64,18 +61,6 @@ def test_policy_registry_specs():
         get_shard_policy("bogus")
 
 
-def test_partition_is_stable_and_complete(mixed_trace):
-    batches_a = partition_trace(mixed_trace, 3)
-    batches_b = partition_trace(mixed_trace, 3)
-    keys_a = [[key for key, _ in batch] for batch in batches_a]
-    keys_b = [[key for key, _ in batch] for batch in batches_b]
-    assert keys_a == keys_b  # hash assignment is process-invariant
-    flat = sorted(key for batch in batches_a for key, _ in batch)
-    assert flat == ["a", "b", "c"]
-    with pytest.raises(ValueError):
-        partition_trace(mixed_trace, 0)
-
-
 # -- spec ---------------------------------------------------------------------
 
 
@@ -107,28 +92,43 @@ def test_replay_cell_prefixes_request_ids(mixed_trace):
 
 
 def test_shard_count_does_not_change_report(mixed_trace):
-    """The ISSUE's acceptance bar: --shards 4 == --shards 1, bit-identical."""
+    """``shards`` only defaults ``workers``; the report never moves."""
+    import os
+
     spec = ReplaySpec()
-    reports = [
-        run_parallel_replay(mixed_trace, spec, shards=shards, workers=1).to_dict()
+    results = [
+        run_parallel_replay(mixed_trace, spec, shards=shards)
         for shards in (1, 2, 4)
     ]
+    assert [result.workers for result in results] == [
+        min(shards, os.cpu_count() or 1) for shards in (1, 2, 4)
+    ]
+    reports = [result.to_dict() for result in results]
     assert reports[0] == reports[1] == reports[2]
+    with pytest.raises(ValueError):
+        run_parallel_replay(mixed_trace, spec, shards=0)
 
 
 def test_worker_processes_do_not_change_report(mixed_trace):
+    """The serial executor and the work-stealing pool, byte for byte."""
+    import sys
+
+    from repro.metrics.report import render_json
+
     spec = ReplaySpec()
-    serial = run_parallel_replay(mixed_trace, spec, shards=1, workers=1)
-    parallel = run_parallel_replay(mixed_trace, spec, shards=3, workers=2)
-    assert serial.to_dict() == parallel.to_dict()
-    assert parallel.shards == 3 and parallel.workers == 2
+    serial = run_parallel_replay(mixed_trace, spec, workers=1)
+    parallel = run_parallel_replay(mixed_trace, spec, workers=2)
+    assert render_json(serial.to_dict()) == render_json(parallel.to_dict())
+    assert parallel.workers == 2
     assert parallel.cell_count == 3
     assert parallel.wall_s > 0
     assert parallel.events_per_s() > 0
+    if sys.platform != "win32":  # max_rss_mb() is documented 0.0 there
+        assert parallel.rss_mb > 0
 
 
 def test_merged_report_preserves_breakdowns(mixed_trace):
-    result = run_parallel_replay(mixed_trace, ReplaySpec(), shards=2, workers=1)
+    result = run_parallel_replay(mixed_trace, ReplaySpec(), workers=1)
     report = result.to_dict()
     assert report["offered"] == len(mixed_trace)
     assert report["completed"] == len(mixed_trace)
@@ -142,26 +142,21 @@ def test_merged_report_preserves_breakdowns(mixed_trace):
 
 
 def test_merge_order_is_shard_invariant(mixed_trace):
-    """merge_shard_results depends on cells, not on their batching."""
+    """The merged records come out in canonical order, whatever order
+    the executor delivered the cells in."""
     spec = ReplaySpec()
     cells = TenantShardPolicy().split(mixed_trace)
     results = [replay_cell(spec, key, cell) for key, cell in cells]
-    one_shard = merge_shard_results(
-        [ShardResult(index=0, cells=list(results), wall_s=0.0)],
-        mixed_trace, spec,
-    )
-    scattered = merge_shard_results(
-        [
-            ShardResult(index=0, cells=[results[2]], wall_s=0.0),
-            ShardResult(index=1, cells=[results[0]], wall_s=0.0),
-            ShardResult(index=2, cells=[results[1]], wall_s=0.0),
-        ],
-        mixed_trace, spec,
-    )
-    assert one_shard.to_dict() == scattered.to_dict()
-    assert [r.request_id for r in one_shard.records] == [
-        r.request_id for r in scattered.records
-    ]
+    merged = []
+    for order in (results, results[::-1], results[1:] + results[:1]):
+        merge = StreamingMerge(mixed_trace, spec)
+        for cell in order:
+            merge.add(cell)
+        merged.append(merge.finalize())
+    reference = [r.request_id for r in merged[0].records]
+    for result in merged[1:]:
+        assert result.to_dict() == merged[0].to_dict()
+        assert [r.request_id for r in result.records] == reference
 
 
 def test_streaming_merge_is_arrival_order_insensitive(mixed_trace):
@@ -194,32 +189,13 @@ def test_streaming_merge_rejects_duplicate_cells(mixed_trace):
         merge.add(result)
 
 
-def test_stream_flag_never_changes_report(mixed_trace):
-    """Streamed work stealing == static batching, byte for byte."""
-    from repro.metrics.report import render_json
-
-    spec = ReplaySpec()
-    batched = run_parallel_replay(
-        mixed_trace, spec, shards=3, workers=2, stream=False
-    )
-    streamed = run_parallel_replay(
-        mixed_trace, spec, shards=3, workers=2, stream=True
-    )
-    assert render_json(batched.to_dict()) == render_json(streamed.to_dict())
-    assert batched.streamed is False and streamed.streamed is True
-    import sys
-
-    if sys.platform != "win32":  # max_rss_mb() is documented 0.0 there
-        assert streamed.rss_mb > 0
-
-
 def test_timeslice_policy_also_shard_invariant(mixed_trace):
     spec = ReplaySpec()
     a = run_parallel_replay(
-        mixed_trace, spec, shards=1, workers=1, policy="timeslice:2"
+        mixed_trace, spec, workers=1, policy="timeslice:2"
     )
     b = run_parallel_replay(
-        mixed_trace, spec, shards=3, workers=1, policy="timeslice:2"
+        mixed_trace, spec, workers=2, policy="timeslice:2"
     )
     assert a.to_dict() == b.to_dict()
     assert a.policy_name == "timeslice"
@@ -230,12 +206,12 @@ def test_synthetic_trace_replay_deterministic_across_runs():
         tenants=4, duration_s=20.0, mean_rpm=30, apps=["wc"], seed=11
     )
     spec = ReplaySpec(default_app="wc", seed=5)
-    first = run_parallel_replay(trace, spec, shards=4, workers=1)
-    second = run_parallel_replay(trace, spec, shards=4, workers=1)
+    first = run_parallel_replay(trace, spec, workers=1)
+    second = run_parallel_replay(trace, spec, workers=1)
     assert first.to_dict() == second.to_dict()
     # A different root seed steers every cell's world differently.
     reseeded = run_parallel_replay(
-        trace, ReplaySpec(default_app="wc", seed=6), shards=4, workers=1
+        trace, ReplaySpec(default_app="wc", seed=6), workers=1
     )
     assert reseeded.to_dict()["latency"] != first.to_dict()["latency"]
 
@@ -243,12 +219,14 @@ def test_synthetic_trace_replay_deterministic_across_runs():
 def test_appless_trace_requires_default_app():
     trace = InvocationTrace.from_events([{"at_s": 0.0, "tenant": "a"}])
     with pytest.raises(ValueError):
-        run_parallel_replay(trace, ReplaySpec(), shards=2, workers=1)
+        run_parallel_replay(trace, ReplaySpec(), workers=1)
 
 
 def test_empty_trace_merges_to_empty_report():
     trace = InvocationTrace(events=[], name="empty")
-    result = run_parallel_replay(trace, ReplaySpec(default_app="wc"), shards=4)
+    result = run_parallel_replay(
+        trace, ReplaySpec(default_app="wc"), workers=2
+    )
     assert result.offered == 0
     assert result.records == []
     assert result.usage is None

@@ -4,7 +4,7 @@ Three guarantee families, mirroring ``src/repro/parallel/sink.py``:
 
 - **Identity**: the merged report and the canonical record sequence are
   byte-identical across the in-memory sink, the disk-spilling sink, and
-  both engines, at any shard/worker count (hypothesis property over
+  every executor — serial, pool, remote fleet (hypothesis property over
   skewed traces).
 - **Integrity**: a torn or truncated spill run file raises
   :class:`~repro.parallel.sink.SpillError` at finalize — never a
@@ -32,6 +32,8 @@ from repro.parallel.sink import (
     record_from_payload,
     record_to_payload,
 )
+
+from fleet_harness import fleet_replay
 
 TENANTS = ["t0", "t1", "t2", "t3"]
 
@@ -79,7 +81,7 @@ def test_make_record_sink_dispatch(tmp_path):
 
 def test_record_payload_round_trips_exactly():
     result = run_parallel_replay(
-        _trace(), ReplaySpec(default_app="wc", seed=3), shards=2, workers=1
+        _trace(), ReplaySpec(default_app="wc", seed=3), workers=1
     )
     for record in result.records:
         payload = json.loads(
@@ -92,20 +94,15 @@ def test_record_payload_round_trips_exactly():
 # -- engine-level identity across sinks ---------------------------------------
 
 
-def _report(trace, shards, workers, stream, record_sink=None):
+def _report(trace, workers, record_sink=None):
     spec = ReplaySpec(default_app="wc", seed=11, record_sink=record_sink)
-    return run_parallel_replay(
-        trace, spec, shards=shards, workers=workers, stream=stream
-    )
+    return run_parallel_replay(trace, spec, workers=workers)
 
 
 def test_spill_sink_report_and_records_match_memory(tmp_path):
     trace = _trace(events_per_tenant=5)
-    memory = _report(trace, shards=2, workers=1, stream=True)
-    spill = _report(
-        trace, shards=2, workers=1, stream=True,
-        record_sink=_spill_spec(tmp_path),
-    )
+    memory = _report(trace, workers=1)
+    spill = _report(trace, workers=1, record_sink=_spill_spec(tmp_path))
     assert render_json(memory.to_dict()) == render_json(spill.to_dict())
     assert isinstance(spill.records, SpilledRecords)
     assert list(spill.records) == list(memory.records)
@@ -114,7 +111,7 @@ def test_spill_sink_report_and_records_match_memory(tmp_path):
 
 def test_spill_scratch_cleaned_up_on_close(tmp_path):
     spill = _report(
-        trace=_trace(), shards=1, workers=1, stream=True,
+        trace=_trace(), workers=1,
         record_sink=_spill_spec(tmp_path, max_records=1),
     )
     assert isinstance(spill.records, SpilledRecords)
@@ -136,18 +133,18 @@ def test_engine_counts_spilled_records(tmp_path):
 
     metrics = MetricsRegistry()
     trace = _trace(events_per_tenant=5)
-    result = _report(trace, shards=1, workers=1, stream=True)
+    result = _report(trace, workers=1)
     offered = result.offered
     spec = ReplaySpec(
         default_app="wc", seed=11,
         record_sink=_spill_spec(tmp_path, max_records=2),
     )
-    run_parallel_replay(trace, spec, shards=1, workers=1, metrics=metrics)
+    run_parallel_replay(trace, spec, workers=1, metrics=metrics)
     spilled = metrics.counter("repro_records_spilled_total").value
     assert 0 < spilled <= offered
 
 
-# -- hypothesis: spill x memory x engines x shards, byte-identical ------------
+# -- hypothesis: spill x memory x executors, byte-identical -------------------
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, given, settings, strategies as st  # noqa: E402
@@ -192,9 +189,9 @@ def _skewed(events):
 def test_sinks_and_engines_merge_byte_identical(
     tmp_path_factory, events, seed, threshold
 ):
-    """The tentpole property: spill x memory x batched x streamed over
-    skewed traces at shards 1/2/4 — one canonical report, to the byte,
-    and one canonical record sequence."""
+    """The tentpole property: spill x memory x serial/pool/fleet over
+    skewed traces — one canonical report, to the byte, and one
+    canonical record sequence."""
     trace = InvocationTrace(events=_skewed(events), name="prop-spill")
     spill_dir = str(tmp_path_factory.mktemp("spill"))
     memory_spec = ReplaySpec(default_app="wc", seed=seed)
@@ -205,21 +202,19 @@ def test_sinks_and_engines_merge_byte_identical(
             max_records_in_memory=threshold,
         ),
     )
-    baseline = run_parallel_replay(
-        trace, memory_spec, shards=1, workers=1, stream=False
-    )
+    baseline = run_parallel_replay(trace, memory_spec, workers=1)
     canonical = render_json(baseline.to_dict())
     records = list(baseline.records)
-    for shards in (1, 2, 4):
-        for spec in (memory_spec, spill_spec):
-            for stream in (False, True):
-                result = run_parallel_replay(
-                    trace, spec, shards=shards, workers=1, stream=stream
-                )
-                assert render_json(result.to_dict()) == canonical, (
-                    shards, spec.record_sink, stream,
-                )
-                assert list(result.records) == records
+    for spec in (memory_spec, spill_spec):
+        for executor, result in (
+            ("serial", run_parallel_replay(trace, spec, workers=1)),
+            ("pool", run_parallel_replay(trace, spec, workers=2)),
+            ("fleet", fleet_replay(trace, spec, 2)),
+        ):
+            assert render_json(result.to_dict()) == canonical, (
+                executor, spec.record_sink,
+            )
+            assert list(result.records) == records
 
 
 # -- torn-spill fault injection -----------------------------------------------
@@ -230,7 +225,7 @@ def _spilled_sink(tmp_path):
     result = run_parallel_replay(
         _trace(events_per_tenant=4),
         ReplaySpec(default_app="wc", seed=5),
-        shards=1, workers=1,
+        workers=1,
     )
     sink = SpillingRecordSink(spill_dir=str(tmp_path), max_records_in_memory=1)
     by_tenant = {}
@@ -277,7 +272,7 @@ def test_buffers_flush_at_threshold(tmp_path):
     result = run_parallel_replay(
         _trace(events_per_tenant=4),
         ReplaySpec(default_app="wc", seed=5),
-        shards=1, workers=1,
+        workers=1,
     )
     sink = SpillingRecordSink(
         spill_dir=str(tmp_path), max_records_in_memory=6
@@ -309,7 +304,7 @@ def test_spilling_finalize_streams_without_materializing(tmp_path):
     result = run_parallel_replay(
         _trace(events_per_tenant=2),
         ReplaySpec(default_app="wc", seed=5),
-        shards=1, workers=1,
+        workers=1,
     )
     template = record_to_payload(result.records[0])
     # Synthesize ~6000 records across 6 cells from the template.
@@ -340,7 +335,7 @@ def test_spilled_records_sequence_semantics(tmp_path):
             default_app="wc", seed=5,
             record_sink=_spill_spec(tmp_path, max_records=1),
         ),
-        shards=1, workers=1,
+        workers=1,
     )
     records = result.records
     assert isinstance(records, SpilledRecords)

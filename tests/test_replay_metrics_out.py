@@ -77,7 +77,7 @@ def test_metrics_out_is_identical_across_worker_counts(tmp_path):
     different parallelism exposes byte-identical counter text (wall
     -clock histograms excluded — they measure the run, not the data)."""
     _, serial = _replay(tmp_path / "a")
-    _, parallel = _replay(tmp_path / "b", extra=["--shards", "4"])
+    _, parallel = _replay(tmp_path / "b", extra=["--workers", "4"])
     for name in (
         "repro_cells_completed_total",
         "repro_tenant_requests_total",

@@ -1,10 +1,11 @@
-"""Property-based shard/worker invariance for (heterogeneous) replay.
+"""Property-based executor/worker invariance for (heterogeneous) replay.
 
 The engine's core guarantee: the merged report is a pure function of
 (trace, spec, policy).  Seeded random traces crossed with random
-tenant-profile maps must merge to byte-identical report dicts at any
-``--shards``/``--workers`` setting, and per-cell seeds must never depend
-on shard or worker indices.
+tenant-profile maps must merge to byte-identical report dicts on the
+serial executor, the work-stealing pool, and the remote fleet, at any
+worker count, and per-cell seeds must never depend on which other cells
+share a run or a worker.
 """
 
 import pytest
@@ -16,10 +17,11 @@ from repro.loadgen.trace import InvocationTrace, TraceEvent  # noqa: E402
 from repro.parallel import (  # noqa: E402
     ReplaySpec,
     TenantProfile,
-    partition_trace,
     run_parallel_replay,
 )
 from repro.parallel.policy import TenantShardPolicy  # noqa: E402
+
+from fleet_harness import fleet_replay  # noqa: E402
 
 TENANTS = ["t0", "t1", "t2", "t3"]
 SYSTEMS = ["dataflower", "faasflow", "sonic", "production"]
@@ -64,7 +66,8 @@ SLOW = settings(
 @SLOW
 @given(events=events, profile_map=profiles, seed=st.integers(0, 2**16))
 def test_shard_count_never_changes_merged_report(events, profile_map, seed):
-    """shards 1/2/4 merge to byte-identical report dicts."""
+    """shards 1/2/4 — the ``workers`` default — merge to byte-identical
+    report dicts."""
     from repro.metrics.report import render_json
 
     trace = InvocationTrace(events=events, name="prop")
@@ -72,7 +75,7 @@ def test_shard_count_never_changes_merged_report(events, profile_map, seed):
         default_app="wc", seed=seed, tenant_profiles=profile_map or None
     )
     reports = [
-        run_parallel_replay(trace, spec, shards=shards, workers=1).to_dict()
+        run_parallel_replay(trace, spec, shards=shards).to_dict()
         for shards in (1, 2, 4)
     ]
     assert reports[0] == reports[1] == reports[2]
@@ -90,8 +93,8 @@ def test_worker_count_never_changes_merged_report(events, profile_map):
     spec = ReplaySpec(
         default_app="wc", seed=3, tenant_profiles=profile_map or None
     )
-    one = run_parallel_replay(trace, spec, shards=4, workers=1).to_dict()
-    two = run_parallel_replay(trace, spec, shards=4, workers=2).to_dict()
+    one = run_parallel_replay(trace, spec, workers=1).to_dict()
+    two = run_parallel_replay(trace, spec, workers=2).to_dict()
     assert one == two
 
 
@@ -117,9 +120,10 @@ def _skewed_events(draw_events):
 def test_streamed_work_stealing_matches_serial_byte_for_byte(
     events, profile_map, seed
 ):
-    """The tentpole invariant: the streaming work-stealing engine merges
-    byte-identical to the serial path over random skewed traces, across
-    shards 1/2/4 x workers 1/2 — completion/steal order never leaks."""
+    """The tentpole invariant: the work-stealing pool (2/3 workers) and
+    the remote fleet (2 workers) merge byte-identical to the serial
+    executor over random skewed traces — completion/steal/lease order
+    never leaks."""
     from repro.metrics.report import render_json
 
     trace = InvocationTrace(events=_skewed_events(events), name="prop-skew")
@@ -127,18 +131,13 @@ def test_streamed_work_stealing_matches_serial_byte_for_byte(
         default_app="wc", seed=seed, tenant_profiles=profile_map or None
     )
     serial = render_json(
-        run_parallel_replay(
-            trace, spec, shards=1, workers=1, stream=False
-        ).to_dict()
+        run_parallel_replay(trace, spec, workers=1).to_dict()
     )
-    for shards in (1, 2, 4):
-        for workers in (1, 2):
-            streamed = run_parallel_replay(
-                trace, spec, shards=shards, workers=workers, stream=True
-            )
-            assert render_json(streamed.to_dict()) == serial, (
-                shards, workers,
-            )
+    for workers in (2, 3):
+        pooled = run_parallel_replay(trace, spec, workers=workers)
+        assert render_json(pooled.to_dict()) == serial, workers
+    fleet = fleet_replay(trace, spec, 2)
+    assert render_json(fleet.to_dict()) == serial
 
 
 @settings(max_examples=25, deadline=None,
@@ -152,31 +151,33 @@ def test_streamed_work_stealing_matches_serial_byte_for_byte(
 def test_cell_seeds_are_independent_of_sharding(
     events, profile_map, seed, shards
 ):
-    """Per-cell seeds derive from (spec, cell) alone — partitioning the
-    same cells into any number of shards yields the same seed per key,
-    so no shard or worker index can leak into a cell's RNG streams."""
+    """Per-cell seeds derive from (spec, cell) alone — regrouping the
+    same cells into any number of sub-traces yields the same seed per
+    key, so no batch, worker, or neighbouring cell can leak into a
+    cell's RNG streams."""
     trace = InvocationTrace(events=events, name="prop")
     spec = ReplaySpec(
         default_app="wc", seed=seed, tenant_profiles=profile_map or None
     )
-    direct = {
-        key: spec.cell_seed(key, cell)
-        for key, cell in TenantShardPolicy().split(trace)
-    }
-    via_partition = {
-        key: spec.cell_seed(key, cell)
-        for batch in partition_trace(trace, shards)
-        for key, cell in batch
-    }
-    assert via_partition == direct
-    # And resolution itself is cell-pure: same profile tag either way.
-    tags = {
-        key: spec.resolve(key, cell).tag()
-        for batch in partition_trace(trace, shards)
-        for key, cell in batch
-    }
-    for key, cell in TenantShardPolicy().split(trace):
-        assert tags[key] == spec.resolve(key, cell).tag()
+    cells = TenantShardPolicy().split(trace)
+    direct = {key: spec.cell_seed(key, cell) for key, cell in cells}
+    tags = {key: spec.resolve(key, cell).tag() for key, cell in cells}
+    regrouped = {}
+    for index in range(shards):
+        group = InvocationTrace(
+            events=[
+                event
+                for position, (_key, cell) in enumerate(cells)
+                if position % shards == index
+                for event in cell.events
+            ],
+            name="prop",
+        )
+        for key, cell in TenantShardPolicy().split(group):
+            regrouped[key] = spec.cell_seed(key, cell)
+            # Resolution itself is cell-pure: same profile tag either way.
+            assert spec.resolve(key, cell).tag() == tags[key]
+    assert regrouped == direct
 
 
 @settings(max_examples=25, deadline=None)

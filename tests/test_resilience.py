@@ -7,9 +7,10 @@ Three clusters of assertions:
   round-trips for everything that crosses a process or wire boundary.
 * **Crash identity** — the tentpole property: SIGKILL a pool worker
   (or its serial stand-in) mid-cell and the recovered report is
-  *byte-identical* to the fault-free run, under the streaming and the
-  batched engine alike, at any shard count.  Degraded runs
-  (``on_cell_failure="skip"``) are deterministic too.
+  *byte-identical* to the fault-free run, on the serial executor, the
+  work-stealing pool, and the remote fleet alike.  Degraded runs
+  (``on_cell_failure="skip"``) are deterministic too, and a fold that
+  aborts leaves no worker process or fleet lease behind.
 * **Admission control** — the serve layer's 429 contract: queue-depth
   bounds and per-tenant concurrent-run quotas reject with
   ``Retry-After``, ``/healthz`` flips ``ready``, and ``ServeClient``
@@ -48,6 +49,8 @@ from repro.parallel.sink import RecordSinkSpec
 from repro.serve import ServeClient, create_server, parse_run_request
 import repro.serve.jobs as jobs_mod
 from repro.serve.jobs import AdmissionDenied, JobStore
+
+from fleet_harness import fleet_replay
 
 SPEC = ReplaySpec(default_app="wc", seed=7)
 
@@ -299,8 +302,31 @@ def test_spill_scratch_cleaned_up_when_replay_fails(tmp_path):
             fault_plan=_poison("tenant2", attempt=0),
         )
     # The sink's scratch directory was removed on the failure path, not
-    # leaked (the close() in run_parallel_replay's except branch).
+    # leaked (the close() in the fold's except branch).
     assert list(tmp_path.iterdir()) == []
+
+
+def test_aborted_pool_fold_leaves_no_worker_processes():
+    """However a pooled fold aborts — an exhausted cell under "fail", or
+    an on_cell hook that raises — the pool is shut down and its worker
+    processes joined before the call returns."""
+    import multiprocessing
+
+    trace = _trace(tenants=4)
+    with pytest.raises(CellFailedError):
+        run_parallel_replay(
+            trace, SPEC, workers=2,
+            retry=RetryPolicy(max_attempts=1),
+            fault_plan=_poison("tenant2", attempt=0),
+        )
+    assert multiprocessing.active_children() == []
+
+    def hook(cell):
+        raise RuntimeError("observer failed")
+
+    with pytest.raises(RuntimeError, match="observer failed"):
+        run_parallel_replay(trace, SPEC, workers=2, on_cell=hook)
+    assert multiprocessing.active_children() == []
 
 
 # -- the crash-identity property (the tentpole) -------------------------------
@@ -310,8 +336,9 @@ def test_spill_scratch_cleaned_up_when_replay_fails(tmp_path):
 @given(seed=st.integers(min_value=0, max_value=2**16 - 1))
 def test_crash_identity_across_engines_and_shards(seed):
     """SIGKILL a worker mid-cell on attempt 1: the recovered report is
-    byte-identical to the fault-free serial control, for the streaming
-    and the batched engine, at shards 1/2/4."""
+    byte-identical to the fault-free serial control — on the serial
+    executor (a raised WorkerCrashError), the pool at 2 and 3 workers,
+    and the remote fleet (a reported worker-crash, requeued)."""
     trace = synthesize_trace(
         tenants=3, duration_s=8.0, mean_rpm=40.0, apps=["wc"], seed=seed,
     )
@@ -322,16 +349,19 @@ def test_crash_identity_across_engines_and_shards(seed):
         faults=(FaultSpec(kind="kill", cell=victim, attempt=1),)
     )
     retry = RetryPolicy(max_attempts=4, backoff_base_s=0.01)
-    for stream in (True, False):
-        for shards in (1, 2, 4):
-            result = run_parallel_replay(
-                trace, spec, shards=shards, workers=2, stream=stream,
-                retry=retry, fault_plan=plan,
-            )
-            assert render_json(result.to_dict()) == control, (
-                f"report diverged after worker crash "
-                f"(stream={stream}, shards={shards}, seed={seed})"
-            )
+    results = {
+        f"local/workers={workers}": run_parallel_replay(
+            trace, spec, workers=workers, retry=retry, fault_plan=plan,
+        )
+        for workers in (1, 2, 3)
+    }
+    results["fleet/workers=2"] = fleet_replay(
+        trace, spec, 2, retry=retry, fault_plan=plan
+    )
+    for name, result in results.items():
+        assert render_json(result.to_dict()) == control, (
+            f"report diverged after worker crash ({name}, seed={seed})"
+        )
 
 
 # -- the CLI surface ----------------------------------------------------------
@@ -416,17 +446,17 @@ QUOTA_CONFIG = {"tenants": {"hot": {"max_concurrent_runs": 1}}}
 
 
 def _gated_engine(monkeypatch):
-    """Replace the job store's engine entry point with one that blocks
-    runs whose trace is named ``hold`` until the returned gate opens."""
+    """Replace the job store's engine fold with one that blocks runs
+    whose trace is named ``hold`` until the returned gate opens."""
     gate = threading.Event()
-    real = jobs_mod.run_parallel_replay
+    real = jobs_mod.replay
 
-    def held(trace, spec, **kwargs):
+    def held(trace, spec, *args, **kwargs):
         if trace.name == "hold" and not gate.is_set():
             gate.wait(timeout=30)
-        return real(trace, spec, **kwargs)
+        return real(trace, spec, *args, **kwargs)
 
-    monkeypatch.setattr(jobs_mod, "run_parallel_replay", held)
+    monkeypatch.setattr(jobs_mod, "replay", held)
     return gate
 
 

@@ -4,10 +4,10 @@ The durability claim behind ``repro serve --journal`` reduces to one
 engine property: resuming from *any* prefix of journaled cell
 completions — the residues round-tripped through JSON exactly as the
 journal stores them — must merge to a report byte-identical to the
-uninterrupted run, at any shard count, on both the streaming and the
-batched path.  These tests drive ``run_parallel_replay``'s
-``completed_cells`` entry point directly (no server, no file), so a
-failure localizes to the engine rather than the journal plumbing.
+uninterrupted run, on every executor: serial, pool, and remote fleet.
+These tests drive the fold's ``completed_cells`` entry point directly
+(no server, no file), so a failure localizes to the engine rather than
+the journal plumbing.
 """
 
 import json
@@ -21,6 +21,8 @@ from repro.loadgen.trace import InvocationTrace, TraceEvent  # noqa: E402
 from repro.metrics.report import render_json  # noqa: E402
 from repro.parallel import ReplaySpec, TenantProfile, run_parallel_replay  # noqa: E402
 from repro.parallel.engine import CellResult  # noqa: E402
+
+from fleet_harness import fleet_replay  # noqa: E402
 
 TENANTS = ["t0", "t1", "t2", "t3"]
 APPS = ["wc", "etl"]
@@ -61,8 +63,9 @@ def _journal_round_trip(payload):
           suppress_health_check=list(HealthCheck))
 @given(events=events, profile_map=profiles, seed=st.integers(0, 2**16))
 def test_resume_from_any_prefix_is_byte_identical(events, profile_map, seed):
-    """For every prefix of completed cells, for shards 1/2/4, streaming
-    and batched: resumed report == uninterrupted report, byte for byte."""
+    """For every prefix of completed cells, on the serial executor, the
+    pool, and the fleet: resumed report == uninterrupted report, byte
+    for byte."""
     trace = InvocationTrace(events=events, name="prop-resume")
     spec = ReplaySpec(
         default_app="wc", seed=seed, tenant_profiles=profile_map or None
@@ -77,14 +80,16 @@ def test_resume_from_any_prefix_is_byte_identical(events, profile_map, seed):
     for cut in range(len(payloads) + 1):
         checkpoint = [_journal_round_trip(p) for p in payloads[:cut]]
         remaining = []
-        for shards in (1, 2, 4):
-            resumed = run_parallel_replay(
-                trace, spec, shards=shards, workers=1,
-                stream=(shards != 2),  # cover both engine paths
-                on_cell=lambda cell: remaining.append(cell.key),
-                completed_cells=checkpoint or None,
-            )
-            assert render_json(resumed.to_dict()) == baseline, (cut, shards)
+        fold = dict(
+            on_cell=lambda cell: remaining.append(cell.key),
+            completed_cells=checkpoint or None,
+        )
+        for executor, resumed in (
+            ("serial", run_parallel_replay(trace, spec, workers=1, **fold)),
+            ("pool", run_parallel_replay(trace, spec, workers=2, **fold)),
+            ("fleet", fleet_replay(trace, spec, 2, **fold)),
+        ):
+            assert render_json(resumed.to_dict()) == baseline, (cut, executor)
         # The hook fires only for cells actually re-executed: never for
         # a checkpointed cell (that would mean redone work).
         done = {cell.key for cell in checkpoint}

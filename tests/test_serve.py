@@ -168,7 +168,6 @@ def test_synth_run_and_engine_knobs(server, tmp_path):
         "synth": {"tenants": 3, "duration_s": 10.0, "mean_rpm": 30.0,
                   "seed": 9, "name": "synthetic"},
         "workers": 2,
-        "stream": True,
     }
     snap = _submit_and_wait(server, body)
     assert snap["status"] == "done", snap.get("error")
@@ -200,18 +199,6 @@ def test_concurrent_submissions_converge(server, tmp_path):
         tmp_path, TRACE, ["--app", "wc", "--seed", "7"]
     )
     assert reports[0] == render_json(reference)
-
-
-def test_batched_engine_run_matches_cli(server, tmp_path):
-    """"stream": false exercises the static batched engine; the report
-    stays byte-identical and "workers" sets the shard width."""
-    body = dict(RUN_BODY, stream=False, workers=2)
-    snap = _submit_and_wait(server, body)
-    assert snap["status"] == "done", snap.get("error")
-    reference = _cli_replay_report(
-        tmp_path, TRACE, ["--app", "wc", "--seed", "7"]
-    )
-    assert render_json(snap["report"]) == render_json(reference)
 
 
 def test_tenant_config_run_tags_report(server):
@@ -345,14 +332,14 @@ def test_events_keepalive_comment_lines_on_idle_run(monkeypatch):
     instead of unbounded silence, and still sees the terminal event."""
     import repro.serve.jobs as jobs_module
 
-    real_replay = jobs_module.run_parallel_replay
+    real_replay = jobs_module.replay
     release = threading.Event()
 
     def slow_replay(*args, **kwargs):
         release.wait(timeout=30)
         return real_replay(*args, **kwargs)
 
-    monkeypatch.setattr(jobs_module, "run_parallel_replay", slow_replay)
+    monkeypatch.setattr(jobs_module, "replay", slow_replay)
     srv = create_server(port=0, workers=1, quiet=True, keepalive_s=0.05)
     thread = threading.Thread(target=srv.serve_forever, daemon=True)
     thread.start()
@@ -397,7 +384,9 @@ def test_bad_tenant_config_is_400_naming_tenant(server):
     ({"system": "warpdrive"}, "unknown system"),
     ({"placement": "warp"}, "placement"),
     ({"workers": 0}, "workers"),
-    ({"stream": "yes"}, "stream"),
+    # The batched-engine switch is gone: the key is now simply unknown.
+    pytest.param({"stream": True}, "unknown request keys ['stream']",
+                 id="mutation4-stream"),
     ({"seed": "seven"}, "seed"),
     ({"timeout_s": -1}, "timeout_s"),
     ({"unknown_key": 1}, "unknown request keys"),

@@ -8,8 +8,8 @@ Two halves, mirroring :mod:`repro.metrics.telemetry`:
 - end-to-end coverage that every kind the engine and
   :class:`~repro.serve.jobs.JobStore` can emit actually appears on a
   real event stream — fresh, failed, journal-resumed, and interrupted
-  runs — plus the hypothesis property that streamed and batched engines
-  carry identical counter totals.
+  runs — plus the hypothesis property that the serial executor, the
+  pool, and the remote fleet carry identical counter totals.
 """
 
 import json
@@ -302,8 +302,8 @@ def test_all_event_kinds_emitted_across_run_shapes(tmp_path, monkeypatch):
     def boom(*args, **kwargs):
         raise RuntimeError("engine exploded")
 
-    real_replay = jobs_module.run_parallel_replay
-    monkeypatch.setattr(jobs_module, "run_parallel_replay", boom)
+    real_replay = jobs_module.replay
+    monkeypatch.setattr(jobs_module, "replay", boom)
     store = JobStore(workers=1)
     try:
         run_id = store.submit(parse_run_request(BODY))
@@ -326,7 +326,7 @@ def test_all_event_kinds_emitted_across_run_shapes(tmp_path, monkeypatch):
         release.wait(timeout=10)
         return real_replay(*args, **kwargs)
 
-    monkeypatch.setattr(jobs_module, "run_parallel_replay", stuck)
+    monkeypatch.setattr(jobs_module, "replay", stuck)
     store = JobStore(workers=1)
     running_id = store.submit(parse_run_request(BODY))
     queued_id = store.submit(parse_run_request(BODY))
@@ -412,7 +412,7 @@ def test_all_event_kinds_emitted_across_run_shapes(tmp_path, monkeypatch):
     assert seen == set(event_kinds())
 
 
-# -- streamed vs batched carry identical counter totals -----------------------
+# -- serial, pool, and fleet carry identical counter totals -------------------
 
 
 @settings(
@@ -424,7 +424,7 @@ def test_all_event_kinds_emitted_across_run_shapes(tmp_path, monkeypatch):
     seed=st.integers(min_value=0, max_value=1023),
     tenants=st.integers(min_value=2, max_value=5),
 )
-def test_streamed_and_batched_counter_totals_match(seed, tenants):
+def test_serial_pool_fleet_counter_totals_match(seed, tenants):
     body = {
         "app": "wc",
         "seed": seed,
@@ -433,15 +433,32 @@ def test_streamed_and_batched_counter_totals_match(seed, tenants):
             "mean_rpm": 40, "seed": seed,
         },
     }
+    from repro.worker import _execute_grant
+
     totals = {}
-    for stream in (True, False):
+    for workers in (1, 2, "remote"):
         store = JobStore(workers=1)
+        stop = threading.Event()
+
+        def drive():
+            worker = store.fleet.register(name="driver")["worker"]
+            while not stop.is_set():
+                grant = store.fleet.lease(worker, wait_s=0.2)
+                if grant is not None:
+                    store.fleet.complete(
+                        grant["lease"], worker, **_execute_grant(grant)
+                    )
+
+        driver = threading.Thread(target=drive, daemon=True)
+        driver.start()
         try:
             run_id = store.submit(
-                parse_run_request(dict(body, stream=stream))
+                parse_run_request(dict(body, workers=workers))
             )
             events = _drain(store, run_id)
         finally:
+            stop.set()
+            driver.join(timeout=10)
             store.close()
         report = next(e for e in events if e["event"] == "report")["report"]
         counters = {
@@ -453,5 +470,5 @@ def test_streamed_and_batched_counter_totals_match(seed, tenants):
         assert counters["cells_completed"] == sum(
             1 for e in events if e["event"] == "cell"
         )
-        totals[stream] = counters
-    assert totals[True] == totals[False]
+        totals[workers] = counters
+    assert totals[1] == totals[2] == totals["remote"]

@@ -400,7 +400,7 @@ def test_profile_that_changes_system_changes_cell_seed():
 
 def test_heterogeneous_replay_tags_tenants_and_stays_invariant(trace):
     """ISSUE acceptance: two tenants on different systems + placements,
-    merged report bit-identical across shards 1/2/4 and workers 1/2."""
+    merged report bit-identical at workers 1/2/4."""
     spec = ReplaySpec(
         default_app="wc",
         seed=7,
@@ -410,12 +410,9 @@ def test_heterogeneous_replay_tags_tenants_and_stays_invariant(trace):
         },
     )
     reports = [
-        run_parallel_replay(trace, spec, shards=shards, workers=1).to_dict()
-        for shards in (1, 2, 4)
+        run_parallel_replay(trace, spec, workers=workers).to_dict()
+        for workers in (1, 2, 4)
     ]
-    reports.append(
-        run_parallel_replay(trace, spec, shards=4, workers=2).to_dict()
-    )
     assert all(report == reports[0] for report in reports[1:])
     report = reports[0]
     assert report["tenants"]["acme"]["profile"]["system"] == "faasflow"
@@ -435,16 +432,16 @@ def test_engine_rejects_profiles_under_non_tenant_policy(trace):
         tenant_profiles={"acme": TenantProfile(system="faasflow")},
     )
     with pytest.raises(ValueError, match="tenant.*shard policy"):
-        run_parallel_replay(trace, spec, shards=2, policy="timeslice:1")
+        run_parallel_replay(trace, spec, policy="timeslice:1")
     # Without profiles, any policy remains fine.
     run_parallel_replay(
-        trace, ReplaySpec(default_app="wc"), shards=2, policy="timeslice:1"
+        trace, ReplaySpec(default_app="wc"), policy="timeslice:1"
     )
 
 
 def test_homogeneous_replay_reports_carry_no_profile_noise(trace):
     report = run_parallel_replay(
-        trace, ReplaySpec(default_app="wc"), shards=2, workers=1
+        trace, ReplaySpec(default_app="wc"), workers=1
     ).to_dict()
     assert "profiles" not in report["replay"]
     assert "profile" not in report["tenants"]["acme"]
@@ -452,7 +449,7 @@ def test_homogeneous_replay_reports_carry_no_profile_noise(trace):
 
 def test_profiles_change_results_only_for_their_tenant(trace):
     base = run_parallel_replay(
-        trace, ReplaySpec(default_app="wc", seed=7), shards=1, workers=1
+        trace, ReplaySpec(default_app="wc", seed=7), workers=1
     ).to_dict()
     hetero = run_parallel_replay(
         trace,
@@ -461,7 +458,6 @@ def test_profiles_change_results_only_for_their_tenant(trace):
             seed=7,
             tenant_profiles={"acme": TenantProfile(system="faasflow")},
         ),
-        shards=1,
         workers=1,
     ).to_dict()
     # globex's world is untouched by acme's profile.

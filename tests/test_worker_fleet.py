@@ -3,10 +3,11 @@
 The control-plane split's acceptance criteria, proven end to end:
 
 - **Byte-identity matrix** — the same trace replayed by the local
-  streamed engine (shards 1/2/4), the local batched engine
-  (shards 1/2/4), and the remote fleet (1/2/4 in-process workers
-  speaking the real lease/complete protocol, results JSON-round-tripped
-  like the wire does) produces ONE SHA-256 over the rendered report.
+  serial executor, the local work-stealing pool (2/4 workers), and the
+  remote fleet (1/2/4 in-process workers speaking the real
+  lease/complete protocol, results JSON-round-tripped like the wire
+  does — ``fleet_harness.py``) produces ONE SHA-256 over the rendered
+  report.
 - **Lease lifecycle under a fake clock** — expiry, requeue with a
   charged attempt, retry-budget exhaustion into a ``lease-expired``
   cell failure, stale-result rejection, and dead-worker eviction, all
@@ -41,13 +42,15 @@ import pytest
 from repro.loadgen.trace import synthesize_trace
 from repro.metrics.report import render_json
 from repro.metrics.telemetry import MetricsRegistry
-from repro.parallel import ReplaySpec, RetryPolicy, run_parallel_replay
-from repro.parallel.engine import (
-    CellFailure,
-    _replay_cell_task,
-    fold_remote_cells,
+from repro.parallel import (
+    CellFailedError,
+    FaultSpec,
+    HostFaultPlan,
+    ReplaySpec,
+    RetryPolicy,
+    run_parallel_replay,
 )
-from repro.parallel.policy import get_shard_policy
+from repro.parallel.engine import CellFailure
 from repro.serve.jobs import JobStore
 from repro.serve.validation import BadRequest, parse_run_request
 from repro.serve.workers import (
@@ -58,6 +61,8 @@ from repro.serve.workers import (
     WorkerRegistry,
 )
 from repro.worker import _execute_grant
+
+from fleet_harness import fleet_replay
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -79,61 +84,10 @@ def _await(predicate, timeout_s, what):
     raise AssertionError(f"timed out after {timeout_s}s waiting for {what}")
 
 
-# -- in-process fleet harness ------------------------------------------------------
-
-
-def _fleet_report(trace, spec, worker_count, retry=None, metrics=None):
-    """Replay ``trace`` through the real lease protocol with in-process
-    worker threads, and fold through the real remote path.
-
-    Each worker thread is the ``repro worker`` loop minus sockets: it
-    registers, leases, replays via the engine's per-attempt entry
-    point, and completes with a JSON-round-tripped ``to_payload`` —
-    exactly what crosses the wire — so the fold exercises
-    ``CellResult.from_payload`` on every cell.
-    """
-    registry = WorkerRegistry(metrics=metrics)
-    cells = dict(get_shard_policy("tenant").split(trace))
-    job = registry.submit(
-        "job-test", {}, sorted(cells), retry=retry or RetryPolicy()
+def _fleet_report(trace, spec, worker_count, metrics=None):
+    return render_json(
+        fleet_replay(trace, spec, worker_count, metrics=metrics).to_dict()
     )
-
-    def worker_loop():
-        worker_id = registry.register()["worker"]
-        while True:
-            try:
-                grant = registry.lease(worker_id, wait_s=0.2)
-            except (UnknownWorker, FleetCancelled):
-                return
-            if grant is None:
-                if job.done or job.cancelled:
-                    return
-                continue
-            result = _replay_cell_task(
-                spec, grant["cell"], cells[grant["cell"]],
-                grant["attempt"], retry or RetryPolicy(), None,
-            )
-            payload = json.loads(json.dumps(result.to_payload()))
-            try:
-                registry.complete(grant["lease"], worker_id, result=payload)
-            except StaleLease:
-                continue
-
-    threads = [
-        threading.Thread(target=worker_loop, daemon=True)
-        for _ in range(worker_count)
-    ]
-    for thread in threads:
-        thread.start()
-    try:
-        result = fold_remote_cells(
-            trace, spec, registry.results(job), metrics=metrics
-        )
-    finally:
-        registry.close()
-        for thread in threads:
-            thread.join(timeout=30)
-    return render_json(result.to_dict())
 
 
 def _conformance_trace(tenants=6, duration_s=30.0, mean_rpm=60.0, seed=5):
@@ -142,24 +96,16 @@ def _conformance_trace(tenants=6, duration_s=30.0, mean_rpm=60.0, seed=5):
     )
 
 
-def test_fleet_streamed_batched_agree_byte_for_byte():
-    """The headline matrix: local streamed x shards, local batched x
-    shards, remote fleet x worker counts — one SHA-256."""
+def test_fleet_pool_serial_agree_byte_for_byte():
+    """The headline matrix: the local serial executor, the local pool x
+    worker counts, and the remote fleet x worker counts — one SHA-256."""
     trace = _conformance_trace()
     spec = ReplaySpec(default_app="wc", seed=7)
     hashes = {}
-    for shards in (1, 2, 4):
-        streamed = run_parallel_replay(
-            trace, spec, shards=shards, workers=1, stream=True
-        )
-        hashes[f"streamed/shards={shards}"] = _sha(
-            render_json(streamed.to_dict())
-        )
-        batched = run_parallel_replay(
-            trace, spec, shards=shards, workers=1, stream=False
-        )
-        hashes[f"batched/shards={shards}"] = _sha(
-            render_json(batched.to_dict())
+    for workers in (1, 2, 4):
+        local = run_parallel_replay(trace, spec, workers=workers)
+        hashes[f"local/workers={workers}"] = _sha(
+            render_json(local.to_dict())
         )
     for workers in (1, 2, 4):
         hashes[f"fleet/workers={workers}"] = _sha(
@@ -178,6 +124,34 @@ def test_fleet_fold_counts_cells_into_metrics():
     assert metrics.counter_total("repro_cells_completed_total") == 3
 
 
+def test_aborted_fleet_fold_releases_every_cell():
+    """A fleet fold that aborts — an exhausted cell under "fail", or an
+    on_cell hook that raises — leaves none of the run's cells queued or
+    leased in the registry."""
+    trace = _conformance_trace(tenants=4, duration_s=10.0, mean_rpm=40.0)
+    spec = ReplaySpec(default_app="wc", seed=3)
+    poison = HostFaultPlan(
+        faults=(FaultSpec(kind="poison", cell="tenant2", attempt=0),)
+    )
+
+    def hook(cell):
+        raise RuntimeError("observer failed")
+
+    aborts = [
+        (CellFailedError, dict(
+            retry=RetryPolicy(max_attempts=1), fault_plan=poison,
+        )),
+        (RuntimeError, dict(on_cell=hook)),
+    ]
+    for error, kwargs in aborts:
+        registry = WorkerRegistry()
+        with pytest.raises(error):
+            fleet_replay(trace, spec, 2, registry=registry, **kwargs)
+        snapshot = registry.snapshot()
+        assert snapshot["queued_cells"] == 0, error
+        assert snapshot["active_leases"] == 0, error
+
+
 # -- hypothesis property -----------------------------------------------------------
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -193,17 +167,15 @@ from repro.loadgen.trace import InvocationTrace  # noqa: E402
 @given(events=events, seed=st.integers(0, 2**16))
 def test_fleet_matches_local_engines_on_skewed_traces(events, seed):
     """Property form of the matrix: over random skewed multi-tenant
-    traces, 1/2/4 remote workers hash identically to the local
-    streamed and batched engines."""
+    traces, 1/2/4 remote workers hash identically to the local serial
+    executor and the local pool."""
     trace = InvocationTrace(events=_skewed_events(events), name="prop-fleet")
     spec = ReplaySpec(default_app="wc", seed=seed)
     local = {
         _sha(render_json(
-            run_parallel_replay(
-                trace, spec, shards=2, workers=1, stream=stream
-            ).to_dict()
+            run_parallel_replay(trace, spec, workers=workers).to_dict()
         ))
-        for stream in (True, False)
+        for workers in (1, 2)
     }
     fleet = {
         _sha(_fleet_report(trace, spec, workers)) for workers in (1, 2, 4)
@@ -433,6 +405,65 @@ def test_jobstore_remote_run_matches_local_run_byte_for_byte(tmp_path):
     assert len(journaled) == 6
 
 
+def test_fleet_event_during_cell_fsync_keeps_seqs_increasing(
+    tmp_path, monkeypatch
+):
+    """A lease event that lands while a cell's journal fsync holds the
+    cell's reserved seqs is appended *after* the cell's events, never
+    ahead of them: the stream stays strictly seq-ordered and the
+    validating client accepts a remote ``--journal`` run."""
+    from repro.serve import ServeClient, create_server
+    from repro.serve.journal import RunJournal
+
+    srv = create_server(
+        port=0, workers=1, quiet=True,
+        journal=str(tmp_path / "journal.jsonl"),
+    )
+    store = srv.store
+    real_record_cell = RunJournal.record_cell
+    injected = []
+
+    def record_cell(self, run_id, key, *args, **kwargs):
+        # Between the seq reservation and the cell's append: the window
+        # a real lease grant can hit while the fsync runs.
+        store._fleet_event(run_id, "lease", {
+            "run_id": run_id, "cell": key, "worker": "w-injected",
+            "attempt": 1,
+        })
+        injected.append(key)
+        return real_record_cell(self, run_id, key, *args, **kwargs)
+
+    monkeypatch.setattr(RunJournal, "record_cell", record_cell)
+    server = threading.Thread(target=srv.serve_forever, daemon=True)
+    server.start()
+    stop = threading.Event()
+    driver = threading.Thread(
+        target=_drive_store_fleet, args=(store, stop), daemon=True
+    )
+    driver.start()
+    try:
+        report = ServeClient(srv.url).run({**RUN_BODY, "workers": "remote"})
+        assert report["offered"] > 0
+        (run,) = store.list()
+        events = list(store.follow(run["id"]))
+    finally:
+        stop.set()
+        driver.join(timeout=10)
+        srv.shutdown()
+        srv.close()
+    assert len(injected) == 6
+    seqs = [event["seq"] for event in events]
+    assert seqs == sorted(set(seqs)), seqs
+    # Each injected lease event lands behind its cell's own event.
+    cell_at = {
+        event["cell"]: index
+        for index, event in enumerate(events) if event["event"] == "cell"
+    }
+    for index, event in enumerate(events):
+        if event["event"] == "lease" and event["worker"] == "w-injected":
+            assert cell_at[event["cell"]] < index, event
+
+
 def test_jobstore_remote_run_applies_server_default_tenant_config():
     """A serve-level ``--tenant-config`` must reach remote workers: the
     control plane injects it inline into the shipped payload, because a
@@ -447,13 +478,13 @@ def test_jobstore_remote_run_applies_server_default_tenant_config():
     request = parse_run_request(body, config)
     control = render_json(
         run_parallel_replay(
-            request.trace, request.spec, shards=1, workers=1
+            request.trace, request.spec, workers=1
         ).to_dict()
     )
     bare = parse_run_request(dict(RUN_BODY))
     assert control != render_json(
         run_parallel_replay(
-            bare.trace, bare.spec, shards=1, workers=1
+            bare.trace, bare.spec, workers=1
         ).to_dict()
     ), "the config must be load-bearing or this test proves nothing"
 
@@ -694,7 +725,7 @@ def test_sigkilled_worker_lease_expires_and_report_stays_identical(tmp_path):
     spec_request = parse_run_request({**CHAOS_BODY, "workers": 1})
     control = render_json(
         run_parallel_replay(
-            spec_request.trace, spec_request.spec, shards=1, workers=1
+            spec_request.trace, spec_request.spec, workers=1
         ).to_dict()
     )
 

@@ -11,17 +11,16 @@ trajectory file::
     PYTHONPATH=src python tools/bench_replay.py --points spill,multicore
     PYTHONPATH=src python tools/bench_replay.py --output /tmp/b.json
 
-Points: ``throughput`` (serial vs parallel), ``skew`` (static-batched
-vs work-stealing on the skewed trace), ``memory`` (per-engine peak
-RSS), ``multicore`` (shards×workers sweep, both engines), ``spill``
-(streamed-engine RSS with the in-memory vs disk-spill record sink —
-fails if spill does not win at >= 50k events).
+Points: ``throughput`` (serial vs parallel), ``memory`` (pooled peak
+RSS on the skewed trace), ``multicore`` (worker-count sweep), ``spill``
+(pooled RSS with the in-memory vs disk-spill record sink — fails if
+spill does not win at >= 50k events).
 
-Every engine-vs-engine measurement replays in a *fresh subprocess*
-(the hidden ``--engine`` mode below) so wall clock and the monotonic
-``ru_maxrss`` high-water mark are isolated per engine — and so neither
-engine's forked workers inherit the other's heap.  Report identity is
-asserted across processes via the canonical rendering's SHA-256.
+The ``memory``, ``multicore`` and ``spill`` replays each run in a
+*fresh subprocess* so wall clock and the monotonic ``ru_maxrss``
+high-water mark are isolated per replay — and so no replay's forked
+workers inherit another's heap.  Report identity is asserted across
+processes via the canonical rendering's SHA-256.
 
 CI runs this at reduced scale and uploads the result as an artifact
 (plus the full-scale spill gate); full-scale runs are recorded
@@ -32,7 +31,6 @@ diffable across commits.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import importlib.util
 import json
 import sys
@@ -52,48 +50,15 @@ _spec.loader.exec_module(bench)
 DEFAULT_OUTPUT = ROOT / "BENCH_replay.json"
 
 
-def _run_engine(
-    engine: str, scale: float, workers: int, shards: int, record_sink: str
-) -> dict:
-    """The hidden ``--engine`` subprocess body: one isolated replay."""
-    from repro.metrics.report import render_json
-
-    sink = None
-    if record_sink == "spill":
-        from repro.parallel.sink import RecordSinkSpec
-
-        sink = RecordSinkSpec(kind="spill")
-    result = bench.replay_skewed(
-        engine == "streamed", scale, workers, shards, record_sink=sink
-    )
-    report = render_json(result.to_dict())
-    return {
-        "engine": engine,
-        "record_sink": record_sink,
-        "events": result.offered,
-        "wall_s": round(result.wall_s, 4),
-        "max_rss_mb": round(result.rss_mb, 1),
-        # Identity across subprocess boundaries: the canonical report
-        # rendering hashed, compared by the parent per comparison point.
-        "report_sha256": hashlib.sha256(
-            report.encode("utf-8")
-        ).hexdigest(),
-    }
-
-
 def memory_point(scale: float, workers: int) -> dict:
-    """Per-engine peak RSS over the skewed trace, isolated per process."""
-    streamed = bench.engine_subprocess("streamed", scale, workers)
-    batched = bench.engine_subprocess("batched", scale, workers)
+    """Pooled peak RSS over the skewed trace, isolated in a subprocess."""
+    run = bench.replay_subprocess(scale, workers)
     return {
         "bench": "replay_memory",
-        "events": streamed["events"],
+        "events": run["events"],
         "workers": workers,
-        "streamed_wall_s": streamed["wall_s"],
-        "batched_wall_s": batched["wall_s"],
-        "streamed_max_rss_mb": streamed["max_rss_mb"],
-        "batched_max_rss_mb": batched["max_rss_mb"],
-        "identical": streamed["report_sha256"] == batched["report_sha256"],
+        "wall_s": run["wall_s"],
+        "max_rss_mb": run["max_rss_mb"],
     }
 
 
@@ -109,28 +74,14 @@ def main(argv=None) -> int:
     parser.add_argument("--output", type=Path, default=DEFAULT_OUTPUT,
                         help="trajectory file to append the run to "
                         "(default: BENCH_replay.json at the repo root)")
-    parser.add_argument("--points", default="throughput,skew,memory",
-                        help="comma-separated subset of throughput,skew,"
+    parser.add_argument("--points", default="throughput,memory",
+                        help="comma-separated subset of throughput,"
                         "memory,multicore,spill to record (full-scale "
-                        "runs usually record skew/memory/spill only)")
-    parser.add_argument("--engine", choices=["streamed", "batched"],
-                        help=argparse.SUPPRESS)  # internal subprocess mode
-    parser.add_argument("--shards", type=int, default=bench.SHARDS,
-                        help=argparse.SUPPRESS)  # internal subprocess mode
-    parser.add_argument("--record-sink", choices=["memory", "spill"],
-                        default="memory",
-                        help=argparse.SUPPRESS)  # internal subprocess mode
+                        "runs usually record memory/spill only)")
     args = parser.parse_args(argv)
 
-    if args.engine:
-        print(json.dumps(_run_engine(
-            args.engine, args.scale, args.workers, args.shards,
-            args.record_sink,
-        )))
-        return 0
-
     selected = {name.strip() for name in args.points.split(",") if name.strip()}
-    unknown = selected - {"throughput", "skew", "memory", "multicore", "spill"}
+    unknown = selected - {"throughput", "memory", "multicore", "spill"}
     if unknown:
         parser.error(f"unknown --points: {sorted(unknown)}")
     if not selected:
@@ -138,8 +89,6 @@ def main(argv=None) -> int:
     points = []
     if "throughput" in selected:
         points.append(bench.throughput_point(args.scale))
-    if "skew" in selected:
-        points.append(bench.skew_point(args.scale, args.workers))
     if "memory" in selected:
         points.append(memory_point(args.scale, args.workers))
     if "multicore" in selected:

@@ -4,19 +4,19 @@
 The crash-identity property, end to end on real processes::
 
     PYTHONPATH=src python tools/chaos_replay.py                  # CI smoke
-    PYTHONPATH=src python tools/chaos_replay.py --kill 2 --engine both
+    PYTHONPATH=src python tools/chaos_replay.py --kill 2 --workers 3
     PYTHONPATH=src python tools/chaos_replay.py --mode kill-worker
     PYTHONPATH=src python tools/chaos_replay.py --log /tmp/faults.json
 
-``--mode pool`` (the default) exercises the local replay engines: it
-synthesizes a deterministic multi-tenant trace, replays it once on the
-fault-free serial path to get the *control* report, then replays it
-again under a :class:`~repro.parallel.resilience.HostFaultPlan` that
-SIGKILLs the worker process on the first attempt of the ``--kill``
-hottest-sorted cells — through the streamed work-stealing engine, the
-static batched engine, or both.  Every faulted run must recover (pool
-rebuilt, in-flight cells resubmitted, killed cells retried) and produce
-a report whose canonical rendering is SHA-256-identical to the control.
+``--mode pool`` (the default) exercises the local work-stealing pool:
+it synthesizes a deterministic multi-tenant trace, replays it once on
+the fault-free serial executor to get the *control* report, then
+replays it on ``--workers`` pool processes under a
+:class:`~repro.parallel.resilience.HostFaultPlan` that SIGKILLs the
+worker process on the first attempt of the ``--kill`` first
+sorted cells.  The faulted run must recover (pool rebuilt, in-flight
+cells resubmitted, killed cells retried) and produce a report whose
+canonical rendering is SHA-256-identical to the control.
 
 ``--mode kill-worker`` exercises the remote fleet instead: it boots a
 real ``repro serve --journal`` control plane plus two real ``repro
@@ -114,7 +114,7 @@ def run_kill_worker_mode(args) -> int:
     }
     trace = synthesize_trace(**synth)
     spec = ReplaySpec(default_app=args.app, seed=args.seed)
-    control = run_parallel_replay(trace, spec, shards=1, workers=1)
+    control = run_parallel_replay(trace, spec, workers=1)
     control_sha = report_sha256(control)
     print(f"control: {control.offered} events, {control.cell_count} cells, "
           f"sha256 {control_sha[:16]}…")
@@ -271,16 +271,11 @@ def main(argv=None) -> int:
                         help="app for every synthetic event (default: wc)")
     parser.add_argument("--workers", type=int, default=2,
                         help="replay worker processes (default: 2)")
-    parser.add_argument("--shards", type=int, default=2,
-                        help="batched-engine shard count (default: 2)")
     parser.add_argument("--kill", type=int, default=1, metavar="N",
                         help="cells whose first attempt SIGKILLs its "
                         "worker (default: 1)")
     parser.add_argument("--max-attempts", type=int, default=4,
                         help="retry budget per cell (default: 4)")
-    parser.add_argument("--engine", choices=["streamed", "batched", "both"],
-                        default="both",
-                        help="which engine(s) to fault (default: both)")
     parser.add_argument("--log", type=Path,
                         default=Path("chaos_fault_log.json"),
                         help="machine-readable fault log "
@@ -318,41 +313,19 @@ def main(argv=None) -> int:
         FaultSpec(kind="kill", cell=cell, attempt=1) for cell in victims
     ))
 
-    control = run_parallel_replay(trace, spec, shards=1, workers=1)
+    control = run_parallel_replay(trace, spec, workers=1)
     control_sha = report_sha256(control)
     print(f"control: {control.offered} events, {control.cell_count} cells, "
           f"sha256 {control_sha[:16]}…")
 
-    engines = (
-        ["streamed", "batched"] if args.engine == "both" else [args.engine]
+    result = run_parallel_replay(
+        trace, spec, workers=args.workers, retry=retry, fault_plan=plan,
     )
-    runs = []
-    failures = []
-    for engine in engines:
-        streamed = engine == "streamed"
-        result = run_parallel_replay(
-            trace,
-            spec,
-            shards=1 if streamed else args.shards,
-            workers=args.workers,
-            stream=streamed,
-            retry=retry,
-            fault_plan=plan,
-        )
-        sha = report_sha256(result)
-        identical = sha == control_sha
-        runs.append({
-            "engine": engine,
-            "workers": args.workers,
-            "shards": 1 if streamed else args.shards,
-            "report_sha256": sha,
-            "identical": identical,
-        })
-        verdict = "identical" if identical else "MISMATCH"
-        print(f"{engine}: recovered from {len(victims)} worker kill(s), "
-              f"sha256 {sha[:16]}… [{verdict}]")
-        if not identical:
-            failures.append(engine)
+    sha = report_sha256(result)
+    identical = sha == control_sha
+    verdict = "identical" if identical else "MISMATCH"
+    print(f"pool: recovered from {len(victims)} worker kill(s), "
+          f"sha256 {sha[:16]}… [{verdict}]")
 
     log = {
         "trace": {
@@ -366,17 +339,21 @@ def main(argv=None) -> int:
         "faults": plan.to_payload(),
         "retry": {"max_attempts": args.max_attempts},
         "control_sha256": control_sha,
-        "runs": runs,
-        "identical": not failures,
+        "runs": [{
+            "workers": args.workers,
+            "report_sha256": sha,
+            "identical": identical,
+        }],
+        "identical": identical,
     }
     args.log.parent.mkdir(parents=True, exist_ok=True)
     args.log.write_text(json.dumps(log, indent=2) + "\n")
     print(f"[fault log: {args.log}]")
-    if failures:
-        print(f"FAIL: recovered report diverged from control on "
-              f"{', '.join(failures)}", file=sys.stderr)
+    if not identical:
+        print("FAIL: recovered report diverged from control",
+              file=sys.stderr)
         return 1
-    print("OK: every recovered report is byte-identical to the control")
+    print("OK: the recovered report is byte-identical to the control")
     return 0
 
 

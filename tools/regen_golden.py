@@ -3,7 +3,7 @@
 
 Each registered execution system gets one canonical fixture: the merged
 JSON report of a small fixed trace (one app, two tenants) replayed
-through the sharded engine at ``shards=2``.  The comparator in
+through the replay engine's serial fold.  The comparator in
 ``tests/test_golden_reports.py`` re-runs the same scenario on every test
 run and diffs byte-for-byte, so any drift in the simulator, the metrics
 layer, or the report serialization is caught explicitly instead of
@@ -34,7 +34,6 @@ from repro.parallel import ReplaySpec, run_parallel_replay  # noqa: E402
 GOLDEN_DIR = ROOT / "tests" / "golden"
 GOLDEN_APP = "wc"
 GOLDEN_SEED = 7
-GOLDEN_SHARDS = 2
 
 #: The canonical scenario: two tenants, six requests, one app, with the
 #: input-size/fanout/seed variety the report schema must round-trip.
@@ -57,9 +56,7 @@ def golden_report(system_name: str) -> str:
     spec = ReplaySpec(
         system_name=system_name, default_app=GOLDEN_APP, seed=GOLDEN_SEED
     )
-    result = run_parallel_replay(
-        golden_trace(), spec, shards=GOLDEN_SHARDS, workers=1
-    )
+    result = run_parallel_replay(golden_trace(), spec, workers=1)
     return render_json(result.to_dict()) + "\n"
 
 
