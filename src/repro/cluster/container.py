@@ -79,13 +79,29 @@ class Container:
 
     # -- lifecycle ---------------------------------------------------------------
 
-    def compute(self, core_seconds: float, label: str = "compute"):
-        """Process generator: occupy the CPU share for the given work."""
-        self._interval_seq += 1
-        key = (label, self._interval_seq)
-        self.intervals.begin(key, "cpu")
-        yield self.env.timeout(self.compute_seconds(core_seconds))
-        self.intervals.end(key)
+    def compute(self, core_seconds: float, label: str = "compute") -> "Event":
+        """Occupy the CPU share for the given work; the event fires when done.
+
+        The busy interval opens in the next urgent slot and closes
+        ``compute_seconds(core_seconds)`` later.
+        """
+        duration = self.compute_seconds(core_seconds)
+        env = self.env
+        done = env.event()
+
+        def start(_event: "Event") -> None:
+            self._interval_seq += 1
+            key = (label, self._interval_seq)
+            self.intervals.begin(key, "cpu")
+
+            def finish(_event: "Event") -> None:
+                self.intervals.end(key)
+                done.succeed()
+
+            env.call_later(duration, finish)
+
+        env.call_soon(start)
+        return done
 
     def record_transfer(self, start: float, end: float) -> None:
         """Log a network-busy interval for utilization plots."""
@@ -159,17 +175,20 @@ class ContainerPool:
         container = Container(self.env, self.node, self.function_name, self.spec)
         self.containers.append(container)
         self.cold_starts += 1
-        ready = self.env.event()
+        env = self.env
+        ready = env.event()
 
-        def boot():
-            yield self.env.timeout(self.cold_start_s)
-            yield self.env.timeout(self.env_setup_s)
+        def booted(_event: "Event") -> None:
             if container.state == COLD_STARTING:
                 container.mark_idle()
                 self._arm_keep_alive(container)
             ready.succeed(container)
 
-        self.env.process(boot())
+        # Sandbox boot, then user-environment setup.
+        env.defer(
+            self.cold_start_s,
+            lambda _event: env.call_later(self.env_setup_s, booted),
+        )
         return ready
 
     def checkout(self, container: Container) -> Container:
@@ -192,8 +211,7 @@ class ContainerPool:
             return
         idle_stamp = container.idle_since
 
-        def reaper():
-            yield self.env.timeout(self.keep_alive_s)
+        def reap(_event: "Event") -> None:
             still_idle = (
                 container.state == IDLE and container.idle_since == idle_stamp
             )
@@ -205,7 +223,7 @@ class ContainerPool:
                     # the DLU; check again after another keep-alive period.
                     self._arm_keep_alive(container)
 
-        self.env.process(reaper())
+        self.env.defer(self.keep_alive_s, reap)
 
     def recycle(self, container: Container) -> None:
         if container.state == RECYCLED:

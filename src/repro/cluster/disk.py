@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from .network import Flow, NetworkFabric
+from .network import NetworkFabric
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..sim.environment import Environment
@@ -51,14 +51,6 @@ class LocalDisk:
         return self._operation(nbytes, self.write_link, label)
 
     def _operation(self, nbytes: float, link, label: str) -> "Event":
-        done = self.env.event()
-
-        def run():
-            if self.op_latency_s > 0:
-                yield self.env.timeout(self.op_latency_s)
-            flow: Flow = self.fabric.transfer(nbytes, [link], label=label)
-            yield flow.done
-            done.succeed(nbytes)
-
-        self.env.process(run())
-        return done
+        return self.fabric.transfer_after(
+            self.op_latency_s, nbytes, [link], label=label
+        )

@@ -16,7 +16,7 @@ perform multi-hop cascade rebalancing.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Iterable, List, Optional, Set
+from typing import TYPE_CHECKING, Callable, Iterable, List, Optional, Set
 
 from ..sim.events import Event
 
@@ -169,6 +169,42 @@ class NetworkFabric:
         self._rebalance(affected)
         return flow
 
+    def transfer_after(
+        self,
+        latency_s: float,
+        nbytes: float,
+        links: Iterable[SharedLink],
+        rate_cap: float = math.inf,
+        label: str = "flow",
+        on_moved: Optional[Callable[[], None]] = None,
+    ) -> Event:
+        """A storage-style operation: ``latency_s`` of access latency
+        (none when zero), then a flow of ``nbytes`` across ``links``.
+
+        The returned event fires with ``nbytes`` once the flow is done,
+        right after ``on_moved()`` runs.  The steps take the queue slots
+        of a process started now that sleeps ``latency_s`` and then waits
+        on the flow: a kick-off, the latency timer, the flow's ``done``.
+        """
+        link_list = list(links)
+        env = self.env
+        done = env.event()
+
+        def moved(_event: Event) -> None:
+            if on_moved is not None:
+                on_moved()
+            done.succeed(nbytes)
+
+        def start(_event: Event) -> None:
+            flow = self.transfer(nbytes, link_list, rate_cap=rate_cap, label=label)
+            flow.done.callbacks.append(moved)
+
+        if latency_s > 0:
+            env.defer(latency_s, start)
+        else:
+            env.call_soon(start)
+        return done
+
     # -- internal -----------------------------------------------------------
 
     def _collect_affected(self, links: List[SharedLink]) -> Set[Flow]:
@@ -225,12 +261,9 @@ class NetworkFabric:
             # eta underflows the clock's float resolution: finish now.
             self._complete(flow)
             return
-        completion = Event(self.env)
-        completion._state = "triggered"
-        completion.callbacks.append(
-            lambda _ev, f=flow, g=generation: self._on_timer(f, g)
+        self.env.call_later(
+            eta, lambda _ev, f=flow, g=generation: self._on_timer(f, g)
         )
-        self.env.schedule(completion, delay=eta)
 
     def _on_timer(self, flow: Flow, generation: int) -> None:
         if not flow._active or generation != flow._timer_generation:

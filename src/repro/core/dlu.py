@@ -81,7 +81,7 @@ class DLU:
         """Enqueue an asynchronous push; callbacks fire on the outcome."""
         self.pending += 1
         self.push_count += 1
-        self._queue.put(
+        self._queue.put_nowait(
             _PushJob(
                 src_node=src_node,
                 dst_node=dst_node,

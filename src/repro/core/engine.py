@@ -17,6 +17,7 @@ from .sink import WaitMatchMemory
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..sim.environment import Environment
+    from ..sim.events import Event
     from .config import DataFlowerConfig
 
 
@@ -45,15 +46,21 @@ class NodeEngine:
         """Fire a ready task: account the engine's reaction time, then
         hand the invocation to the function's dispatcher."""
         self.triggers += 1
+        env = self.env
 
-        def run():
-            with self._slot.request() as slot:
-                yield slot
-                yield self.env.timeout(self._trigger_cost())
+        def queue(_event: "Event") -> None:
+            self._slot.request().callbacks.append(react)
+
+        def react(slot: "Event") -> None:
+            env.call_later(self._trigger_cost(), lambda _event: fire(slot))
+
+        def fire(slot: "Event") -> None:
+            self._slot.release(slot)
             on_triggered()
             dispatch()
 
-        self.env.process(run())
+        # Queue for the engine slot, hold it for the reaction time, fire.
+        env.call_soon(queue)
 
     def __repr__(self) -> str:
         return f"<NodeEngine {self.node.name} triggers={self.triggers}>"

@@ -83,7 +83,7 @@ class PrewarmPolicy:
 
         def on_ready(event, dispatcher=dispatcher):
             dispatcher.booting -= 1
-            dispatcher.idle.put(event.value)
+            dispatcher.idle.put_nowait(event.value)
 
         if ready.callbacks is not None:
             ready.callbacks.append(on_ready)

@@ -25,6 +25,7 @@ from ..cluster.node import Node
 if TYPE_CHECKING:  # pragma: no cover
     from ..cluster.cluster import Cluster
     from ..sim.environment import Environment
+    from ..sim.events import Event
 
 SinkKey = Tuple[str, str, str]  # (request_id, dst_task_id, dataname)
 
@@ -121,25 +122,44 @@ class WaitMatchMemory:
 
     # -- fetch ------------------------------------------------------------------
 
-    def fetch(self, key: SinkKey):
-        """Process generator: copy the datum into a container's WORKDIR.
+    def fetch(self, key: SinkKey) -> "Event":
+        """Copy the datum into a container's WORKDIR; the event fires when
+        it is there (and fails with :class:`KeyError` for a missing key).
 
         In-memory entries cross the local memory bus; spilled entries incur
         the disk read first.  Once the destination FLU has received the
         data the entry is **proactively released** (§7) — if that FLU later
         crashes, the engine backtracks and ReDoes the producer (§6.2).
+        The entry is looked up in the next urgent slot, not at the call.
         """
-        entry = self._lookup(key)
-        if entry is None:
-            raise KeyError(f"sink {self.node.name}: no entry for {key!r}")
-        entry.generation += 1
-        if entry.state is EntryState.SPILLED:
-            yield self.node.disk.read(entry.nbytes, label="sink-unspill")
-        channel = self.cluster.memory_channel(self.node)
-        yield channel.copy(entry.nbytes, label="sink-fetch")
-        entry.fetched = True
-        if self.proactive_release:
-            self._free(entry)
+        done = self.env.event()
+
+        def start(_event: "Event") -> None:
+            entry = self._lookup(key)
+            if entry is None:
+                done.fail(KeyError(f"sink {self.node.name}: no entry for {key!r}"))
+                return
+            entry.generation += 1
+
+            def copy(_event: Optional["Event"] = None) -> None:
+                channel = self.cluster.memory_channel(self.node)
+                copying = channel.copy(entry.nbytes, label="sink-fetch")
+                copying.callbacks.append(copied)
+
+            def copied(_event: "Event") -> None:
+                entry.fetched = True
+                if self.proactive_release:
+                    self._free(entry)
+                done.succeed()
+
+            if entry.state is EntryState.SPILLED:
+                unspill = self.node.disk.read(entry.nbytes, label="sink-unspill")
+                unspill.callbacks.append(copy)
+            else:
+                copy()
+
+        self.env.call_soon(start)
+        return done
 
     # -- lifetime management -----------------------------------------------------
 
@@ -174,8 +194,7 @@ class WaitMatchMemory:
     def _arm_ttl(self, entry: SinkEntry) -> None:
         generation = entry.generation
 
-        def expire():
-            yield self.env.timeout(self.ttl_s)
+        def expire(_event: "Event") -> None:
             stale = (
                 entry.state is EntryState.IN_MEMORY
                 and entry.generation == generation
@@ -189,7 +208,7 @@ class WaitMatchMemory:
                 self.spills += 1
                 self.node.disk.write(entry.nbytes, label="sink-spill")
 
-        self.env.process(expire())
+        self.env.defer(self.ttl_s, expire)
 
     # -- introspection ------------------------------------------------------------
 

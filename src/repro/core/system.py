@@ -113,27 +113,46 @@ class DataFlowerSystem(WorkflowSystem):
         for node in plane.involved_nodes():
             self.engine_of(node)
 
+        # Synchronize the per-request data plane to the engines, then move
+        # the user datum to the entry node's sink at host speed.
         entry_tasks = [t for t in state.graph.tasks if t.is_entry]
+        self._ship_user_input(
+            deployment, state, entry_tasks, self.config.dataplane_sync_s,
+            label="user-input",
+        )
 
-        def ship_user_input():
-            # Synchronize the per-request data plane to the engines, then
-            # move the user datum to the entry node's sink at host speed.
-            yield self.env.timeout(self.config.dataplane_sync_s)
-            for task in entry_tasks:
-                node = plane.node_of_task(task)
-                nbytes = state.graph.request.input_bytes
+    def _ship_user_input(self, deployment, state: RequestState, tasks,
+                         delay_s: float, label: str) -> None:
+        """After ``delay_s``, deliver the user datum to each of ``tasks``'
+        node sinks in turn (a flow from the gateway unless the input is
+        already local), depositing it as it lands."""
+        plane: RequestDataPlane = state.plane
+        nbytes = state.graph.request.input_bytes
+
+        def ship(remaining) -> None:
+            for index, task in enumerate(remaining):
                 if not self.config.input_local and nbytes > 0:
                     flow = self.cluster.fabric.transfer(
                         nbytes,
-                        [self.cluster.gateway.egress, node.ingress],
-                        label="user-input",
+                        [self.cluster.gateway.egress,
+                         plane.node_of_task(task).ingress],
+                        label=label,
                     )
-                    yield flow.done
-                self._deposit(
-                    deployment, state, task, plane.user_input_key(task), nbytes
-                )
 
-        self.env.process(ship_user_input())
+                    def landed(_event, task=task, rest=remaining[index + 1:]):
+                        deposit(task)
+                        ship(rest)
+
+                    flow.done.callbacks.append(landed)
+                    return
+                deposit(task)
+
+        def deposit(task: Task) -> None:
+            self._deposit(
+                deployment, state, task, plane.user_input_key(task), nbytes
+            )
+
+        self.env.defer(delay_s, lambda _event: ship(tasks))
 
     # -- data arrival -----------------------------------------------------------------
 
@@ -200,13 +219,9 @@ class DataFlowerSystem(WorkflowSystem):
             fetch_start = self.env.now
             fetches = []
             if task.is_entry and state.graph.request.input_bytes > 0:
-                fetches.append(
-                    self.env.process(sink.fetch(plane.user_input_key(task)))
-                )
+                fetches.append(sink.fetch(plane.user_input_key(task)))
             for edge in task.inputs:
-                fetches.append(
-                    self.env.process(sink.fetch(plane.input_key(task, edge)))
-                )
+                fetches.append(sink.fetch(plane.input_key(task, edge)))
             if fetches:
                 yield self.env.all_of(fetches)
             record.get_s = self.env.now - fetch_start
@@ -218,7 +233,7 @@ class DataFlowerSystem(WorkflowSystem):
             duration = container.compute_seconds(core_seconds)
             compute_start = self.env.now
             self._schedule_pushes(deployment, state, invocation, duration)
-            yield self.env.process(container.compute(core_seconds))
+            yield container.compute(core_seconds)
             record.compute_s = self.env.now - compute_start
             record.exec_end = self.env.now
             invocation.compute_done.succeed()
@@ -281,22 +296,20 @@ class DataFlowerSystem(WorkflowSystem):
             else:
                 fraction = invocation.edge_ready_fraction(index, total, profile)
 
-            def produce(gate=gate, fraction=fraction):
-                yield self.env.timeout(duration * fraction)
+            def produce(_event, gate=gate):
                 if not gate.triggered:
                     gate.succeed()
 
-            self.env.process(produce())
+            self.env.defer(duration * fraction, produce)
 
-        def start():
-            yield self.env.timeout(delay)
+        def start(_event) -> None:
             if invocation.cancel_token[0]:
                 return
             dlu = self._dlu_of(invocation.container)
             for edge in task.outputs:
                 self._push_edge(deployment, state, invocation, dlu, src_node, edge)
 
-        self.env.process(start())
+        self.env.defer(delay, start)
 
     def _push_edge(self, deployment, state, invocation: FluInvocation, dlu: DLU,
                    src_node: Node, edge) -> None:
@@ -429,8 +442,7 @@ class DataFlowerSystem(WorkflowSystem):
         )
 
         if not missing_edges and not user_input_missing:
-            def resubmit():
-                yield self.env.timeout(self.config.retry_delay_s)
+            def resubmit(_event) -> None:
                 dispatcher = deployment.dispatcher(task.function)
                 dispatcher.submit(
                     lambda container: self._start_flu(
@@ -438,7 +450,7 @@ class DataFlowerSystem(WorkflowSystem):
                     )
                 )
 
-            self.env.process(resubmit())
+            self.env.defer(self.config.retry_delay_s, resubmit)
             return
 
         # Backtracking: mark the missing data undelivered so the normal
@@ -458,22 +470,11 @@ class DataFlowerSystem(WorkflowSystem):
                 attempt=("bt", state.task_record(producer.task_id).retries),
             )
         if user_input_missing:
-            def reship():
-                yield self.env.timeout(self.config.retry_delay_s)
-                nbytes = state.graph.request.input_bytes
-                node = plane.node_of_task(task)
-                if not self.config.input_local:
-                    flow = self.cluster.fabric.transfer(
-                        nbytes,
-                        [self.cluster.gateway.egress, node.ingress],
-                        label="user-input-redo",
-                    )
-                    yield flow.done
-                self._deposit(
-                    deployment, state, task, plane.user_input_key(task), nbytes
-                )
-
-            self.env.process(reship())
+            # The input is missing only if it had bytes to deposit.
+            self._ship_user_input(
+                deployment, state, [task], self.config.retry_delay_s,
+                label="user-input-redo",
+            )
 
     # -- fault injection -----------------------------------------------------------------
 

@@ -2,28 +2,41 @@
 
 This is the simulator's innermost loop: a replay pops millions of events
 through :meth:`Environment.run`, so the loop body is written flat — the
-heap, clock, and callback dispatch are manipulated through local
+queues, clock, and callback dispatch are manipulated through local
 bindings rather than per-event method calls.  :meth:`Environment.step`
 remains the single-event API (tests and tools drive it directly); the
-run loop inlines the identical logic.  Scheduling semantics — (time,
-priority, insertion-order) order — are untouched.
+run loop inlines the identical logic.
+
+Events are processed in (time, priority, insertion-order) order, kept in
+two queues:
+
+* the **urgent lane**, a FIFO deque of events due *now* that must run
+  before every normal event (process kick-offs, interrupts,
+  :meth:`Environment.call_soon`);
+* the **heap** of normal events, ordered by (time, insertion-order).
+
+An urgent event is always due at the current time: it is queued at
+``now``, and the clock only advances by popping the heap, which
+:meth:`~Environment.run`, :meth:`~Environment.step` and
+:meth:`~Environment.peek` do only once the lane is empty.  Urgent events
+also sort before every normal event at equal time and are FIFO among
+themselves, so draining the lane first and then popping the heap yields
+exactly the order one heap keyed on (time, priority, insertion-order)
+would — at O(1) per urgent event instead of O(log n).
+
+:meth:`~Environment.call_soon` and :meth:`~Environment.call_later` let
+one-shot work run as plain callbacks in the queue slots a generator
+process would take: ``call_soon`` takes a process kick-off's urgent slot,
+``call_later(delay, ...)`` the slot of ``timeout(delay)``.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from heapq import heappop, heappush
-from typing import Any, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Deque, Iterable, List, Optional, Tuple
 
-from .events import (
-    AllOf,
-    AnyOf,
-    Event,
-    NORMAL_PRIORITY,
-    PENDING,
-    PROCESSED,
-    Timeout,
-    URGENT_PRIORITY,
-)
+from .events import AllOf, AnyOf, Event, PENDING, PROCESSED, Timeout
 from .process import Process, ProcessGenerator
 
 
@@ -38,11 +51,14 @@ class Environment:
     insertion-order) order, which makes runs fully deterministic.
     """
 
-    __slots__ = ("_now", "_queue", "_eid", "_active_stack")
+    __slots__ = ("_now", "_queue", "_urgent", "_eid", "_active_stack")
 
     def __init__(self, initial_time: float = 0.0) -> None:
         self._now = float(initial_time)
-        self._queue: List[Tuple[float, int, int, Event]] = []
+        #: Normal events as (time, insertion-order, event).
+        self._queue: List[Tuple[float, int, Event]] = []
+        #: The urgent lane: events due now, ahead of every normal event.
+        self._urgent: Deque[Event] = deque()
         self._eid = 0
         self._active_stack: List[Process] = []
 
@@ -67,6 +83,39 @@ class Environment:
         """Start a new process from a generator."""
         return Process(self, generator)
 
+    def call_soon(self, callback: Callable[[Event], None]) -> Event:
+        """Run ``callback(event)`` in the next urgent slot.
+
+        This is the slot a process kick-off takes, so a callback started
+        here runs exactly where ``process(gen)`` would have started
+        ``gen``.
+        """
+        event = Event._new_triggered(self, callback)
+        self.schedule_urgent(event)
+        return event
+
+    def call_later(self, delay: float, callback: Callable[[Event], None]) -> Event:
+        """Run ``callback(event)`` ``delay`` seconds from now.
+
+        This is the slot ``timeout(delay)`` takes, so a callback armed here
+        runs exactly where a process waiting on that timeout would resume.
+        """
+        if delay < 0:
+            raise ValueError(f"negative delay {delay}")
+        event = Event._new_triggered(self, callback)
+        self.schedule(event, delay)
+        return event
+
+    def defer(self, delay: float, callback: Callable[[Event], None]) -> Event:
+        """``call_soon`` then ``call_later(delay, callback)``.
+
+        The queue slots of ``process(gen)`` for a ``gen`` that yields
+        ``timeout(delay)`` and then acts: the drop-in for that shape,
+        minus the generator, the :class:`Process`, and its completion
+        event.  Returns the kick-off event.
+        """
+        return self.call_soon(lambda _event: self.call_later(delay, callback))
+
     def all_of(self, events: Iterable[Event]) -> AllOf:
         return AllOf(self, events)
 
@@ -75,33 +124,33 @@ class Environment:
 
     # -- scheduling ------------------------------------------------------------
 
-    def schedule(
-        self, event: Event, delay: float = 0.0, priority: int = NORMAL_PRIORITY
-    ) -> None:
+    def schedule(self, event: Event, delay: float = 0.0) -> None:
         """Queue ``event`` to be processed ``delay`` seconds from now."""
         self._eid += 1
-        heappush(self._queue, (self._now + delay, priority, self._eid, event))
+        heappush(self._queue, (self._now + delay, self._eid, event))
 
     def schedule_urgent(self, event: Event) -> None:
-        """The urgent path: queue ``event`` *now*, ahead of normal events.
+        """Queue ``event`` on the urgent lane: *now*, ahead of normal events.
 
-        Equivalent to ``schedule(event, 0.0, URGENT_PRIORITY)`` minus the
-        delay arithmetic — the process kick-off/interrupt hot path.
+        The process kick-off/interrupt hot path; O(1).
         """
-        self._eid += 1
-        heappush(self._queue, (self._now, URGENT_PRIORITY, self._eid, event))
+        self._urgent.append(event)
 
     def peek(self) -> float:
         """Time of the next scheduled event, or +inf if none."""
+        if self._urgent:
+            return self._now
         return self._queue[0][0] if self._queue else float("inf")
 
     def step(self) -> None:
         """Process exactly one event."""
-        try:
-            when, _, _, event = heappop(self._queue)
-        except IndexError:
-            raise EmptySchedule() from None
-        self._now = when
+        if self._urgent:
+            event = self._urgent.popleft()
+        else:
+            try:
+                self._now, _, event = heappop(self._queue)
+            except IndexError:
+                raise EmptySchedule() from None
         callbacks = event.callbacks
         event.callbacks = None
         for callback in callbacks:  # type: ignore[union-attr]
@@ -131,26 +180,31 @@ class Environment:
                 )
 
         # The hot loop: identical semantics to `while True: step()` with
-        # the stop checks, but with the heap and clock handled through
-        # locals instead of method/property calls per event.
+        # the stop checks, but with the queues and clock handled through
+        # locals instead of method/property calls per event.  Urgent
+        # events are due now, so the time checks apply to the heap only.
         queue = self._queue
+        urgent = self._urgent
+        popleft = urgent.popleft
         while True:
             if stop_event is not None and stop_event._state == PROCESSED:
                 return stop_event.value
-            if not queue:
-                if stop_event is not None and stop_event._state == PENDING:
-                    raise RuntimeError(
-                        "run(until=event) exhausted the schedule before the "
-                        "event fired"
-                    )
-                if stop_time is not None:
+            if urgent:
+                event = popleft()
+            else:
+                if not queue:
+                    if stop_event is not None and stop_event._state == PENDING:
+                        raise RuntimeError(
+                            "run(until=event) exhausted the schedule before "
+                            "the event fired"
+                        )
+                    if stop_time is not None:
+                        self._now = stop_time
+                    return None
+                if stop_time is not None and queue[0][0] > stop_time:
                     self._now = stop_time
-                return None
-            if stop_time is not None and queue[0][0] > stop_time:
-                self._now = stop_time
-                return None
-            when, _priority, _eid, event = heappop(queue)
-            self._now = when
+                    return None
+                self._now, _eid, event = heappop(queue)
             callbacks = event.callbacks
             event.callbacks = None
             for callback in callbacks:  # type: ignore[union-attr]
@@ -178,4 +232,5 @@ class Environment:
         return active.target if active is not None else None
 
     def __repr__(self) -> str:
-        return f"<Environment now={self._now:.6f} pending={len(self._queue)}>"
+        pending = len(self._queue) + len(self._urgent)
+        return f"<Environment now={self._now:.6f} pending={pending}>"

@@ -7,8 +7,9 @@ are resumed when those events fire.  Events move through three states:
 ``PENDING``
     Created but not yet triggered; callbacks may still be added.
 ``TRIGGERED``
-    A value (or exception) has been set and the event sits in the
-    environment's queue waiting to be processed.
+    A value (or exception) has been set and the event sits in one of the
+    environment's queues (the heap, or the urgent lane) waiting to be
+    processed.
 ``PROCESSED``
     The environment has run all callbacks; waiting processes have resumed.
 
@@ -28,11 +29,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
 PENDING = "pending"
 TRIGGERED = "triggered"
 PROCESSED = "processed"
-
-#: Priority used for ordinary events.
-NORMAL_PRIORITY = 1
-#: Priority used for events that must fire before ordinary ones at equal time.
-URGENT_PRIORITY = 0
 
 
 class Event:
@@ -60,9 +56,12 @@ class Event:
     def _new_triggered(cls, env: "Environment", callback) -> "Event":
         """Kernel-internal fast path: a pre-triggered event with one
         callback, ready to schedule.  Initializes exactly the fields
-        ``__init__`` sets (keep the two in sync) minus a dispatch —
-        process kick-off creates one of these per process, which is the
-        hottest allocation site in a replay.
+        ``__init__`` sets (keep the two in sync) minus a dispatch.
+
+        Every :meth:`Environment.call_soon` (and so every process
+        kick-off) puts one of these on the urgent lane, and every
+        :meth:`Environment.call_later` one on the heap — the hottest
+        allocation site in a replay.
         """
         event = cls.__new__(cls)
         event.env = env

@@ -35,10 +35,8 @@ class Process(Event):
             raise TypeError(f"{generator!r} is not a generator")
         super().__init__(env)
         self._generator = generator
-        # Kick the generator off via an immediately-processed urgent event.
-        init = Event._new_triggered(env, self._advance)
-        env.schedule_urgent(init)
-        self._target: Optional[Event] = init
+        # Kick the generator off in the next urgent slot.
+        self._target: Optional[Event] = env.call_soon(self._advance)
 
     @property
     def is_alive(self) -> bool:

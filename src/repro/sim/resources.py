@@ -160,6 +160,19 @@ class Store:
         self._dispatch()
         return event
 
+    def put_nowait(self, item: Any) -> None:
+        """Add ``item`` to an unbounded store, with no :class:`StorePut`.
+
+        On an unbounded store a put is admitted at once, so its event
+        only tells a waiter what it already knows; callers that never
+        wait on it use this instead.  Getters wake in the same order as
+        after :meth:`put`.
+        """
+        if self.capacity != float("inf"):
+            raise ValueError("put_nowait needs an unbounded store")
+        self.items.append(item)
+        self._dispatch()
+
     def get(self, predicate: Optional[Callable[[Any], bool]] = None) -> StoreGet:
         event = StoreGet(self, predicate)
         self._getters.append(event)

@@ -121,7 +121,7 @@ class FunctionDispatcher:
     def submit(self, run_callable) -> None:
         """Queue an invocation; ``run_callable(container)`` starts it."""
         self.unassigned += 1
-        self.work.put(run_callable)
+        self.work.put_nowait(run_callable)
         self.maybe_scale_out()
 
     def release(self, container: Container, delay_s: float = 0.0) -> None:
@@ -132,15 +132,14 @@ class FunctionDispatcher:
         """
         self.pool.checkin(container)
         if delay_s <= 0:
-            self.idle.put(container)
+            self.idle.put_nowait(container)
             return
 
-        def delayed():
-            yield self.env.timeout(delay_s)
+        def unblock(_event: "Event") -> None:
             if container.alive:
-                self.idle.put(container)
+                self.idle.put_nowait(container)
 
-        self.env.process(delayed())
+        self.env.defer(delay_s, unblock)
 
     def maybe_scale_out(self) -> None:
         """Cold-start a container when demand outstrips warm supply."""
@@ -163,7 +162,7 @@ class FunctionDispatcher:
 
             def on_ready(event, self=self):
                 self.booting -= 1
-                self.idle.put(event.value)
+                self.idle.put_nowait(event.value)
 
             if ready.callbacks is not None:
                 ready.callbacks.append(on_ready)

@@ -174,7 +174,7 @@ class ControlFlowSystem(WorkflowSystem):
         core_seconds = function.profile.compute.core_seconds(
             task.input_bytes, self.rng.stream(f"compute:{task.function}")
         )
-        yield self.env.process(container.compute(core_seconds))
+        yield container.compute(core_seconds)
         record.compute_s = self.env.now - compute_start
 
         # Phase 3: Put() — persist every output before completion.

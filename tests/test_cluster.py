@@ -186,7 +186,7 @@ def test_compute_scales_with_cpu_share():
     start = env.now
 
     def work(env):
-        yield env.process(container.compute(1.0))
+        yield container.compute(1.0)
 
     env.run(until=env.process(work(env)))
     # 256 MB -> 0.2 cores; 1 core-second takes 5 wall seconds.

@@ -1,6 +1,11 @@
 """Unit tests for the discrete-event simulation kernel."""
 
+import itertools
+from heapq import heappop, heappush
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.sim import (
     EmptySchedule,
@@ -10,6 +15,7 @@ from repro.sim import (
     RngRegistry,
     Timeout,
 )
+from repro.sim.events import PROCESSED
 
 
 def test_timeout_advances_clock():
@@ -314,6 +320,196 @@ def test_yielding_non_event_fails_process():
     with pytest.raises(RuntimeError, match="non-event"):
         env.run()
     assert proc.triggered
+
+
+def test_call_soon_runs_before_normal_events_in_fifo_order():
+    env = Environment()
+    order = []
+    env.timeout(0).callbacks.append(lambda _e: order.append("timeout"))
+    env.call_soon(lambda _e: order.append("a"))
+    env.call_soon(lambda _e: order.append("b"))
+    assert env.peek() == 0.0
+    env.run()
+    assert order == ["a", "b", "timeout"]
+
+
+def test_call_later_fires_after_delay():
+    env = Environment()
+    fired = []
+    env.call_later(1.5, lambda _e: fired.append(env.now))
+    with pytest.raises(ValueError):
+        env.call_later(-1, lambda _e: None)
+    env.run()
+    assert fired == [1.5]
+
+
+def test_peek_reports_now_while_urgent_events_are_pending():
+    env = Environment()
+    env.timeout(4.0)
+    env.run(until=2.0)
+    env.call_soon(lambda _e: None)
+    assert env.peek() == 2.0
+    env.step()
+    assert env.peek() == 4.0
+    assert env.now == 2.0
+
+
+# -- callbacks take the queue slots of the processes they replace -----------
+
+_DELAYS = st.sampled_from([0.0, 0.5, 1.0, 2.0])
+_OPS = st.one_of(
+    st.tuples(st.just("wait"), _DELAYS),
+    st.tuples(st.just("chain"), _DELAYS, _DELAYS),
+    st.tuples(st.just("zero")),
+    st.tuples(st.just("interrupt"), _DELAYS),
+)
+_CONTROLS = st.one_of(
+    st.tuples(st.just("run_until"), st.sampled_from([0.0, 0.5, 1.0, 3.0])),
+    st.tuples(st.just("step"), st.integers(min_value=1, max_value=4)),
+)
+_PROGRAMS = st.lists(
+    st.tuples(st.lists(_OPS, max_size=5), _CONTROLS), min_size=1, max_size=6
+)
+
+
+class _OneHeapEnvironment(Environment):
+    """The kernel without the urgent lane: one heap keyed on (time,
+    priority, insertion order), urgent events at priority 0."""
+
+    __slots__ = ()
+
+    def schedule(self, event, delay=0.0):
+        self._eid += 1
+        heappush(self._queue, (self._now + delay, 1, self._eid, event))
+
+    def schedule_urgent(self, event):
+        self._eid += 1
+        heappush(self._queue, (self._now, 0, self._eid, event))
+
+    def peek(self):
+        return self._queue[0][0] if self._queue else float("inf")
+
+    def step(self):
+        if not self._queue:
+            raise EmptySchedule()
+        self._now, _, _, event = heappop(self._queue)
+        callbacks, event.callbacks = event.callbacks, None
+        for callback in callbacks:
+            callback(event)
+        event._state = PROCESSED
+        if event._exception is not None and not event.defused:
+            raise event._exception
+
+    def run(self, until=None):
+        stop = float("inf") if until is None else float(until)
+        while self._queue and self._queue[0][0] <= stop:
+            self.step()
+        if until is not None:
+            self._now = stop
+
+
+def _run_program(program, form, env_class=Environment):
+    """Run ``program`` and log what happened when.
+
+    Every "wait d, then act" is written in ``form``: an ``env.process``
+    (``"process"``), ``call_soon`` -> ``call_later`` (``"callbacks"``),
+    or ``env.defer`` (``"defer"``).  The zero-delay timeouts, the
+    interrupted process and the driver calls (``run(until=...)``,
+    ``step()``, ``peek()``) are the same in every form.
+    The driver runs between batches of ops issued from outside the run
+    loop, so urgent kick-offs are pending when it peeks and steps.
+
+    The process form has events the callback form drops: each process's
+    completion event, which nothing waits on.  They change no clock and
+    log nothing, so the driver steps until the log grows rather than a
+    fixed number of events, and peeks only right after issuing ops, when
+    the next event is due now in both forms.
+    """
+    env = env_class()
+    log = []
+    tags = itertools.count()
+
+    def wait_then(delay, act):
+        if form == "callbacks":
+            env.call_soon(lambda _e: env.call_later(delay, lambda _e: act()))
+        elif form == "defer":
+            env.defer(delay, lambda _e: act())
+        else:
+            def waiter():
+                yield env.timeout(delay)
+                act()
+
+            env.process(waiter())
+
+    def issue(op):
+        tag = next(tags)
+        kind = op[0]
+        if kind == "wait":
+            wait_then(op[1], lambda: log.append((tag, env.now)))
+        elif kind == "chain":
+            def first():
+                log.append((tag, "first", env.now))
+                wait_then(op[2], lambda: log.append((tag, "second", env.now)))
+
+            wait_then(op[1], first)
+        elif kind == "zero":
+            env.timeout(0).callbacks.append(
+                lambda _e: log.append((tag, "zero", env.now))
+            )
+        else:
+            def sleeper():
+                try:
+                    yield env.timeout(10.0)
+                    log.append((tag, "slept", env.now))
+                except Interrupt:
+                    log.append((tag, "interrupted", env.now))
+                    yield env.timeout(0)
+                    log.append((tag, "resumed", env.now))
+
+            victim = env.process(sleeper())
+            wait_then(
+                op[1], lambda: victim.interrupt() if victim.is_alive else None
+            )
+
+    def step_until_logged():
+        logged = len(log)
+        while len(log) == logged:
+            env.step()
+
+    for ops, control in program:
+        for op in ops:
+            issue(op)
+        if ops:
+            log.append(("peek", env.peek()))
+        if control[0] == "run_until":
+            env.run(until=env.now + control[1])
+        else:
+            try:
+                for _ in range(control[1]):
+                    step_until_logged()
+            except EmptySchedule:
+                log.append("empty")
+        log.append(("now", env.now))
+    env.run()
+    log.append(("end", env.now))
+    return log
+
+
+@settings(max_examples=150, deadline=None)
+@given(program=_PROGRAMS)
+def test_property_callbacks_match_processes(program):
+    expected = _run_program(program, "process")
+    assert _run_program(program, "callbacks") == expected
+    assert _run_program(program, "defer") == expected
+
+
+@settings(max_examples=150, deadline=None)
+@given(program=_PROGRAMS, form=st.sampled_from(["process", "callbacks"]))
+def test_property_urgent_lane_matches_one_heap(program, form):
+    """Draining the urgent lane before the heap gives one heap's order."""
+    assert _run_program(program, form) == _run_program(
+        program, form, env_class=_OneHeapEnvironment
+    )
 
 
 def test_rng_streams_are_deterministic_and_independent():

@@ -192,6 +192,49 @@ def test_store_predicate_waits_for_match():
     assert list(store.items) == ["other"]
 
 
+def _store_wakeups(put_item):
+    """Getters (some filtered) park, then items arrive through
+    ``put_item(store, item)``; returns (getter, item, time) in wake order."""
+    env = Environment()
+    store = Store(env)
+    woke = []
+
+    def getter(name, predicate=None):
+        item = yield store.get(predicate)
+        woke.append((name, item, env.now))
+
+    env.process(getter("odd", lambda it: it % 2 == 1))
+    env.process(getter("any"))
+    env.process(getter("big", lambda it: it > 3))
+    env.process(getter("any2"))
+
+    def producer():
+        yield env.timeout(1)
+        for item in [2, 4, 5]:
+            put_item(store, item)
+        yield env.timeout(1)
+        put_item(store, 7)
+        put_item(store, 1)
+
+    env.process(producer())
+    env.run()
+    return woke, list(store.items)
+
+
+def test_store_put_nowait_wakes_getters_like_put():
+    by_put = _store_wakeups(lambda store, item: store.put(item))
+    by_put_nowait = _store_wakeups(lambda store, item: store.put_nowait(item))
+    assert by_put_nowait == by_put
+    assert [name for name, _, _ in by_put[0]] == ["any", "big", "odd", "any2"]
+
+
+def test_store_put_nowait_rejects_bounded_store():
+    store = Store(Environment(), capacity=2)
+    with pytest.raises(ValueError):
+        store.put_nowait("x")
+    assert len(store) == 0
+
+
 def test_level_container_get_blocks_until_level():
     env = Environment()
     tank = LevelContainer(env, capacity=100, init=0)
