@@ -8,15 +8,25 @@ crosses one or more links; its instantaneous rate is::
 
 Rates therefore change only when some link's membership changes, never due
 to another flow's rate — a *bounded fair-share approximation* of max-min
-fairness (see DESIGN.md §4): it never oversubscribes a link, rebalances on
-each flow arrival/departure, and is fully deterministic, but does not
-perform multi-hop cascade rebalancing.
+fairness (see ``docs/architecture.md``, ``cluster/``): it never
+oversubscribes a link, rebalances on each flow arrival/departure, and is
+fully deterministic, but does not perform multi-hop cascade rebalancing.
+
+Every rebalance re-arms the completion timer of each flow it re-rates.
+A flow keeps a *live slot*, the queue slot (:meth:`Environment.reserve`)
+its latest arm took, and at most one heap *entry*, never later than the
+live slot.  An entry that comes due before the live slot moves itself
+there; one superseded by an earlier slot, or by a stall, cancel or
+completion, is emptied of its callback.  So the completion runs in
+exactly the slot a fresh timer per arm would have run in, without a dead
+timer per re-arm.
 """
 
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Callable, Iterable, List, Optional, Set
+from operator import attrgetter
+from typing import TYPE_CHECKING, Callable, Iterable, List, Optional, Set, Tuple
 
 from ..sim.events import Event
 
@@ -24,6 +34,8 @@ if TYPE_CHECKING:  # pragma: no cover
     from ..sim.environment import Environment
 
 _EPSILON = 1e-12
+
+_creation_order = attrgetter("index")
 
 
 class SharedLink:
@@ -60,6 +72,12 @@ class Flow:
     fault-tolerance machinery uses to model data-plane interruption.
     """
 
+    __slots__ = (
+        "fabric", "env", "index", "nbytes", "remaining", "links", "rate_cap",
+        "label", "rate", "started_at", "finished_at", "done", "_last_update",
+        "_active", "_slot", "_entry", "_entry_slot",
+    )
+
     def __init__(
         self,
         fabric: "NetworkFabric",
@@ -84,8 +102,13 @@ class Flow:
         self.finished_at: Optional[float] = None
         self.done: Event = Event(self.env)
         self._last_update = self.env.now
-        self._timer_generation = 0
         self._active = True
+        #: The live slot: the queue slot the latest arm reserved (None
+        #: while unarmed).
+        self._slot: Optional[Tuple[float, int]] = None
+        #: The one heap entry and its slot, never later than ``_slot``.
+        self._entry: Optional[Event] = None
+        self._entry_slot: Optional[Tuple[float, int]] = None
 
     @property
     def active(self) -> bool:
@@ -102,10 +125,14 @@ class Flow:
         """Abort the flow; ``done`` fails with :class:`FlowCancelled`."""
         if not self._active:
             return
+        self.fabric._disarm(self)
         self.fabric._settle(self)
         self.fabric._detach(self)
         self._active = False
         self.done.fail(FlowCancelled(self, reason))
+
+    def _on_entry(self, _event: Event) -> None:
+        self.fabric._fire(self)
 
     def __repr__(self) -> str:
         return (
@@ -152,8 +179,7 @@ class NetworkFabric:
         Zero-byte flows complete immediately (the event still goes through
         the queue so that ordering stays deterministic).
         """
-        if nbytes < 0:
-            raise ValueError("cannot transfer a negative byte count")
+        _check_transfer(nbytes, rate_cap)
         link_list = list(links)
         flow = Flow(self, nbytes, link_list, rate_cap, label)
         self.flow_count += 1
@@ -186,6 +212,7 @@ class NetworkFabric:
         of a process started now that sleeps ``latency_s`` and then waits
         on the flow: a kick-off, the latency timer, the flow's ``done``.
         """
+        _check_transfer(nbytes, rate_cap)
         link_list = list(links)
         env = self.env
         done = env.event()
@@ -234,40 +261,64 @@ class NetworkFabric:
         # ties by insertion order — iterating the raw set would leak
         # object addresses (which vary run to run within a process) into
         # simulated results.
-        for flow in sorted(flows, key=lambda f: f.index):
+        shares: dict = {}  # link -> share, once per link per pass
+        for flow in sorted(flows, key=_creation_order):
             if not flow._active:
                 continue
             self._settle(flow)
             new_rate = flow.rate_cap
             for link in flow.links:
-                new_rate = min(new_rate, link.share())
+                share = shares.get(link)
+                if share is None:
+                    share = shares[link] = link.share()
+                new_rate = min(new_rate, share)
             flow.rate = new_rate
             self._arm_timer(flow)
+            if not flow._active:
+                # It completed, and its detach changed link membership.
+                shares.clear()
 
     def _drained(self, flow: Flow) -> bool:
         """True when the flow's residue is float noise, not real bytes."""
         return flow.remaining <= max(_EPSILON, flow.nbytes * 1e-9)
 
     def _arm_timer(self, flow: Flow) -> None:
-        flow._timer_generation += 1
-        generation = flow._timer_generation
         if self._drained(flow):
             self._complete(flow)
             return
         if flow.rate <= _EPSILON:
-            return  # stalled; a later rebalance will re-arm
+            self._disarm(flow)  # stalled; a later rebalance will re-arm
+            return
+        env = self.env
         eta = flow.remaining / flow.rate
-        if self.env.now + eta <= self.env.now:
+        if env.now + eta <= env.now:
             # eta underflows the clock's float resolution: finish now.
             self._complete(flow)
             return
-        self.env.call_later(
-            eta, lambda _ev, f=flow, g=generation: self._on_timer(f, g)
-        )
+        slot = flow._slot = env.reserve(eta)
+        entry = flow._entry
+        if entry is None or slot < flow._entry_slot:
+            if entry is not None:
+                entry.callbacks.clear()
+            flow._entry = env.call_at(slot, flow._on_entry)
+            flow._entry_slot = slot
 
-    def _on_timer(self, flow: Flow, generation: int) -> None:
-        if not flow._active or generation != flow._timer_generation:
-            return  # stale timer from before a rate change
+    def _disarm(self, flow: Flow) -> None:
+        """Drop the live slot and empty the heap entry."""
+        flow._slot = None
+        if flow._entry is not None:
+            flow._entry.callbacks.clear()
+            flow._entry = None
+
+    def _fire(self, flow: Flow) -> None:
+        """The flow's heap entry came due."""
+        flow._entry = None
+        if flow._entry_slot < flow._slot:
+            # Re-armed later since this entry was pushed: move to the
+            # live slot.
+            flow._entry = self.env.call_at(flow._slot, flow._on_entry)
+            flow._entry_slot = flow._slot
+            return
         self._settle(flow)
         if not self._drained(flow):
             self._arm_timer(flow)
@@ -275,9 +326,17 @@ class NetworkFabric:
         self._complete(flow)
 
     def _complete(self, flow: Flow) -> None:
+        self._disarm(flow)
         self.bytes_moved += flow.remaining  # account float residue as moved
         flow.remaining = 0.0
         flow._active = False
         flow.finished_at = self.env.now
         self._detach(flow)
         flow.done.succeed(flow)
+
+
+def _check_transfer(nbytes: float, rate_cap: float) -> None:
+    if nbytes < 0:
+        raise ValueError("cannot transfer a negative byte count")
+    if not rate_cap > 0:  # also rejects NaN
+        raise ValueError(f"rate cap must be positive, got {rate_cap}")

@@ -28,6 +28,12 @@ would — at O(1) per urgent event instead of O(log n).
 one-shot work run as plain callbacks in the queue slots a generator
 process would take: ``call_soon`` takes a process kick-off's urgent slot,
 ``call_later(delay, ...)`` the slot of ``timeout(delay)``.
+
+:meth:`~Environment.reserve` takes a heap slot without pushing anything,
+and :meth:`~Environment.call_at` pushes a callback at a reserved slot
+later.  A timer that is re-armed often (a network flow re-rated on every
+arrival and departure on its links) keeps one heap entry that moves to
+its latest slot, instead of leaving a dead entry per re-arm.
 """
 
 from __future__ import annotations
@@ -116,6 +122,15 @@ class Environment:
         """
         return self.call_soon(lambda _event: self.call_later(delay, callback))
 
+    def call_at(
+        self, slot: Tuple[float, int], callback: Callable[[Event], None]
+    ) -> Event:
+        """Run ``callback(event)`` at ``slot``, a key :meth:`reserve`
+        handed out."""
+        event = Event._new_triggered(self, callback)
+        self.schedule(event, slot=slot)
+        return event
+
     def all_of(self, events: Iterable[Event]) -> AllOf:
         return AllOf(self, events)
 
@@ -124,10 +139,37 @@ class Environment:
 
     # -- scheduling ------------------------------------------------------------
 
-    def schedule(self, event: Event, delay: float = 0.0) -> None:
-        """Queue ``event`` to be processed ``delay`` seconds from now."""
+    def reserve(self, delay: float) -> Tuple[float, int]:
+        """Take the queue slot ``schedule(event, delay)`` would take, and
+        push nothing.
+
+        Returns the slot's ``(time, insertion-order)`` key.  An event
+        pushed there later with ``schedule(event, slot=...)`` (or
+        :meth:`call_at`) runs exactly where it would have run had it been
+        scheduled now.  A slot must be pushed before it is due, at most
+        once; a slot never pushed is simply never run.
+        """
+        if delay < 0:
+            raise ValueError(f"negative delay {delay}")
         self._eid += 1
-        heappush(self._queue, (self._now + delay, self._eid, event))
+        return (self._now + delay, self._eid)
+
+    def schedule(
+        self,
+        event: Event,
+        delay: float = 0.0,
+        slot: Optional[Tuple[float, int]] = None,
+    ) -> None:
+        """Queue ``event`` to be processed ``delay`` seconds from now, or
+        at ``slot``, a key :meth:`reserve` handed out."""
+        if slot is None:
+            self._eid += 1
+            heappush(self._queue, (self._now + delay, self._eid, event))
+            return
+        at, eid = slot
+        if at < self._now:
+            raise ValueError(f"slot at {at} lies in the past (now={self._now})")
+        heappush(self._queue, (at, eid, event))
 
     def schedule_urgent(self, event: Event) -> None:
         """Queue ``event`` on the urgent lane: *now*, ahead of normal events.

@@ -1,15 +1,29 @@
-"""Deterministic gate on the simulation kernel's work per request.
+"""Deterministic gate on the simulator's work per request.
 
-Replays a small fixed DataFlower trace and counts, per offered request,
-the ``Process`` objects built and the events scheduled
-(``Environment.schedule`` + ``schedule_urgent`` calls).  The counts are
-exact for a trace and seed, unlike wall time, so a hot-path regression
-that parks more generators or schedules more events fails here.
+Replays two small fixed traces and counts, per offered request, the
+``Process`` objects built, the events scheduled
+(``Environment.schedule`` + ``schedule_urgent`` calls) and the
+``SharedLink.share`` calls of the network fabric's rebalancing.  The
+counts are exact for a trace and seed, unlike wall time, so a hot-path
+regression that parks more generators, schedules more events or
+re-rates more flows fails here.
 
-``PINNED`` holds the counts measured once one-shot timers and transfer
-wrappers became callbacks; the generator-per-wait kernel before that
-measured 4140 processes (86.25 per request) and 17875 events (372.40)
-on the same trace.  To re-pin after a change that lowers a count, run
+* ``dataflower``: DataFlower on a four-app mix.  The generator-per-wait
+  kernel measured 4140 processes (86.25 per request) and 17875 events
+  (372.40); one-shot timers and transfer wrappers as callbacks brought
+  that to 486 processes and 14725 events (306.77).
+* ``production``: the centralized control-flow baseline on ``vid``,
+  where every intermediate crosses the shared backend links.  With a
+  fresh completion timer per flow re-arm and a ``share()`` call per flow
+  per link it measured 1006 processes (31.44 per request), 19223 events
+  (600.72) and 36252 share calls (1132.88).
+
+``PINNED`` holds the counts once each flow kept one heap entry and each
+rebalance pass asked each link for its share once: events fell to 14453
+(301.10 per request) on ``dataflower`` and 9332 (291.63) on
+``production``, share calls from 3304 (68.83) to 2728 (56.83) and from
+36252 to 10151 (317.22); processes did not change.  To
+re-pin after a change that lowers a count, run
 ``python -m pytest -s tests/test_kernel_counts.py``: the first test
 prints the measured totals; copy them into ``PINNED``.  Raise a pin
 only with the reason written in CHANGES.md.
@@ -19,6 +33,7 @@ from __future__ import annotations
 
 from collections import Counter
 
+from repro.cluster.network import SharedLink
 from repro.loadgen.trace import InvocationTrace, TraceEvent
 from repro.parallel.engine import run_parallel_replay
 from repro.parallel.spec import ReplaySpec
@@ -26,14 +41,16 @@ from repro.sim.environment import Environment
 from repro.sim.process import Process
 
 APPS = ("wc", "etl", "ml_ensemble", "vid")
-REQUESTS = 48
 
-#: Totals over the replay of :func:`_trace` at seed 7 (divide by
-#: ``REQUESTS`` for per-request values).
-PINNED = {"processes": 486, "events": 14725}
+#: Totals over the replay of each trace at seed 7 (divide by the trace's
+#: request count for per-request values).
+PINNED = {
+    "dataflower": {"processes": 486, "events": 14453, "share_calls": 2728},
+    "production": {"processes": 1006, "events": 9332, "share_calls": 10151},
+}
 
 
-def _trace() -> InvocationTrace:
+def _dataflower_trace() -> InvocationTrace:
     """Four tenants, one app each, staggered arrivals."""
     events = [
         TraceEvent(
@@ -42,12 +59,28 @@ def _trace() -> InvocationTrace:
             app=APPS[i % 4],
             seed=1000 + i,
         )
-        for i in range(REQUESTS)
+        for i in range(48)
     ]
     return InvocationTrace(events=events, name="kernel-counts")
 
 
-def _count(monkeypatch) -> Counter:
+def _production_trace() -> InvocationTrace:
+    """Two tenants of ``vid`` close enough that backend links are shared."""
+    events = [
+        TraceEvent(at_s=0.15 * i, tenant=f"tenant{i % 2}", app="vid",
+                   seed=2000 + i)
+        for i in range(32)
+    ]
+    return InvocationTrace(events=events, name="kernel-counts-controlflow")
+
+
+TRACES = {
+    "dataflower": _dataflower_trace,
+    "production": _production_trace,
+}
+
+
+def _count(monkeypatch, system: str) -> Counter:
     counts: Counter = Counter()
 
     def counting(metric, original):
@@ -64,22 +97,30 @@ def _count(monkeypatch) -> Counter:
         monkeypatch.setattr(
             Environment, name, counting("events", getattr(Environment, name))
         )
-    spec = ReplaySpec(system_name="dataflower", default_app="wc", seed=7)
-    result = run_parallel_replay(_trace(), spec)
+    monkeypatch.setattr(
+        SharedLink, "share", counting("share_calls", SharedLink.share)
+    )
+    trace = TRACES[system]()
+    spec = ReplaySpec(system_name=system, default_app="wc", seed=7)
+    result = run_parallel_replay(trace, spec)
     monkeypatch.undo()
-    assert result.offered == REQUESTS
+    assert result.offered == len(trace.events)
     return counts
 
 
 def test_kernel_counts_stay_at_or_below_pins(monkeypatch):
-    measured = _count(monkeypatch)
-    print(dict(measured))
-    for name, pinned in PINNED.items():
-        assert measured[name] <= pinned, (
-            f"{name} per request rose to {measured[name] / REQUESTS:.2f} "
-            f"(pinned at {pinned / REQUESTS:.2f})"
-        )
+    for system, pins in PINNED.items():
+        measured = _count(monkeypatch, system)
+        print(system, dict(measured))
+        requests = len(TRACES[system]().events)
+        for name, pinned in pins.items():
+            assert measured[name] <= pinned, (
+                f"{system}: {name} per request rose to "
+                f"{measured[name] / requests:.2f} (pinned at "
+                f"{pinned / requests:.2f})"
+            )
 
 
 def test_kernel_counts_are_deterministic(monkeypatch):
-    assert _count(monkeypatch) == _count(monkeypatch)
+    for system in PINNED:
+        assert _count(monkeypatch, system) == _count(monkeypatch, system)

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sim import Environment
-from repro.cluster.network import FlowCancelled, NetworkFabric
+from repro.cluster.network import _EPSILON, FlowCancelled, NetworkFabric
 
 
 def make_fabric():
@@ -100,6 +100,25 @@ def test_negative_bytes_rejected():
         fabric.transfer(-1.0, [link])
 
 
+@pytest.mark.parametrize("rate_cap", [0.0, -5.0])
+def test_non_positive_rate_cap_rejected(rate_cap):
+    env, fabric = make_fabric()
+    link = fabric.link("l", 100.0)
+    with pytest.raises(ValueError, match="rate cap"):
+        fabric.transfer(10.0, [link], rate_cap=rate_cap)
+    with pytest.raises(ValueError, match="rate cap"):
+        fabric.transfer_after(1.0, 10.0, [link], rate_cap=rate_cap)
+    assert not link.flows
+
+
+def test_nan_rate_cap_rejected():
+    env, fabric = make_fabric()
+    link = fabric.link("l", 100.0)
+    with pytest.raises(ValueError, match="rate cap"):
+        fabric.transfer(10.0, [link], rate_cap=math.nan)
+    assert not link.flows
+
+
 def test_link_requires_positive_capacity():
     env, fabric = make_fabric()
     with pytest.raises(ValueError):
@@ -137,6 +156,57 @@ def test_cancel_fails_waiters_and_frees_link():
     assert failures == [(5.0, "node crash")]
     # bystander: 250B at t=5 (50 B/s shared), then 750B at 100 B/s -> 12.5s
     assert env.now == pytest.approx(12.5)
+
+
+def _live_callbacks(env):
+    return [cb for _, _, event in env._queue for cb in event.callbacks]
+
+
+def test_early_entry_moves_to_the_live_slot():
+    env, fabric = make_fabric()
+    link = fabric.link("l", 100.0)
+    flow = fabric.transfer(1000.0, [link])  # due at t=10 alone
+    env.call_later(5.0, lambda _e: fabric.transfer(2000.0, [link]))
+    env.run(until=7.0)
+    # Re-rated to 50 B/s at t=5: due at t=15, but its entry stays at t=10.
+    assert flow._slot[0] == pytest.approx(15.0)
+    assert flow._entry_slot[0] == pytest.approx(10.0)
+    assert _live_callbacks(env).count(flow._on_entry) == 1
+    env.run(until=12.0)
+    # The entry came due early and moved itself to the live slot.
+    assert flow._entry_slot == flow._slot
+    assert _live_callbacks(env).count(flow._on_entry) == 1
+    env.run(until=flow.done)
+    assert env.now == pytest.approx(15.0)
+
+
+def test_earlier_slot_replaces_the_entry():
+    env, fabric = make_fabric()
+    link = fabric.link("l", 100.0)
+    other = fabric.transfer(100.0, [link])
+    flow = fabric.transfer(1000.0, [link])  # due at t=20 at 50 B/s
+    old_entry = flow._entry
+    env.run(until=other.done)
+    # other left at t=2, so flow sped up: a new entry for t=11; the old
+    # one stays in the heap with no callback.
+    assert flow._entry is not old_entry
+    assert old_entry.callbacks == []
+    assert _live_callbacks(env) == [flow._on_entry]
+    env.run(until=flow.done)
+    assert env.now == pytest.approx(11.0)
+
+
+def test_cancelled_flow_leaves_no_live_callback():
+    env, fabric = make_fabric()
+    link = fabric.link("l", 100.0)
+    victim = fabric.transfer(1000.0, [link])
+    bystander = fabric.transfer(1000.0, [link])
+    victim.done.defused = True
+    env.call_later(5.0, lambda _e: victim.cancel())
+    env.run(until=6.0)
+    assert victim._entry is None and victim._slot is None
+    assert victim._on_entry not in _live_callbacks(env)
+    assert bystander._on_entry in _live_callbacks(env)
 
 
 def test_transferred_tracks_partial_progress():
@@ -240,3 +310,135 @@ def test_property_deterministic_replay(seed):
         return finish_times
 
     assert run_once() == run_once()
+
+
+# -- one heap entry per flow runs completions where eager timers did ---------
+
+
+class _EagerFabric(NetworkFabric):
+    """The fabric before one-entry-per-flow: every arm pushes a fresh
+    timer, stale timers are told apart by a per-flow generation, and
+    every flow asks each of its links for its share."""
+
+    def __init__(self, env):
+        super().__init__(env)
+        self._generation = {}
+
+    def _rebalance(self, flows):
+        for flow in sorted(flows, key=lambda f: f.index):
+            if not flow._active:
+                continue
+            self._settle(flow)
+            new_rate = flow.rate_cap
+            for link in flow.links:
+                new_rate = min(new_rate, link.share())
+            flow.rate = new_rate
+            self._arm_timer(flow)
+
+    def _disarm(self, flow):
+        self._generation[flow] = self._generation.get(flow, 0) + 1
+
+    def _arm_timer(self, flow):
+        self._disarm(flow)
+        generation = self._generation[flow]
+        if self._drained(flow):
+            self._complete(flow)
+            return
+        if flow.rate <= _EPSILON:
+            return
+        eta = flow.remaining / flow.rate
+        if self.env.now + eta <= self.env.now:
+            self._complete(flow)
+            return
+        self.env.call_later(
+            eta, lambda _ev, f=flow, g=generation: self._on_timer(f, g)
+        )
+
+    def _on_timer(self, flow, generation):
+        if not flow._active or generation != self._generation[flow]:
+            return
+        self._settle(flow)
+        if not self._drained(flow):
+            self._arm_timer(flow)
+            return
+        self._complete(flow)
+
+
+_AT = st.one_of(
+    st.sampled_from([0.0, 0.5, 1.0, 2.5]),  # same-instant collisions
+    st.floats(min_value=0.0, max_value=5.0),
+)
+_FLOW = st.tuples(
+    st.just("flow"),
+    st.one_of(st.just(0.0), st.floats(min_value=1.0, max_value=2000.0)),
+    st.lists(st.integers(min_value=0, max_value=3), min_size=1, max_size=3,
+             unique=True),
+    st.one_of(st.none(), st.floats(min_value=1.0, max_value=500.0)),
+)
+_FABRIC_OPS = st.lists(
+    st.tuples(
+        _AT,
+        st.one_of(
+            _FLOW,
+            st.tuples(st.just("burst"), st.lists(_FLOW, min_size=2, max_size=4)),
+            st.tuples(st.just("cancel"), st.integers(min_value=0, max_value=20)),
+            st.tuples(st.just("sample")),
+        ),
+    ),
+    min_size=1,
+    max_size=12,
+)
+_CAPACITIES = st.lists(
+    st.floats(min_value=10.0, max_value=1000.0), min_size=4, max_size=4
+)
+
+
+def _run_fabric_program(fabric_class, capacities, ops):
+    """Run ``ops`` and log completions, cancels and samples, in order."""
+    env = Environment()
+    fabric = fabric_class(env)
+    links = [fabric.link(f"l{i}", c) for i, c in enumerate(capacities)]
+    flows = []
+    log = []
+
+    def start(_kind, nbytes, chosen, rate_cap):
+        label = f"f{len(flows)}"
+        flow = fabric.transfer(
+            nbytes, [links[i] for i in chosen],
+            rate_cap=math.inf if rate_cap is None else rate_cap, label=label,
+        )
+        flows.append(flow)
+
+        def finished(event):
+            event.defused = True
+            log.append((label, "ok" if event.ok else "cancelled", env.now))
+
+        flow.done.callbacks.append(finished)
+
+    def act(op):
+        kind = op[0]
+        if kind == "flow":
+            start(*op)
+        elif kind == "burst":
+            for flow_op in op[1]:
+                start(*flow_op)
+        elif kind == "cancel":
+            if flows:
+                flows[op[1] % len(flows)].cancel()
+        else:
+            log.append(("sample", env.now, fabric.bytes_moved,
+                        [flow.transferred() for flow in flows]))
+
+    for at, op in ops:
+        env.call_later(at, lambda _e, op=op: act(op))
+    env.run()
+    log.append(("end", fabric.bytes_moved))
+    return log
+
+
+@settings(max_examples=200, deadline=None)
+@given(capacities=_CAPACITIES, ops=_FABRIC_OPS)
+def test_property_one_entry_per_flow_matches_eager_timers(capacities, ops):
+    assert _run_fabric_program(NetworkFabric, capacities, ops) == (
+        _run_fabric_program(_EagerFabric, capacities, ops)
+    )

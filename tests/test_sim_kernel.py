@@ -343,6 +343,55 @@ def test_call_later_fires_after_delay():
     assert fired == [1.5]
 
 
+def _noop(_event):
+    pass
+
+
+def test_reserve_takes_the_slot_schedule_would_take():
+    reserved, scheduled = Environment(), Environment()
+    for env in (reserved, scheduled):
+        env.call_later(0.5, _noop)
+    slot = reserved.reserve(1.0)
+    scheduled.call_later(1.0, _noop)
+    assert slot == max(scheduled._queue)[:2]
+    assert len(reserved._queue) == 1  # nothing pushed
+    with pytest.raises(ValueError):
+        reserved.reserve(-1.0)
+
+
+def test_reserved_slot_orders_like_an_immediate_schedule():
+    def run(late):
+        env = Environment()
+        log = []
+
+        def tagged(tag):
+            return lambda _e: log.append((tag, env.now))
+
+        env.call_later(1.0, tagged("before"))
+        if late:
+            slot = env.reserve(1.0)
+            # Pushed from inside the run, after "after" was scheduled.
+            env.call_later(0.5, lambda _e: env.call_at(slot, tagged("slot")))
+        else:
+            env.call_later(1.0, tagged("slot"))
+            env.call_later(0.5, _noop)
+        env.call_later(1.0, tagged("after"))
+        env.run()
+        return log
+
+    assert run(late=True) == run(late=False) == [
+        ("before", 1.0), ("slot", 1.0), ("after", 1.0),
+    ]
+
+
+def test_pushing_a_past_slot_raises():
+    env = Environment()
+    slot = env.reserve(1.0)
+    env.run(until=2.0)
+    with pytest.raises(ValueError, match="past"):
+        env.call_at(slot, _noop)
+
+
 def test_peek_reports_now_while_urgent_events_are_pending():
     env = Environment()
     env.timeout(4.0)
