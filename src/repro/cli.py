@@ -267,23 +267,15 @@ def _replay_spec_from_args(args: argparse.Namespace):
     from .parallel import ReplaySpec
     from .parallel.sink import DEFAULT_MAX_RECORDS_IN_MEMORY, RecordSinkSpec
 
-    # Either spill flag opts into the disk-spilling record sink; the
-    # sink never changes the report, only where merged records live.
-    record_sink = None
-    spill_dir = getattr(args, "spill_dir", None)
+    # The spill flags only tune the one record sink; it never changes
+    # the report, only where merged records wait.
     max_records = getattr(args, "max_records_in_memory", None)
-    if spill_dir is not None or max_records is not None:
-        if max_records is not None and max_records < 1:
-            raise CliError("--max-records-in-memory must be >= 1")
-        record_sink = RecordSinkSpec(
-            kind="spill",
-            spill_dir=spill_dir,
-            max_records_in_memory=(
-                max_records
-                if max_records is not None
-                else DEFAULT_MAX_RECORDS_IN_MEMORY
-            ),
-        )
+    if max_records is not None and max_records < 1:
+        raise CliError("--max-records-in-memory must be >= 1")
+    record_sink = RecordSinkSpec(
+        spill_dir=getattr(args, "spill_dir", None),
+        max_records_in_memory=max_records or DEFAULT_MAX_RECORDS_IN_MEMORY,
+    )
     return ReplaySpec(
         system_name=args.system,
         default_app=args.app,
@@ -784,15 +776,14 @@ def build_parser() -> argparse.ArgumentParser:
                         help="worker processes (default: 1, in-process "
                         "serial replay)")
     replay.add_argument("--spill-dir", default=None, metavar="PATH",
-                        help="spill merged records to sorted run files "
-                        "under this directory instead of holding them in "
-                        "RAM (bounded-memory merge; the report is "
-                        "byte-identical either way)")
+                        help="directory for sorted run files once merged "
+                        "records pass --max-records-in-memory (default: "
+                        "the system temp dir; the report is byte-identical "
+                        "either way)")
     replay.add_argument("--max-records-in-memory", type=int, default=None,
                         metavar="N",
-                        help="records buffered before cells spill to disk "
-                        "(default: 10000; setting this enables spilling "
-                        "even without --spill-dir)")
+                        help="records buffered in RAM before cells spill "
+                        "to disk (default: 10000)")
     replay.add_argument("--policy", default="tenant",
                         help="cell partition policy: tenant | "
                         "timeslice[:<seconds>] (default: tenant)")

@@ -94,7 +94,8 @@ from .resilience import (
 )
 from .sink import (
     RecordAggregate,
-    make_record_sink,
+    RecordSink,
+    RecordSinkSpec,
     record_from_payload,
     record_to_payload,
 )
@@ -404,8 +405,8 @@ class StreamingMerge:
 
     ``add`` accepts cells in *any* arrival order (work stealing
     completes them unpredictably) and keeps only two things: the cell's
-    record run handed to a pluggable **record sink** (in-memory per-cell
-    sorted runs by default, disk-spilled runs when the spec asks — see
+    record run handed to the **record sink** (per-cell sorted runs in
+    RAM, spilled to disk past the spec's record threshold — see
     :mod:`repro.parallel.sink`) and a small per-cell residue (counters,
     usage integrals, the latency sample chunk, the tenant map).
     ``finalize`` canonicalizes: residues fold in sorted-cell-key order —
@@ -413,25 +414,22 @@ class StreamingMerge:
     independent of scheduling — and the sink k-way merges its per-cell
     sorted runs by the globally unique ``(submit_time, request_id)``
     key, releasing each run as it drains.  The result is byte-identical
-    at every worker count and arrival order, under either sink.
+    at every worker count, arrival order and sink threshold.
 
-    Memory stays bounded by the sink's policy: the in-memory sink by
-    the final merged report, the spilling sink by its record threshold
-    — never by a second sort buffer.
+    Parent memory for records stays bounded by the sink's threshold —
+    never by the trace size or a second sort buffer.
     """
 
     def __init__(
         self,
         trace: InvocationTrace,
         spec: ReplaySpec,
-        sink=None,
     ) -> None:
         self._trace = trace
         self._spec = spec
-        self.sink = (
-            sink
-            if sink is not None
-            else make_record_sink(getattr(spec, "record_sink", None))
+        tunings = spec.record_sink or RecordSinkSpec()
+        self.sink = RecordSink(
+            tunings.spill_dir, tunings.max_records_in_memory
         )
         self._cells: Dict[str, _CellFold] = {}
 
@@ -846,7 +844,7 @@ CellFailedError`) and degrading the report with a ``failed_cells``
     However the fold ends — finished, a failed cell, a raising hook —
     it closes the executor's generator, so a pool shuts down and a
     fleet run releases its queued and leased cells before the call
-    returns, and a spilling record sink removes its run files on error.
+    returns, and the record sink removes any spill files on error.
     """
     t_prepare = time.perf_counter()
     if isinstance(policy, str):
@@ -894,9 +892,9 @@ CellFailedError`) and degrading the report with a ``failed_cells``
         t_finalize = time.perf_counter()
         merged = merge.finalize()
     except BaseException:
-        # The sink may hold scratch state (the spilling sink's NDJSON
-        # run files); a failed replay must not leak it — retries and
-        # subsequent runs would accumulate orphan runs otherwise.
+        # The sink may hold scratch state (spilled NDJSON run files); a
+        # failed replay must not leak it — retries and subsequent runs
+        # would accumulate orphan runs otherwise.
         merge.sink.close()
         raise
     merged.failed_cells = sorted(failures, key=lambda failure: failure.key)

@@ -1,4 +1,4 @@
-"""Record sinks: where a merged replay keeps its request records.
+"""The record sink: where a merged replay keeps its request records.
 
 The paper's thesis is that intermediate data should live where it is
 produced instead of materializing centrally; the replay pipeline's own
@@ -7,35 +7,32 @@ parent a list of :class:`~repro.metrics.latency.RequestRecord`\\ s and
 the merge must present them in one canonical order — but nothing forces
 the canonical sequence to *live in parent RAM*.  A
 :class:`StreamingMerge <repro.parallel.engine.StreamingMerge>` therefore
-writes records through a pluggable **record sink**:
+writes records through one :class:`RecordSink`, bounded by default:
 
-:class:`MemoryRecordSink` (default)
-    Keeps each cell's records as an in-memory sorted run and k-way
-    merges the runs at finalize (``heapq.merge`` — the k-way
-    generalization of :func:`repro.metrics.latency._merge_sorted`).
-    Per-cell buffers release as the merge drains them; the full record
-    list exists exactly once, never a second sort-buffer copy.
+* Each cell's records are buffered as a sorted in-memory run.  While
+  the buffer stays at or below ``max_records_in_memory`` (default
+  :data:`DEFAULT_MAX_RECORDS_IN_MEMORY`), ``finalize`` k-way merges the
+  runs in RAM (``heapq.merge`` — the k-way generalization of
+  :func:`repro.metrics.latency._merge_sorted`) and returns a plain
+  ``list``; no scratch directory is ever created.
+* Once the buffer crosses the threshold, every buffered cell flushes to
+  its own **sorted run file** (NDJSON of :func:`record_to_payload`
+  lines) and later cells buffer afresh.  ``finalize`` then k-way merges
+  the disk runs with the still-buffered cells, streams the result into
+  one merged file, and returns a :class:`SpilledRecords` sequence that
+  reads records lazily from it.  Parent peak RSS is bounded by the
+  threshold plus one in-flight cell — not by the trace size.
 
-:class:`SpillingRecordSink` (``--spill-dir`` / ``--max-records-in-memory``)
-    Buffers cells up to a record-count threshold, then flushes each
-    buffered cell to a **per-cell sorted run file** (NDJSON of
-    :func:`record_to_payload` lines).  ``finalize`` k-way merges the
-    disk runs with the still-buffered cells by the same
-    ``(submit_time, request_id)`` key, streams the result into one
-    merged spill file, and returns a :class:`SpilledRecords` sequence
-    that reads records lazily from that file.  Parent peak RSS is
-    bounded by the threshold plus one in-flight cell — not by the
-    trace size.
-
-Both sinks produce the merged stream in the identical canonical order
-(the key is globally unique: request ids are cell-qualified), and both
-fold a :class:`RecordAggregate` over it in that order — every count and
-float the report's record-derived sections need, computed in exactly
-the order the in-memory scan would have used.  Reports are therefore
-byte-identical across sinks, shard counts, worker counts, and engines;
-Python floats round-trip JSON exactly (shortest repr), so a record that
-passed through a spill file aggregates to the same bits as one that
-never left RAM.
+Both branches produce the merged stream in the identical canonical
+order (the ``(submit_time, request_id)`` key is globally unique:
+request ids are cell-qualified), and both fold a
+:class:`RecordAggregate` over it in that order — every count and float
+the report's record-derived sections need, computed in exactly the
+order the in-memory scan would have used.  Reports are therefore
+byte-identical at every threshold, worker count and executor; Python
+floats round-trip JSON exactly (shortest repr), so a record that passed
+through a spill file aggregates to the same bits as one that never left
+RAM.
 """
 
 from __future__ import annotations
@@ -53,13 +50,12 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 from ..metrics.latency import LatencySummary, RequestRecord, TaskRecord
 
 __all__ = [
-    "MemoryRecordSink",
+    "DEFAULT_MAX_RECORDS_IN_MEMORY",
     "RecordAggregate",
+    "RecordSink",
     "RecordSinkSpec",
     "SpillError",
     "SpilledRecords",
-    "SpillingRecordSink",
-    "make_record_sink",
     "record_from_payload",
     "record_to_payload",
 ]
@@ -69,8 +65,6 @@ __all__ = [
 #: a 100k-event replay under a tenth of the in-memory footprint while
 #: staying far above any per-page working set.
 DEFAULT_MAX_RECORDS_IN_MEMORY = 10_000
-
-_SINK_KINDS = ("memory", "spill")
 
 
 class SpillError(RuntimeError):
@@ -297,7 +291,7 @@ class RecordAggregate:
 
 @dataclass(frozen=True)
 class RecordSinkSpec:
-    """Picklable sink configuration carried on a
+    """Picklable sink tunings carried on a
     :class:`~repro.parallel.spec.ReplaySpec`.
 
     Pure scheduling/memory policy: the sink never feeds back into cell
@@ -305,19 +299,14 @@ class RecordSinkSpec:
     produce byte-identical reports.
     """
 
-    kind: str = "memory"
     #: Directory spill scratch lives under (``None``: the system temp
-    #: dir).  Each run creates and cleans up its own subdirectory.
+    #: dir).  Each spilling run creates and cleans up its own
+    #: subdirectory; a run that never spills creates nothing.
     spill_dir: Optional[str] = None
     #: Records buffered in parent RAM before cells flush to run files.
     max_records_in_memory: int = DEFAULT_MAX_RECORDS_IN_MEMORY
 
     def __post_init__(self) -> None:
-        if self.kind not in _SINK_KINDS:
-            raise ValueError(
-                f"unknown record sink kind {self.kind!r}; "
-                f"choose from {list(_SINK_KINDS)}"
-            )
         if self.max_records_in_memory < 1:
             raise ValueError(
                 f"max_records_in_memory must be >= 1, "
@@ -325,62 +314,7 @@ class RecordSinkSpec:
             )
 
 
-def make_record_sink(spec: Optional[RecordSinkSpec]):
-    """Build the sink a spec asks for (``None`` → in-memory default)."""
-    if spec is None or spec.kind == "memory":
-        return MemoryRecordSink()
-    return SpillingRecordSink(
-        spill_dir=spec.spill_dir,
-        max_records_in_memory=spec.max_records_in_memory,
-    )
-
-
-# -- the in-memory sink -------------------------------------------------------
-
-
-class MemoryRecordSink:
-    """Today's behavior, restructured: per-cell sorted runs in RAM,
-    k-way merged at finalize.
-
-    Unlike the old single flat list + global ``sort()``, each cell's
-    records stay a separate pre-sorted run (cells emit records in
-    submission order, so the per-cell sort is a near-no-op Timsort
-    pass) and ``finalize`` drains them through ``heapq.merge`` — O(n
-    log k) instead of O(n log n), and each cell's buffer releases as
-    its iterator exhausts rather than surviving to the end inside a
-    second list.
-    """
-
-    kind = "memory"
-
-    def __init__(self) -> None:
-        self._cells: Dict[str, List[RequestRecord]] = {}
-        self.spilled_records = 0  # uniform surface with the spilling sink
-
-    def add(self, key: str, records: Sequence[RequestRecord]) -> None:
-        self._cells[key] = sorted(records, key=_record_key)
-
-    def finalize(
-        self, tenant_of: Dict[str, str]
-    ) -> Tuple[List[RequestRecord], RecordAggregate]:
-        keys = sorted(self._cells)
-        # pop() drops the dict's reference; heapq.merge drops each
-        # iterator (and with it the run list) the moment it exhausts.
-        runs = [iter(self._cells.pop(key)) for key in keys]
-        aggregate = RecordAggregate()
-        observe = aggregate.observe_record
-        merged: List[RequestRecord] = []
-        append = merged.append
-        for record in heapq.merge(*runs, key=_record_key):
-            append(record)
-            observe(record, tenant_of)
-        return merged, aggregate
-
-    def close(self) -> None:
-        self._cells.clear()
-
-
-# -- the disk-spilling sink ---------------------------------------------------
+# -- spilled results ----------------------------------------------------------
 
 
 @dataclass
@@ -449,12 +383,14 @@ class SpilledRecords(Sequence):
 
     def __getitem__(self, index):
         if isinstance(index, slice):
-            start, stop, step = index.indices(len(self._offsets))
-            records = [
-                record_from_payload(payload)
-                for payload in self.iter_payloads(start, stop)
-            ]
-            return records[::step] if step != 1 else records
+            # Read the covered span once (forward, whatever the step's
+            # sign), then pick the slice's own indices out of it.
+            picks = range(*index.indices(len(self._offsets)))
+            if not picks:
+                return []
+            low = min(picks)
+            span = list(self.iter_payloads(low, max(picks) + 1))
+            return [record_from_payload(span[i - low]) for i in picks]
         if index < 0:
             index += len(self._offsets)
         if not 0 <= index < len(self._offsets):
@@ -468,20 +404,23 @@ class SpilledRecords(Sequence):
             self._finalizer()
 
 
-class SpillingRecordSink:
-    """Bounded-memory sink: cells spill to sorted run files past a
-    record-count threshold; finalize k-way merges runs and buffers.
+class RecordSink:
+    """The one record sink: per-cell sorted runs in RAM, spilled to
+    sorted run files once more than ``max_records_in_memory`` records
+    are buffered.
 
-    The spill format is one NDJSON line per record
+    Each cell's records are sorted by the canonical ``(submit_time,
+    request_id)`` key on arrival (cells emit records in submission
+    order, so this is a near-no-op Timsort pass).  Below the threshold
+    ``finalize`` drains the runs through ``heapq.merge`` into a plain
+    list — O(n log k), each run released as it exhausts.  Past it, the
+    spill format is one NDJSON line per record
     (:func:`record_to_payload`, compact separators), one file per
-    spilled cell, records pre-sorted by the canonical ``(submit_time,
-    request_id)`` key — so every file is a sorted run and the merge
-    never re-sorts.  Each run file's expected record count is tracked;
+    spilled cell, so every file is a sorted run and the merge never
+    re-sorts.  Each run file's expected record count is kept in memory;
     a truncated or torn file raises :class:`SpillError` at finalize
     instead of yielding a silently short report.
     """
-
-    kind = "spill"
 
     def __init__(
         self,
@@ -572,10 +511,19 @@ class SpillingRecordSink:
             raise RuntimeError("record sink already finalized")
         self._finalized = True
         aggregate = RecordAggregate()
-        total = sum(run.count for run in self._runs) + self._buffered
-        if total == 0:
-            self.close()
-            return [], aggregate
+        if not self._runs:
+            # Nothing spilled: merge in RAM.  pop() drops the dict's
+            # reference; heapq.merge drops each run as it exhausts.
+            keys = sorted(self._buffers)
+            runs = [iter(self._buffers.pop(key)) for key in keys]
+            self._buffered = 0
+            observe_record = aggregate.observe_record
+            merged: List[RequestRecord] = []
+            append = merged.append
+            for record in heapq.merge(*runs, key=_record_key):
+                append(record)
+                observe_record(record, tenant_of)
+            return merged, aggregate
         streams = [self._iter_run(run) for run in self._runs]
         for key in sorted(self._buffers):
             streams.append(self._iter_buffer(self._buffers.pop(key)))

@@ -97,9 +97,10 @@ class ReplaySpec:
     default_profile: Optional[TenantProfile] = None
     #: Per-tenant-id profile overrides (heterogeneous tenancy).
     tenant_profiles: Optional[Dict[str, TenantProfile]] = None
-    #: Where the merged record stream lives (``None``: in memory).
-    #: Pure memory policy — never feeds cell seeds or the report, so
-    #: specs differing only here replay byte-identically.
+    #: Record-sink tunings: spill threshold and scratch directory
+    #: (``None``: the defaults).  Pure memory policy — never feeds cell
+    #: seeds or the report, so specs differing only here replay
+    #: byte-identically.
     record_sink: Optional[RecordSinkSpec] = None
 
     @property

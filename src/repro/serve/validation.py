@@ -48,7 +48,6 @@ _REQUEST_KEYS = {
     "synth",
     "tenant_config",
     "workers",
-    "record_sink",
     "max_records_in_memory",
     "tenant",
     "retry",
@@ -290,19 +289,7 @@ def parse_run_request(
             faults = HostFaultPlan.from_payload(payload["faults"])
         except (TypeError, ValueError) as exc:
             raise BadRequest(f"faults: {exc}") from None
-    sink_kind = payload.get("record_sink", "memory")
-    if not isinstance(sink_kind, str):
-        raise _type_error("record_sink", "a string", sink_kind)
-    if sink_kind not in ("memory", "spill"):
-        raise BadRequest(
-            f"'record_sink' must be 'memory' or 'spill', got {sink_kind!r}"
-        )
     max_records = _opt_int(payload, "max_records_in_memory", minimum=1)
-    if max_records is not None and sink_kind != "spill":
-        raise BadRequest(
-            "'max_records_in_memory' only applies with "
-            "'record_sink': 'spill'"
-        )
 
     trace = _parse_trace(payload)
     # The engine would reject these too, but only after the job was
@@ -316,23 +303,13 @@ def parse_run_request(
         _check_app(name)
 
     record_sink = None
-    if sink_kind == "spill":
-        from ..parallel.sink import (
-            DEFAULT_MAX_RECORDS_IN_MEMORY,
-            RecordSinkSpec,
-        )
+    if max_records is not None:
+        from ..parallel.sink import RecordSinkSpec
 
         # The spill directory is always server-chosen scratch (the
-        # system temp dir): clients pick the *policy*, never a path on
+        # system temp dir): clients tune the threshold, never a path on
         # the server's filesystem.
-        record_sink = RecordSinkSpec(
-            kind="spill",
-            max_records_in_memory=(
-                max_records
-                if max_records is not None
-                else DEFAULT_MAX_RECORDS_IN_MEMORY
-            ),
-        )
+        record_sink = RecordSinkSpec(max_records_in_memory=max_records)
 
     spec = ReplaySpec(
         system_name=system,
@@ -379,7 +356,6 @@ def parse_run_request(
                   "tenants": len(trace.tenants())},
         "workers": workers,
         "tenant_config": config is not None,
-        "record_sink": sink_kind,
     }
     if tenant is not None:
         summary["tenant"] = tenant

@@ -258,20 +258,13 @@ class Environment:
 
     # -- active-process bookkeeping (used by Process.interrupt) ---------------
 
-    def _push_active(self, process: Process) -> None:
-        self._active_stack.append(process)
-
-    def _pop_active(self) -> None:
-        self._active_stack.pop()
-
     @property
     def active_process(self) -> Optional[Process]:
-        """The process currently being advanced, if any."""
-        return self._active_stack[-1] if self._active_stack else None
+        """The process currently being advanced, if any.
 
-    def active_process_target(self) -> Optional[Event]:
-        active = self.active_process
-        return active.target if active is not None else None
+        ``Process._advance`` pushes itself onto ``_active_stack`` for the
+        span of one generator step."""
+        return self._active_stack[-1] if self._active_stack else None
 
     def __repr__(self) -> str:
         pending = len(self._queue) + len(self._urgent)

@@ -222,6 +222,24 @@ def test_unparseable_journaled_request_fails_cleanly(tmp_path):
     assert load_journal(str(path)).runs["run-000001"].status == "failed"
 
 
+def test_journaled_record_sink_key_restores_as_failed(tmp_path):
+    """An older server accepted a ``"record_sink"`` key; a run it
+    journaled restores as failed with the unknown-key message."""
+    path = tmp_path / "journal.jsonl"
+    journal = RunJournal(str(path))
+    journal.record_submit(
+        "run-000001", dict(RUN_BODY, record_sink="spill"), {}, 0
+    )
+    journal.close()
+    store = JobStore(workers=1, journal=RunJournal(str(path)))
+    try:
+        snap = store.snapshot("run-000001")
+        assert snap["status"] == "failed"
+        assert "unknown request keys ['record_sink']" in snap["error"]
+    finally:
+        store.close()
+
+
 # -- close() lifecycle: queued jobs become interrupted ------------------------
 
 

@@ -1,34 +1,43 @@
-"""The record-sink layer: bounded-memory merges that never change bytes.
+"""The record sink: bounded-memory merges that never change bytes.
 
 Three guarantee families, mirroring ``src/repro/parallel/sink.py``:
 
 - **Identity**: the merged report and the canonical record sequence are
-  byte-identical across the in-memory sink, the disk-spilling sink, and
-  every executor — serial, pool, remote fleet (hypothesis property over
-  skewed traces).
+  byte-identical at every spill threshold — ``1``, a small value, and
+  unbounded (``sys.maxsize``) — on every executor: serial, pool, remote
+  fleet (hypothesis property over skewed traces).  The oracle never
+  touches the sink: every cell replayed on its own, records
+  concatenated and ``sorted`` by ``(submit_time, request_id)``.
 - **Integrity**: a torn or truncated spill run file raises
   :class:`~repro.parallel.sink.SpillError` at finalize — never a
   silently short report.
-- **Boundedness**: the spilling sink's buffers flush at the threshold,
-  finalize streams the k-way merge without materializing the record
-  list, and the engine counts spilled records into telemetry.
+- **Boundedness**: buffers flush at the threshold, finalize streams the
+  k-way merge without materializing the record list, a run that never
+  crosses the threshold creates no scratch at all, and the engine
+  counts spilled records into telemetry.
 """
 
 import json
+import sys
 import tracemalloc
 
 import pytest
 
 from repro.loadgen.trace import InvocationTrace, TraceEvent
 from repro.metrics.report import render_json
-from repro.parallel import ReplaySpec, run_parallel_replay
+from repro.parallel import (
+    ReplaySpec,
+    StreamingMerge,
+    get_shard_policy,
+    run_parallel_replay,
+)
+from repro.parallel.engine import replay_cell
 from repro.parallel.sink import (
-    MemoryRecordSink,
+    DEFAULT_MAX_RECORDS_IN_MEMORY,
+    RecordSink,
     RecordSinkSpec,
     SpillError,
     SpilledRecords,
-    SpillingRecordSink,
-    make_record_sink,
     record_from_payload,
     record_to_payload,
 )
@@ -36,6 +45,7 @@ from repro.parallel.sink import (
 from fleet_harness import fleet_replay
 
 TENANTS = ["t0", "t1", "t2", "t3"]
+UNBOUNDED = sys.maxsize
 
 
 def _trace(events_per_tenant=3, tenants=TENANTS):
@@ -47,33 +57,38 @@ def _trace(events_per_tenant=3, tenants=TENANTS):
     return InvocationTrace(events=events, name="sink-test")
 
 
-def _spill_spec(tmp_path, max_records=4):
+def _sink_spec(tmp_path, max_records=4):
     return RecordSinkSpec(
-        kind="spill",
         spill_dir=str(tmp_path),
         max_records_in_memory=max_records,
     )
 
 
+def _oracle_records(trace, spec):
+    """The canonical record sequence without the sink: each cell
+    replayed alone, all records concatenated, globally sorted."""
+    records = []
+    for key, cell_trace in get_shard_policy("tenant").split(trace):
+        records.extend(replay_cell(spec, key, cell_trace).records)
+    return sorted(records, key=lambda r: (r.submit_time, r.request_id))
+
+
 # -- configuration ------------------------------------------------------------
-
-
-def test_sink_spec_rejects_unknown_kind():
-    with pytest.raises(ValueError, match="unknown record sink kind"):
-        RecordSinkSpec(kind="tape")
 
 
 def test_sink_spec_rejects_nonpositive_threshold():
     with pytest.raises(ValueError, match="max_records_in_memory"):
-        RecordSinkSpec(kind="spill", max_records_in_memory=0)
+        RecordSinkSpec(max_records_in_memory=0)
+    with pytest.raises(ValueError, match="max_records_in_memory"):
+        RecordSink(max_records_in_memory=0)
 
 
-def test_make_record_sink_dispatch(tmp_path):
-    assert isinstance(make_record_sink(None), MemoryRecordSink)
-    assert isinstance(make_record_sink(RecordSinkSpec()), MemoryRecordSink)
-    sink = make_record_sink(_spill_spec(tmp_path))
-    assert isinstance(sink, SpillingRecordSink)
-    sink.close()
+def test_default_sink_is_bounded():
+    assert RecordSinkSpec().max_records_in_memory == (
+        DEFAULT_MAX_RECORDS_IN_MEMORY
+    )
+    merge = StreamingMerge(_trace(), ReplaySpec(default_app="wc"))
+    assert merge.sink._threshold == DEFAULT_MAX_RECORDS_IN_MEMORY
 
 
 # -- record payload round-trip ------------------------------------------------
@@ -91,7 +106,7 @@ def test_record_payload_round_trips_exactly():
         assert rebuilt == record
 
 
-# -- engine-level identity across sinks ---------------------------------------
+# -- engine-level identity across thresholds ----------------------------------
 
 
 def _report(trace, workers, record_sink=None):
@@ -100,19 +115,55 @@ def _report(trace, workers, record_sink=None):
 
 
 def test_spill_sink_report_and_records_match_memory(tmp_path):
+    """Spilled (thresholds 1 and 4) and in-RAM (unbounded) results
+    agree with the unbounded report and the sink-free oracle."""
     trace = _trace(events_per_tenant=5)
-    memory = _report(trace, workers=1)
-    spill = _report(trace, workers=1, record_sink=_spill_spec(tmp_path))
-    assert render_json(memory.to_dict()) == render_json(spill.to_dict())
-    assert isinstance(spill.records, SpilledRecords)
-    assert list(spill.records) == list(memory.records)
-    spill.records.close()
+    oracle = _oracle_records(trace, ReplaySpec(default_app="wc", seed=11))
+    canonical = render_json(_report(
+        trace, workers=1, record_sink=_sink_spec(tmp_path, UNBOUNDED)
+    ).to_dict())
+    for threshold in (1, 4, UNBOUNDED):
+        result = _report(
+            trace, workers=1, record_sink=_sink_spec(tmp_path, threshold)
+        )
+        assert render_json(result.to_dict()) == canonical, threshold
+        assert list(result.records) == oracle, threshold
+        spilled = threshold < len(oracle)
+        assert isinstance(result.records, SpilledRecords) is spilled
+        assert isinstance(result.records, list) is not spilled
+        if spilled:
+            result.records.close()
+        assert list(tmp_path.iterdir()) == []
+
+
+def test_spill_branch_point(tmp_path):
+    """Below the threshold nothing touches ``spill_dir``; above it the
+    result is disk-backed and its directory goes away on ``close()``."""
+    trace = _trace(events_per_tenant=2)
+    total = len(trace)
+    below = _report(
+        trace, workers=1, record_sink=_sink_spec(tmp_path, total)
+    )
+    assert type(below.records) is list
+    assert len(below.records) == total
+    assert list(tmp_path.iterdir()) == []
+
+    above = _report(
+        trace, workers=1, record_sink=_sink_spec(tmp_path, total - 1)
+    )
+    assert isinstance(above.records, SpilledRecords)
+    assert list(above.records) == below.records
+    scratch = above.records.path.parent
+    assert scratch.parent == tmp_path and scratch.is_dir()
+    above.records.close()
+    assert not scratch.exists()
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_spill_scratch_cleaned_up_on_close(tmp_path):
     spill = _report(
         trace=_trace(), workers=1,
-        record_sink=_spill_spec(tmp_path, max_records=1),
+        record_sink=_sink_spec(tmp_path, max_records=1),
     )
     assert isinstance(spill.records, SpilledRecords)
     assert spill.records.path.exists()
@@ -122,10 +173,11 @@ def test_spill_scratch_cleaned_up_on_close(tmp_path):
 
 
 def test_empty_cells_spill_to_empty_list(tmp_path):
-    sink = SpillingRecordSink(spill_dir=str(tmp_path))
+    sink = RecordSink(spill_dir=str(tmp_path))
     records, aggregate = sink.finalize({})
     assert records == []
     assert aggregate.total == 0
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_engine_counts_spilled_records(tmp_path):
@@ -137,14 +189,14 @@ def test_engine_counts_spilled_records(tmp_path):
     offered = result.offered
     spec = ReplaySpec(
         default_app="wc", seed=11,
-        record_sink=_spill_spec(tmp_path, max_records=2),
+        record_sink=_sink_spec(tmp_path, max_records=2),
     )
     run_parallel_replay(trace, spec, workers=1, metrics=metrics)
     spilled = metrics.counter("repro_records_spilled_total").value
     assert 0 < spilled <= offered
 
 
-# -- hypothesis: spill x memory x executors, byte-identical -------------------
+# -- hypothesis: thresholds x executors, byte-identical -----------------------
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, given, settings, strategies as st  # noqa: E402
@@ -185,36 +237,33 @@ def _skewed(events):
 @settings(max_examples=4, deadline=None,
           suppress_health_check=list(HealthCheck))
 @given(events=events_strategy, seed=st.integers(0, 2**16),
-       threshold=st.integers(min_value=1, max_value=8))
+       small=st.integers(min_value=2, max_value=8))
 def test_sinks_and_engines_merge_byte_identical(
-    tmp_path_factory, events, seed, threshold
+    tmp_path_factory, events, seed, small
 ):
-    """The tentpole property: spill x memory x serial/pool/fleet over
-    skewed traces — one canonical report, to the byte, and one
-    canonical record sequence."""
+    """The tentpole property: thresholds 1, small and unbounded x
+    serial/pool/fleet over skewed traces — one canonical report, to the
+    byte, and the oracle's record sequence."""
     trace = InvocationTrace(events=_skewed(events), name="prop-spill")
     spill_dir = str(tmp_path_factory.mktemp("spill"))
-    memory_spec = ReplaySpec(default_app="wc", seed=seed)
-    spill_spec = ReplaySpec(
-        default_app="wc", seed=seed,
-        record_sink=RecordSinkSpec(
-            kind="spill", spill_dir=spill_dir,
-            max_records_in_memory=threshold,
-        ),
-    )
-    baseline = run_parallel_replay(trace, memory_spec, workers=1)
-    canonical = render_json(baseline.to_dict())
-    records = list(baseline.records)
-    for spec in (memory_spec, spill_spec):
+    base = ReplaySpec(default_app="wc", seed=seed)
+    records = _oracle_records(trace, base)
+    canonical = None
+    for threshold in (UNBOUNDED, 1, small):
+        spec = ReplaySpec(
+            default_app="wc", seed=seed,
+            record_sink=_sink_spec(spill_dir, threshold),
+        )
         for executor, result in (
             ("serial", run_parallel_replay(trace, spec, workers=1)),
             ("pool", run_parallel_replay(trace, spec, workers=2)),
             ("fleet", fleet_replay(trace, spec, 2)),
         ):
-            assert render_json(result.to_dict()) == canonical, (
-                executor, spec.record_sink,
-            )
-            assert list(result.records) == records
+            rendered = render_json(result.to_dict())
+            if canonical is None:  # the unbounded serial run
+                canonical = rendered
+            assert rendered == canonical, (executor, threshold)
+            assert list(result.records) == records, (executor, threshold)
 
 
 # -- torn-spill fault injection -----------------------------------------------
@@ -227,7 +276,7 @@ def _spilled_sink(tmp_path):
         ReplaySpec(default_app="wc", seed=5),
         workers=1,
     )
-    sink = SpillingRecordSink(spill_dir=str(tmp_path), max_records_in_memory=1)
+    sink = RecordSink(spill_dir=str(tmp_path), max_records_in_memory=1)
     by_tenant = {}
     for record in result.records:
         tenant = record.request_id.split("/", 1)[0]
@@ -274,9 +323,7 @@ def test_buffers_flush_at_threshold(tmp_path):
         ReplaySpec(default_app="wc", seed=5),
         workers=1,
     )
-    sink = SpillingRecordSink(
-        spill_dir=str(tmp_path), max_records_in_memory=6
-    )
+    sink = RecordSink(spill_dir=str(tmp_path), max_records_in_memory=6)
     by_tenant = {}
     for record in result.records:
         tenant = record.request_id.split("/", 1)[0]
@@ -298,9 +345,7 @@ def test_spilling_finalize_streams_without_materializing(tmp_path):
     small constant even though the merged file holds thousands of
     records (the regression this pins: materializing the record list,
     or a global re-sort, would allocate proportionally)."""
-    sink = SpillingRecordSink(
-        spill_dir=str(tmp_path), max_records_in_memory=64
-    )
+    sink = RecordSink(spill_dir=str(tmp_path), max_records_in_memory=64)
     result = run_parallel_replay(
         _trace(events_per_tenant=2),
         ReplaySpec(default_app="wc", seed=5),
@@ -329,26 +374,32 @@ def test_spilling_finalize_streams_without_materializing(tmp_path):
 
 
 def test_spilled_records_sequence_semantics(tmp_path):
-    result = run_parallel_replay(
-        _trace(events_per_tenant=4),
-        ReplaySpec(
-            default_app="wc", seed=5,
-            record_sink=_spill_spec(tmp_path, max_records=1),
-        ),
-        workers=1,
-    )
-    records = result.records
+    trace = _trace(events_per_tenant=2)
+    listed = _report(trace, workers=1).records
+    assert type(listed) is list
+    records = _report(
+        trace, workers=1, record_sink=_sink_spec(tmp_path, max_records=1)
+    ).records
     assert isinstance(records, SpilledRecords)
-    materialized = list(records)
-    assert len(records) == len(materialized) > 0
-    assert records[0] == materialized[0]
-    assert records[-1] == materialized[-1]
-    assert records[1:3] == materialized[1:3]
+    assert list(records) == listed
+    n = len(records)
+    assert n == len(listed) == 8
+    assert records[0] == listed[0]
+    assert records[-1] == listed[-1]
     with pytest.raises(IndexError):
-        records[len(records)]
+        records[n]
+    with pytest.raises(IndexError):
+        records[-n - 1]
+    for window in (
+        slice(1, 3), slice(None), slice(None, None, -1), slice(6, 1, -2),
+        slice(None, None, 3), slice(-2, None), slice(None, -3, -1),
+        slice(-1, -n - 5, -3), slice(5, 2), slice(2, 5, -1),
+        slice(-100, 100, 2),
+    ):
+        assert records[window] == listed[window], window
     pages = list(records.iter_payloads(2, 5))
-    assert [record_from_payload(p) for p in pages] == materialized[2:5]
-    assert list(records.iter_payloads(len(records), None)) == []
+    assert [record_from_payload(p) for p in pages] == listed[2:5]
+    assert list(records.iter_payloads(n, None)) == []
     records.close()
 
 

@@ -292,7 +292,7 @@ def test_spill_scratch_cleaned_up_when_replay_fails(tmp_path):
     spec = ReplaySpec(
         default_app="wc", seed=7,
         record_sink=RecordSinkSpec(
-            kind="spill", spill_dir=str(tmp_path), max_records_in_memory=1,
+            spill_dir=str(tmp_path), max_records_in_memory=1,
         ),
     )
     with pytest.raises(CellFailedError):

@@ -254,11 +254,13 @@ def test_spill_sink_run_pages_records_and_matches_memory(server):
     memory_id = _records_run(server)
     spill_id = _records_run(
         server,
-        dict(RUN_BODY, record_sink="spill", max_records_in_memory=1),
+        dict(RUN_BODY, max_records_in_memory=1),
     )
     _, memory_snap = _get(server, f"/v1/runs/{memory_id}")
     _, spill_snap = _get(server, f"/v1/runs/{spill_id}")
-    assert spill_snap["request"]["record_sink"] == "spill"
+    # The threshold is a memory tuning, not part of the request echo.
+    assert "record_sink" not in spill_snap["request"]
+    assert spill_snap["request"] == memory_snap["request"]
     assert spill_snap["report"] == memory_snap["report"]
     _, memory_records = _get(server, f"/v1/runs/{memory_id}/records")
     _, spill_records = _get(server, f"/v1/runs/{spill_id}/records")
@@ -266,19 +268,21 @@ def test_spill_sink_run_pages_records_and_matches_memory(server):
 
 
 def test_record_sink_validation_errors(server):
+    # The sink-kind switch is gone: the key is unknown, like "stream".
+    for kind in ("spill", "memory"):
+        status, body = _post(
+            server, "/v1/runs", dict(RUN_BODY, record_sink=kind)
+        )
+        assert status == 400
+        assert "unknown request keys ['record_sink']" in body["error"]
     status, body = _post(
-        server, "/v1/runs", dict(RUN_BODY, record_sink="tape")
-    )
-    assert status == 400 and "record_sink" in body["error"]
-    status, body = _post(
-        server, "/v1/runs", dict(RUN_BODY, max_records_in_memory=5)
+        server, "/v1/runs", dict(RUN_BODY, max_records_in_memory=0)
     )
     assert status == 400 and "max_records_in_memory" in body["error"]
     status, body = _post(
-        server, "/v1/runs",
-        dict(RUN_BODY, record_sink="spill", max_records_in_memory=0),
+        server, "/v1/runs", dict(RUN_BODY, max_records_in_memory="5")
     )
-    assert status == 400
+    assert status == 400 and "max_records_in_memory" in body["error"]
 
 
 def test_client_records_generator_pages_transparently(server):

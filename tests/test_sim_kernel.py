@@ -281,6 +281,26 @@ def test_interrupt_terminated_process_is_error():
     env.run()
 
 
+def test_process_cannot_interrupt_itself():
+    env = Environment()
+    seen = []
+
+    def selfish(env):
+        yield env.timeout(1)
+        assert env.active_process is me
+        with pytest.raises(RuntimeError, match="cannot interrupt itself"):
+            me.interrupt()
+        seen.append(env.now)
+        yield env.timeout(1)
+        seen.append(env.now)
+
+    me = env.process(selfish(env))
+    env.run()
+    # The guard raised before scheduling anything: no Interrupt arrived.
+    assert seen == [1, 2]
+    assert env.active_process is None
+
+
 def test_interrupted_process_can_continue():
     env = Environment()
     trace = []

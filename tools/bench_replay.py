@@ -13,8 +13,8 @@ trajectory file::
 
 Points: ``throughput`` (serial vs parallel), ``memory`` (pooled peak
 RSS on the skewed trace), ``multicore`` (worker-count sweep), ``spill``
-(pooled RSS with the in-memory vs disk-spill record sink — fails if
-spill does not win at >= 50k events).
+(pooled RSS with the record sink at its default threshold vs unbounded
+— fails if the default does not win at >= 50k events).
 
 The ``memory``, ``multicore`` and ``spill`` replays each run in a
 *fresh subprocess* so wall clock and the monotonic ``ru_maxrss``
