@@ -12,6 +12,13 @@ fairness (see ``docs/architecture.md``, ``cluster/``): it never
 oversubscribes a link, rebalances on each flow arrival/departure, and is
 fully deterministic, but does not perform multi-hop cascade rebalancing.
 
+A rebalance is one pass over the affected flows in creation order that
+settles, re-rates and re-arms each flow in the same loop body.  Each link
+caches its fair share in ``fair_share`` until a flow joins or leaves it,
+so a pass asks a link for :meth:`SharedLink.share` only after its
+membership changed.  A flow's completion timer coming due is a one-flow
+pass.
+
 Every rebalance re-arms the completion timer of each flow it re-rates.
 A flow keeps a *live slot*, the queue slot (:meth:`Environment.reserve`)
 its latest arm took, and at most one heap *entry*, never later than the
@@ -48,6 +55,18 @@ class SharedLink:
         self.name = name
         self.capacity_bps = float(capacity_bps)
         self.flows: Set["Flow"] = set()
+        #: :meth:`share` at the current membership, or None until a
+        #: rebalance pass asks for it; :meth:`join` and :meth:`leave`
+        #: reset it.
+        self.fair_share: Optional[float] = None
+
+    def join(self, flow: "Flow") -> None:
+        self.flows.add(flow)
+        self.fair_share = None
+
+    def leave(self, flow: "Flow") -> None:
+        self.flows.discard(flow)
+        self.fair_share = None
 
     def share(self) -> float:
         """Current per-flow fair share in bytes/second."""
@@ -125,9 +144,15 @@ class Flow:
         """Abort the flow; ``done`` fails with :class:`FlowCancelled`."""
         if not self._active:
             return
-        self.fabric._disarm(self)
-        self.fabric._settle(self)
-        self.fabric._detach(self)
+        fabric = self.fabric
+        fabric._disarm(self)
+        now = self.env.now
+        if self.rate > 0:
+            moved = self.rate * (now - self._last_update)
+            self.remaining = max(self.remaining - moved, 0.0)
+            fabric.bytes_moved += moved
+        self._last_update = now
+        fabric._detach(self)
         self._active = False
         self.done.fail(FlowCancelled(self, reason))
 
@@ -190,7 +215,7 @@ class NetworkFabric:
             return flow
         affected = self._collect_affected(link_list)
         for link in link_list:
-            link.flows.add(flow)
+            link.join(flow)
         affected.add(flow)
         self._rebalance(affected)
         return flow
@@ -240,68 +265,66 @@ class NetworkFabric:
             affected.update(link.flows)
         return affected
 
-    def _settle(self, flow: Flow) -> None:
-        """Account bytes moved by ``flow`` since its last rate change."""
-        now = self.env.now
-        if flow._active and flow.rate > 0:
-            moved = flow.rate * (now - flow._last_update)
-            flow.remaining = max(flow.remaining - moved, 0.0)
-            self.bytes_moved += moved
-        flow._last_update = now
-
     def _detach(self, flow: Flow) -> None:
         for link in flow.links:
-            link.flows.discard(flow)
-        affected = self._collect_affected(flow.links)
-        self._rebalance(affected)
+            link.leave(flow)
+        self._rebalance(self._collect_affected(flow.links))
 
-    def _rebalance(self, flows: Set[Flow]) -> None:
+    def _rebalance(self, flows: Iterable[Flow]) -> None:
+        """Settle, re-rate and re-arm each active flow of ``flows``."""
+        env = self.env
+        # Nothing is popped during a pass, so the clock stands still.
+        now = env.now
         # Sorted by creation index: the iteration order schedules the
         # flows' completion timers, and the event queue breaks same-time
         # ties by insertion order — iterating the raw set would leak
         # object addresses (which vary run to run within a process) into
         # simulated results.
-        shares: dict = {}  # link -> share, once per link per pass
         for flow in sorted(flows, key=_creation_order):
             if not flow._active:
                 continue
-            self._settle(flow)
-            new_rate = flow.rate_cap
+            # Settle the bytes moved since the last rate change.  The
+            # conditional clamp is max(remaining, 0.0), -0.0 and NaN
+            # included.
+            rate = flow.rate
+            remaining = flow.remaining
+            if rate > 0:
+                moved = rate * (now - flow._last_update)
+                remaining -= moved
+                if remaining < 0.0:
+                    remaining = 0.0
+                flow.remaining = remaining
+                self.bytes_moved += moved
+            flow._last_update = now
+            # Re-rate: each ``share < rate`` test is min(rate, share).
+            rate = flow.rate_cap
             for link in flow.links:
-                share = shares.get(link)
+                share = link.fair_share
                 if share is None:
-                    share = shares[link] = link.share()
-                new_rate = min(new_rate, share)
-            flow.rate = new_rate
-            self._arm_timer(flow)
-            if not flow._active:
-                # It completed, and its detach changed link membership.
-                shares.clear()
-
-    def _drained(self, flow: Flow) -> bool:
-        """True when the flow's residue is float noise, not real bytes."""
-        return flow.remaining <= max(_EPSILON, flow.nbytes * 1e-9)
-
-    def _arm_timer(self, flow: Flow) -> None:
-        if self._drained(flow):
-            self._complete(flow)
-            return
-        if flow.rate <= _EPSILON:
-            self._disarm(flow)  # stalled; a later rebalance will re-arm
-            return
-        env = self.env
-        eta = flow.remaining / flow.rate
-        if env.now + eta <= env.now:
-            # eta underflows the clock's float resolution: finish now.
-            self._complete(flow)
-            return
-        slot = flow._slot = env.reserve(eta)
-        entry = flow._entry
-        if entry is None or slot < flow._entry_slot:
-            if entry is not None:
-                entry.callbacks.clear()
-            flow._entry = env.call_at(slot, flow._on_entry)
-            flow._entry_slot = slot
+                    share = link.fair_share = link.share()
+                if share < rate:
+                    rate = share
+            flow.rate = rate
+            # Re-arm.  A residue at or below max(_EPSILON, nbytes * 1e-9)
+            # is float noise, not real bytes.
+            if remaining <= _EPSILON or remaining <= flow.nbytes * 1e-9:
+                self._complete(flow)
+                continue
+            if rate <= _EPSILON:
+                self._disarm(flow)  # stalled; a later rebalance will re-arm
+                continue
+            eta = remaining / rate
+            if now + eta <= now:
+                # eta underflows the clock's float resolution: finish now.
+                self._complete(flow)
+                continue
+            slot = flow._slot = env.reserve(eta)
+            entry = flow._entry
+            if entry is None or slot < flow._entry_slot:
+                if entry is not None:
+                    entry.callbacks.clear()
+                flow._entry = env.call_at(slot, flow._on_entry)
+                flow._entry_slot = slot
 
     def _disarm(self, flow: Flow) -> None:
         """Drop the live slot and empty the heap entry."""
@@ -319,11 +342,10 @@ class NetworkFabric:
             flow._entry = self.env.call_at(flow._slot, flow._on_entry)
             flow._entry_slot = flow._slot
             return
-        self._settle(flow)
-        if not self._drained(flow):
-            self._arm_timer(flow)
-            return
-        self._complete(flow)
+        # No link of the flow changed membership since its last pass
+        # (that would have re-rated it), so this re-rates it to its
+        # current rate.
+        self._rebalance((flow,))
 
     def _complete(self, flow: Flow) -> None:
         self._disarm(flow)
@@ -336,7 +358,9 @@ class NetworkFabric:
 
 
 def _check_transfer(nbytes: float, rate_cap: float) -> None:
-    if nbytes < 0:
-        raise ValueError("cannot transfer a negative byte count")
+    if not 0 <= nbytes < math.inf:  # also rejects NaN
+        raise ValueError(
+            f"byte count must be finite and non-negative, got {nbytes}"
+        )
     if not rate_cap > 0:  # also rejects NaN
         raise ValueError(f"rate cap must be positive, got {rate_cap}")

@@ -106,7 +106,7 @@ class Environment:
         This is the slot ``timeout(delay)`` takes, so a callback armed here
         runs exactly where a process waiting on that timeout would resume.
         """
-        if delay < 0:
+        if not delay >= 0:  # also rejects NaN
             raise ValueError(f"negative delay {delay}")
         event = Event._new_triggered(self, callback)
         self.schedule(event, delay)
@@ -149,7 +149,7 @@ class Environment:
         scheduled now.  A slot must be pushed before it is due, at most
         once; a slot never pushed is simply never run.
         """
-        if delay < 0:
+        if not delay >= 0:  # also rejects NaN
             raise ValueError(f"negative delay {delay}")
         self._eid += 1
         return (self._now + delay, self._eid)

@@ -18,11 +18,16 @@ re-rates more flows fails here.
   per link it measured 1006 processes (31.44 per request), 19223 events
   (600.72) and 36252 share calls (1132.88).
 
-``PINNED`` holds the counts once each flow kept one heap entry and each
-rebalance pass asked each link for its share once: events fell to 14453
-(301.10 per request) on ``dataflower`` and 9332 (291.63) on
-``production``, share calls from 3304 (68.83) to 2728 (56.83) and from
-36252 to 10151 (317.22); processes did not change.  To
+Once each flow kept one heap entry and each rebalance pass asked each
+link for its share once, events fell to 14453 (301.10 per request) on
+``dataflower`` and 9332 (291.63) on ``production``, share calls from
+3304 (68.83) to 2728 (56.83) and from 36252 to 10151 (317.22);
+processes did not change.
+
+``PINNED`` holds the counts once each link cached its share until a flow
+joined or left it: share calls fell from 2728 to 2458 (51.21 per
+request) on ``dataflower`` and from 10151 to 3034 (94.81) on
+``production``; events and processes did not change.  To
 re-pin after a change that lowers a count, run
 ``python -m pytest -s tests/test_kernel_counts.py``: the first test
 prints the measured totals; copy them into ``PINNED``.  Raise a pin
@@ -45,8 +50,8 @@ APPS = ("wc", "etl", "ml_ensemble", "vid")
 #: Totals over the replay of each trace at seed 7 (divide by the trace's
 #: request count for per-request values).
 PINNED = {
-    "dataflower": {"processes": 486, "events": 14453, "share_calls": 2728},
-    "production": {"processes": 1006, "events": 9332, "share_calls": 10151},
+    "dataflower": {"processes": 486, "events": 14453, "share_calls": 2458},
+    "production": {"processes": 1006, "events": 9332, "share_calls": 3034},
 }
 
 

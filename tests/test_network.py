@@ -100,6 +100,18 @@ def test_negative_bytes_rejected():
         fabric.transfer(-1.0, [link])
 
 
+@pytest.mark.parametrize("nbytes", [math.nan, math.inf, -math.inf])
+def test_nan_or_infinite_bytes_rejected(nbytes):
+    env, fabric = make_fabric()
+    link = fabric.link("l", 100.0)
+    with pytest.raises(ValueError, match="byte count"):
+        fabric.transfer(nbytes, [link])
+    with pytest.raises(ValueError, match="byte count"):
+        fabric.transfer_after(1.0, nbytes, [link])
+    assert not link.flows
+    assert fabric.bytes_moved == 0.0
+
+
 @pytest.mark.parametrize("rate_cap", [0.0, -5.0])
 def test_non_positive_rate_cap_rejected(rate_cap):
     env, fabric = make_fabric()
@@ -316,9 +328,14 @@ def test_property_deterministic_replay(seed):
 
 
 class _EagerFabric(NetworkFabric):
-    """The fabric before one-entry-per-flow: every arm pushes a fresh
-    timer, stale timers are told apart by a per-flow generation, and
-    every flow asks each of its links for its share."""
+    """The fabric before one-entry-per-flow and the fused pass: every arm
+    pushes a fresh timer, stale timers are told apart by a per-flow
+    generation, and every flow asks each of its links for its share.
+
+    It keeps its own copy of the old per-flow arithmetic (builtin
+    ``min``/``max``, ``link.share()`` per flow per link), so it never
+    reads the ``fair_share`` cache it is checked against.
+    """
 
     def __init__(self, env):
         super().__init__(env)
@@ -334,6 +351,18 @@ class _EagerFabric(NetworkFabric):
                 new_rate = min(new_rate, link.share())
             flow.rate = new_rate
             self._arm_timer(flow)
+
+    def _settle(self, flow):
+        now = self.env.now
+        if flow._active and flow.rate > 0:
+            moved = flow.rate * (now - flow._last_update)
+            flow.remaining = max(flow.remaining - moved, 0.0)
+            self.bytes_moved += moved
+        flow._last_update = now
+
+    @staticmethod
+    def _drained(flow):
+        return flow.remaining <= max(_EPSILON, flow.nbytes * 1e-9)
 
     def _disarm(self, flow):
         self._generation[flow] = self._generation.get(flow, 0) + 1
@@ -394,12 +423,20 @@ _CAPACITIES = st.lists(
 
 
 def _run_fabric_program(fabric_class, capacities, ops):
-    """Run ``ops`` and log completions, cancels and samples, in order."""
+    """Run ``ops`` and log completions, cancels and samples, in order.
+
+    After every op and every completion, each link's cached fair share
+    is unset or equal to the share its current membership gives.
+    """
     env = Environment()
     fabric = fabric_class(env)
     links = [fabric.link(f"l{i}", c) for i, c in enumerate(capacities)]
     flows = []
     log = []
+
+    def check_fair_shares():
+        for link in links:
+            assert link.fair_share is None or link.fair_share == link.share()
 
     def start(_kind, nbytes, chosen, rate_cap):
         label = f"f{len(flows)}"
@@ -412,6 +449,7 @@ def _run_fabric_program(fabric_class, capacities, ops):
         def finished(event):
             event.defused = True
             log.append((label, "ok" if event.ok else "cancelled", env.now))
+            check_fair_shares()
 
         flow.done.callbacks.append(finished)
 
@@ -428,6 +466,7 @@ def _run_fabric_program(fabric_class, capacities, ops):
         else:
             log.append(("sample", env.now, fabric.bytes_moved,
                         [flow.transferred() for flow in flows]))
+        check_fair_shares()
 
     for at, op in ops:
         env.call_later(at, lambda _e, op=op: act(op))

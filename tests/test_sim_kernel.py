@@ -38,6 +38,19 @@ def test_negative_delay_rejected():
         env.timeout(-1)
 
 
+@pytest.mark.parametrize("arm", [
+    lambda env, delay: env.timeout(delay),
+    lambda env, delay: env.call_later(delay, lambda _e: None),
+    lambda env, delay: env.reserve(delay),
+], ids=["timeout", "call_later", "reserve"])
+def test_nan_delay_rejected(arm):
+    env = Environment()
+    with pytest.raises(ValueError, match="delay"):
+        arm(env, float("nan"))
+    assert env.now == 0.0
+    assert not env._queue
+
+
 def test_events_fire_in_time_order():
     env = Environment()
     order = []
