@@ -616,7 +616,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
         raise CliError(f"--port must be 0..65535, got {args.port}")
     if args.workers < 1:
         raise CliError("--workers must be >= 1")
-    if args.max_events_per_run is not None and args.max_events_per_run < 1:
+    if args.max_events_per_run < 1:
         raise CliError("--max-events-per-run must be >= 1")
     if args.max_queued is not None and args.max_queued < 1:
         raise CliError("--max-queued must be >= 1")

@@ -69,11 +69,16 @@ def arrival_times(
                     times.append(t)
                     t += rng.expovariate(rate_per_s)
             else:
+                # Each time is computed from its index, not by summing
+                # gaps, so rounding error cannot pile up into an extra
+                # arrival at the end of a long segment.
                 gap = 1.0 / rate_per_s
+                index = 0
                 t = segment_start
                 while t < end - 1e-12:
                     times.append(t)
-                    t += gap
+                    index += 1
+                    t = segment_start + index * gap
         segment_start = end
     return times
 

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence
 
 from ..metrics.latency import LatencySummary, RequestRecord
+from ..metrics.report import RecordAggregate
 from ..metrics.usage import UsageSummary, collect_usage
 from ..systems.base import WorkflowSystem
 from ..workflow.instance import RequestSpec
@@ -71,43 +72,17 @@ class RunResult:
         counts, ``latency`` (a :class:`LatencySummary` dict, ``None`` when
         nothing completed), and ``usage`` (integrals plus per-request).
         """
-        from ..metrics.report import summary_to_dict
+        return self._report_body(RecordAggregate.of_records(self.records))
 
-        # One pass over the records: the completed/failed splits below
-        # feed four separate report fields (replays carry millions of
-        # records, so the property-per-field scans add up).
-        completed = failed = 0
-        for record in self.records:
-            if record.completed:
-                completed += 1
-            elif record.failed:
-                failed += 1
-        payload: dict = {
-            "system": self.system_name,
-            "workflow": self.workflow,
-            "duration_s": self.duration_s,
-            "offered": self.offered,
-            "completed": completed,
-            "failed": failed,
-            "failure_rate": failed / len(self.records) if self.records else 0.0,
-            "throughput_rpm": (
-                completed / self.duration_s * 60.0 if self.duration_s > 0 else 0.0
-            ),
-            "latency": summary_to_dict(self.latency()) if completed else None,
-            "usage": None,
-        }
-        if self.usage is not None:
-            usage = summary_to_dict(self.usage)
-            per_request = self.usage.memory_gbs_per_request
-            usage["memory_gbs_per_request"] = (
-                None if per_request != per_request else per_request
-            )
-            per_request = self.usage.cache_mbs_per_request
-            usage["cache_mbs_per_request"] = (
-                None if per_request != per_request else per_request
-            )
-            payload["usage"] = usage
-        return payload
+    def _report_body(self, aggregate: RecordAggregate) -> dict:
+        return aggregate.report_body(
+            system=self.system_name,
+            workflow=self.workflow,
+            duration_s=self.duration_s,
+            offered=self.offered,
+            latency=self.latency() if aggregate.completed else None,
+            usage=self.usage,
+        )
 
 
 def default_request_factory(

@@ -27,6 +27,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Union
 
 from ..metrics.latency import LatencySummary, RequestRecord
+from ..metrics.report import RecordAggregate
 from ..metrics.usage import collect_usage
 from ..systems.base import WorkflowSystem
 from ..workflow.dsl import parse_size
@@ -299,28 +300,16 @@ class TraceRunResult(RunResult):
             grouped.setdefault(record.workflow, []).append(record)
         return grouped
 
+    def record_aggregate(self) -> RecordAggregate:
+        """The records folded in run order, grouped by tenant and
+        workflow."""
+        return RecordAggregate.of_records(self.records, self.tenant_of)
+
     def to_dict(self) -> dict:
         """The base report plus ``tenants`` and ``workflows`` breakdowns."""
-        from ..metrics.report import summary_to_dict
-
-        def breakdown(groups: Dict[str, List[RequestRecord]]) -> dict:
-            out = {}
-            for key, records in sorted(groups.items()):
-                completed = [r for r in records if r.completed]
-                out[key] = {
-                    "offered": len(records),
-                    "completed": len(completed),
-                    "latency": (
-                        summary_to_dict(LatencySummary.from_records(records))
-                        if completed
-                        else None
-                    ),
-                }
-            return out
-
-        payload = super().to_dict()
-        payload["tenants"] = breakdown(self.tenant_records())
-        payload["workflows"] = breakdown(self.workflow_records())
+        aggregate = self.record_aggregate()
+        payload = self._report_body(aggregate)
+        payload.update(aggregate.breakdowns())
         return payload
 
 

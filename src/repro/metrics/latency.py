@@ -78,87 +78,40 @@ class RequestRecord:
         raise KeyError(task_id)
 
 
-def _merge_sorted(
-    a: Tuple[float, ...], b: Tuple[float, ...]
-) -> Tuple[float, ...]:
-    """Two-way merge of pre-sorted sample arrays — O(n), no re-sort."""
-    out: List[float] = []
-    append = out.append
-    i = j = 0
-    la, lb = len(a), len(b)
-    while i < la and j < lb:
-        x, y = a[i], b[j]
-        if x <= y:
-            append(x)
-            i += 1
-        else:
-            append(y)
-            j += 1
-    if i < la:
-        out.extend(a[i:])
-    else:
-        out.extend(b[j:])
-    return tuple(out)
-
-
 class LatencySummary:
     """Aggregate latency statistics over completed requests.
 
-    Summaries built through :meth:`from_records` / :meth:`from_latencies`
-    retain their underlying samples (excluded from reports and equality),
-    which makes them *mergeable*: ``a.merge(b)`` — or ``a + b`` — equals
-    :meth:`from_latencies` on the concatenated sample sets exactly, so
-    sharded runs can combine per-shard summaries without losing the
-    percentiles.
+    A summary retains its underlying samples (excluded from reports and
+    equality), which makes summaries *mergeable*: :meth:`fold` over
+    several summaries equals :meth:`from_latencies` on their
+    concatenated samples exactly, so sharded runs can combine per-shard
+    summaries without losing the percentiles.
 
-    Statistics are **exact but lazy**: a summary built from samples
-    defers its mean/percentile/σ computation until a statistic is first
-    read, and merges only concatenate sample arrays (two-way-merging the
-    pre-sorted arrays in O(n) when both operands already materialized,
-    instead of re-sorting the union per fold).  A replay that folds
+    Statistics are **exact but lazy**: computed on the first read of any
+    statistic, not at construction or fold time.  A replay that folds
     thousands of per-cell summaries therefore pays one sort at first
-    read, not one per merge — and the materialized values are
-    byte-identical to the eager computation: means and σ sum the samples
-    in their original record order, percentiles interpolate over the
-    same sorted sequence.
-
-    The legacy constructor (explicit ``count``/``mean_s``/... values)
-    still works for hand-built summaries; those carry no samples and
-    cannot merge.
+    read, not one per fold — and the values are byte-identical to an
+    eager computation: means and σ sum the samples in their original
+    record order, percentiles interpolate over the sorted samples.
     """
 
-    __slots__ = ("_samples", "_sorted", "_stats")
+    __slots__ = ("_samples", "_stats")
 
     #: Report schema, in serialization order (mirrors the former
     #: dataclass field order so JSON output is unchanged).
     _STAT_FIELDS = ("count", "mean_s", "p50_s", "p99_s", "sigma_s", "max_s")
 
-    def __init__(
-        self,
-        count: Optional[int] = None,
-        mean_s: Optional[float] = None,
-        p50_s: Optional[float] = None,
-        p99_s: Optional[float] = None,
-        sigma_s: Optional[float] = None,
-        max_s: Optional[float] = None,
-        samples: Tuple[float, ...] = (),
-    ) -> None:
+    def __init__(self, samples: Iterable[float]) -> None:
         self._samples = tuple(samples)
-        self._sorted: Optional[Tuple[float, ...]] = None
-        if count is None:
-            if not self._samples:
-                raise ValueError("no completed requests to summarize")
-            self._stats: Optional[tuple] = None  # lazy: from samples
-        else:
-            self._stats = (count, mean_s, p50_s, p99_s, sigma_s, max_s)
+        if not self._samples:
+            raise ValueError("no completed requests to summarize")
+        self._stats: Optional[tuple] = None
 
     # -- construction -------------------------------------------------------
 
     @classmethod
     def from_latencies(cls, latencies: Sequence[float]) -> "LatencySummary":
-        if not latencies:
-            raise ValueError("no completed requests to summarize")
-        return cls(samples=tuple(latencies))
+        return cls(latencies)
 
     @classmethod
     def from_records(cls, records: List[RequestRecord]) -> "LatencySummary":
@@ -168,12 +121,12 @@ class LatencySummary:
 
     @classmethod
     def fold(cls, summaries: Iterable["LatencySummary"]) -> "LatencySummary":
-        """Merge many summaries in one O(total) concatenation.
+        """Merge summaries into the summary of their concatenated
+        samples, in the order given, with one O(total) concatenation.
 
-        Equivalent to chaining :meth:`merge` left to right (same sample
-        order, same statistics) without the quadratic intermediate
-        tuples; the streaming replay merge folds per-cell summaries in
-        sorted-cell-key order through this.
+        The streaming replay merge folds per-cell summaries in
+        sorted-cell-key order through this, so even the float-summation
+        order of the merged statistics is deterministic.
         """
         parts = list(summaries)
         if not parts:
@@ -183,29 +136,16 @@ class LatencySummary:
                 raise TypeError(
                     f"cannot merge LatencySummary with {type(part).__name__}"
                 )
-            if not part._samples:
-                raise ValueError(
-                    "merge needs summaries that retain samples (build them "
-                    "via from_records/from_latencies, not the raw "
-                    "constructor)"
-                )
         if len(parts) == 1:
             return parts[0]
-        return cls(
-            samples=tuple(chain.from_iterable(p._samples for p in parts))
-        )
+        return cls(chain.from_iterable(p._samples for p in parts))
 
     # -- lazy materialization ------------------------------------------------
-
-    def _ordered(self) -> Tuple[float, ...]:
-        if self._sorted is None:
-            self._sorted = tuple(sorted(self._samples))
-        return self._sorted
 
     def _materialize(self) -> tuple:
         if self._stats is None:
             samples = self._samples
-            ordered = self._ordered()
+            ordered = sorted(samples)
             self._stats = (
                 len(samples),
                 mean(samples),
@@ -243,7 +183,7 @@ class LatencySummary:
     @property
     def samples(self) -> Tuple[float, ...]:
         """Latencies the summary was computed from, in record order.
-        Carried so summaries merge exactly; excluded from reports and
+        Carried so summaries fold exactly; excluded from reports and
         from ``==`` so the JSON schema and comparisons match the plain
         six-field summary."""
         return self._samples
@@ -253,36 +193,6 @@ class LatencySummary:
         serialization :func:`repro.metrics.report.summary_to_dict`
         emits."""
         return dict(zip(self._STAT_FIELDS, self._materialize()))
-
-    # -- merging -------------------------------------------------------------
-
-    def merge(self, other: "LatencySummary") -> "LatencySummary":
-        """Combine two summaries into the summary of the union.
-
-        Exact (not approximated): both operands must retain their samples,
-        i.e. have been built via :meth:`from_records`/:meth:`from_latencies`
-        or previous merges.  The merge itself is O(n) concatenation; when
-        both operands already sorted their samples, the union's sorted
-        array comes from a two-way merge instead of a future re-sort.
-        """
-        if not isinstance(other, LatencySummary):
-            raise TypeError(
-                f"cannot merge LatencySummary with {type(other).__name__}"
-            )
-        if not self._samples or not other._samples:
-            raise ValueError(
-                "merge needs summaries that retain samples (build them via "
-                "from_records/from_latencies, not the raw constructor)"
-            )
-        merged = type(self)(samples=self._samples + other._samples)
-        if self._sorted is not None and other._sorted is not None:
-            merged._sorted = _merge_sorted(self._sorted, other._sorted)
-        return merged
-
-    def __add__(self, other: "LatencySummary") -> "LatencySummary":
-        if not isinstance(other, LatencySummary):
-            return NotImplemented
-        return self.merge(other)
 
     # -- comparison / presentation -------------------------------------------
 
@@ -301,7 +211,7 @@ class LatencySummary:
     # -- pickling (slots) ----------------------------------------------------
 
     def __getstate__(self) -> tuple:
-        return (self._samples, self._sorted, self._stats)
+        return (self._samples, self._stats)
 
     def __setstate__(self, state: tuple) -> None:
-        self._samples, self._sorted, self._stats = state
+        self._samples, self._stats = state

@@ -1,9 +1,12 @@
-"""Report rendering: fixed-width tables and JSON serialization.
+"""Report rendering: fixed-width tables, JSON serialization, and the
+one builder of a run's report body.
 
 Every experiment module prints its figure/table through these helpers so
 `python -m repro.experiments <id>` output is uniform and diffable; the
 CLI's ``--format json`` path serializes the same summaries through
-:func:`summary_to_dict` / :func:`render_json`.
+:func:`summary_to_dict` / :func:`render_json`.  Every run report —
+``repro run``, a trace replay, a merged (possibly disk-spilled) replay —
+gets its record-derived body from :class:`RecordAggregate`.
 """
 
 from __future__ import annotations
@@ -11,7 +14,13 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-from typing import Any, List, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Optional, Sequence
+
+from .latency import LatencySummary
+
+if TYPE_CHECKING:  # pragma: no cover
+    from .latency import RequestRecord
+    from .usage import UsageSummary
 
 
 def format_cell(value: Any) -> str:
@@ -88,6 +97,174 @@ def summary_to_dict(summary: Any) -> dict:
         elif isinstance(value, float) and not math.isfinite(value):
             out[key] = None
     return out
+
+
+class _Group:
+    """Offered count plus completed latencies (observation order) for
+    one tenant or workflow breakdown row."""
+
+    __slots__ = ("offered", "latencies")
+
+    def __init__(self) -> None:
+        self.offered = 0
+        self.latencies: List[float] = []
+
+
+class RecordAggregate:
+    """Everything a report derives from records, folded in one pass.
+
+    Callers observe records in their canonical order — a run's own
+    submission order, or a replay's merged ``(submit_time,
+    request_id)`` order — so each group's latency samples, and
+    therefore the float-summation order inside
+    :class:`~repro.metrics.latency.LatencySummary`, match a scan of the
+    record list bit for bit.  This is what lets a spilled replay render
+    its report without ever holding the records.
+    """
+
+    __slots__ = ("total", "completed", "failed", "tenants", "workflows")
+
+    def __init__(self) -> None:
+        self.total = 0
+        self.completed = 0
+        self.failed = 0
+        self.tenants: Dict[str, _Group] = {}
+        self.workflows: Dict[str, _Group] = {}
+
+    @classmethod
+    def of_records(
+        cls,
+        records: Iterable["RequestRecord"],
+        tenant_of: Optional[Dict[str, str]] = None,
+    ) -> "RecordAggregate":
+        """Observe ``records`` in order; requests missing from
+        ``tenant_of`` count under the ``"default"`` tenant."""
+        aggregate = cls()
+        tenant_of = tenant_of or {}
+        for record in records:
+            aggregate.observe_record(record, tenant_of)
+        return aggregate
+
+    def observe(
+        self,
+        request_id: str,
+        workflow: str,
+        submit_time: float,
+        end_time: Optional[float],
+        failed: bool,
+        tenant: str,
+    ) -> None:
+        self.total += 1
+        tenant_group = self.tenants.get(tenant)
+        if tenant_group is None:
+            tenant_group = self.tenants[tenant] = _Group()
+        workflow_group = self.workflows.get(workflow)
+        if workflow_group is None:
+            workflow_group = self.workflows[workflow] = _Group()
+        tenant_group.offered += 1
+        workflow_group.offered += 1
+        if end_time is not None and not failed:
+            self.completed += 1
+            latency = end_time - submit_time
+            tenant_group.latencies.append(latency)
+            workflow_group.latencies.append(latency)
+        elif failed:
+            self.failed += 1
+
+    def observe_record(
+        self, record: "RequestRecord", tenant_of: Dict[str, str]
+    ) -> None:
+        self.observe(
+            record.request_id,
+            record.workflow,
+            record.submit_time,
+            record.end_time,
+            record.failed,
+            tenant_of.get(record.request_id, "default"),
+        )
+
+    def observe_payload(
+        self, payload: dict, tenant_of: Dict[str, str]
+    ) -> None:
+        self.observe(
+            payload["request_id"],
+            payload["workflow"],
+            payload["submit_time"],
+            payload["end_time"],
+            payload["failed"],
+            tenant_of.get(payload["request_id"], "default"),
+        )
+
+    def workflow_names(self) -> List[str]:
+        return sorted(self.workflows)
+
+    def report_body(
+        self,
+        system: str,
+        workflow: str,
+        duration_s: float,
+        offered: int,
+        latency: Optional[LatencySummary],
+        usage: Optional["UsageSummary"],
+    ) -> dict:
+        """The base report: run identity, offered/completed/failed
+        counts, throughput, ``latency`` (``None`` when nothing
+        completed) and ``usage`` (integrals plus per-request values,
+        ``None`` where nothing completed).
+
+        ``latency`` is the caller's summary of all completed requests —
+        a run's own, or a replay's per-cell summaries folded in
+        cell-key order — so its samples keep the caller's order; the
+        caller passes ``None`` when nothing completed.
+        """
+        payload: dict = {
+            "system": system,
+            "workflow": workflow,
+            "duration_s": duration_s,
+            "offered": offered,
+            "completed": self.completed,
+            "failed": self.failed,
+            "failure_rate": self.failed / self.total if self.total else 0.0,
+            "throughput_rpm": (
+                self.completed / duration_s * 60.0 if duration_s > 0 else 0.0
+            ),
+            "latency": None if latency is None else summary_to_dict(latency),
+            "usage": None,
+        }
+        if usage is not None:
+            usage_dict = summary_to_dict(usage)
+            for name in ("memory_gbs_per_request", "cache_mbs_per_request"):
+                per_request = getattr(usage, name)
+                usage_dict[name] = (
+                    None if per_request != per_request else per_request
+                )
+            payload["usage"] = usage_dict
+        return payload
+
+    def breakdowns(self) -> dict:
+        """The ``tenants`` and ``workflows`` sections of a trace report:
+        offered, completed and latency per group, sorted by name."""
+        return {
+            "tenants": self._breakdown(self.tenants),
+            "workflows": self._breakdown(self.workflows),
+        }
+
+    @staticmethod
+    def _breakdown(groups: Dict[str, _Group]) -> dict:
+        out = {}
+        for key, group in sorted(groups.items()):
+            out[key] = {
+                "offered": group.offered,
+                "completed": len(group.latencies),
+                "latency": (
+                    summary_to_dict(
+                        LatencySummary.from_latencies(group.latencies)
+                    )
+                    if group.latencies
+                    else None
+                ),
+            }
+        return out
 
 
 def tag_tenant_profiles(payload: dict, profiles: dict) -> dict:

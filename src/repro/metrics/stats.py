@@ -30,8 +30,8 @@ def percentile_sorted(ordered: Sequence[float], q: float) -> float:
 
     The one copy of the interpolation arithmetic: :func:`percentile`
     sorts and delegates here, and lazily materialized summaries (which
-    keep their samples pre-sorted across merges) call it directly — so
-    eager and lazy percentiles are byte-identical by construction.
+    sort their samples once for several percentiles) call it directly —
+    so eager and lazy percentiles are byte-identical by construction.
     """
     if not ordered:
         raise ValueError("percentile of empty sequence")

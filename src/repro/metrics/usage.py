@@ -38,11 +38,6 @@ class UsageSummary:
             completed_requests=self.completed_requests + other.completed_requests,
         )
 
-    def __add__(self, other: "UsageSummary") -> "UsageSummary":
-        if not isinstance(other, UsageSummary):
-            return NotImplemented
-        return self.merge(other)
-
     @property
     def memory_gbs_per_request(self) -> float:
         if self.completed_requests == 0:

@@ -68,6 +68,7 @@ from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import (
     Callable,
     Dict,
@@ -81,6 +82,7 @@ from typing import (
 
 from ..loadgen.trace import InvocationTrace, TraceRunResult, run_trace
 from ..metrics.latency import LatencySummary, RequestRecord
+from ..metrics.report import RecordAggregate, tag_tenant_profiles
 from ..metrics.telemetry import MetricsRegistry
 from ..metrics.usage import UsageSummary
 from .policy import ShardPolicy, get_shard_policy
@@ -93,7 +95,6 @@ from .resilience import (
     classify_failure,
 )
 from .sink import (
-    RecordAggregate,
     RecordSink,
     RecordSinkSpec,
     record_from_payload,
@@ -131,11 +132,19 @@ class CellResult:
     records: List[RequestRecord]
     tenant_of: Dict[str, str]
     usage: Optional[UsageSummary]
-    latency: Optional[LatencySummary]
     wall_s: float
     #: Audit tag of the resolved tenant profile this cell replayed under
     #: (:meth:`~repro.parallel.spec.ResolvedProfile.tag`).
     profile: Dict[str, object] = field(default_factory=dict)
+
+    @cached_property
+    def latency(self) -> Optional[LatencySummary]:
+        """Latencies of the cell's completed requests, in record order
+        (``None`` when nothing completed) — derived from the records,
+        so the samples never travel twice.  Derived once, on first use
+        in the parent (the serve cell event, then the merge)."""
+        latencies = [r.latency for r in self.records if r.completed]
+        return LatencySummary.from_latencies(latencies) if latencies else None
 
     def to_payload(self) -> dict:
         """This cell as a JSON-ready dict that round-trips exactly.
@@ -144,9 +153,9 @@ class CellResult:
         payload per completed cell; :meth:`from_payload` rebuilds a
         :class:`CellResult` whose fold through :class:`StreamingMerge`
         is byte-identical to folding the original — Python floats
-        round-trip exactly through JSON (shortest-repr), latency
-        summaries keep their sample arrays in record order, and records
-        keep their task timelines.
+        round-trip exactly through JSON (shortest-repr), and records
+        keep their order and task timelines, from which the cell's
+        latency summary is derived.
         """
         return {
             "key": self.key,
@@ -160,10 +169,6 @@ class CellResult:
                 "cache_mbs": self.usage.cache_mbs,
                 "completed_requests": self.usage.completed_requests,
             },
-            "latency": (
-                None if self.latency is None
-                else list(self.latency.samples)
-            ),
             "records": [
                 record_to_payload(record) for record in self.records
             ],
@@ -171,9 +176,13 @@ class CellResult:
 
     @classmethod
     def from_payload(cls, payload: dict) -> "CellResult":
-        """Rebuild a :class:`CellResult` from :meth:`to_payload` output."""
+        """Rebuild a :class:`CellResult` from :meth:`to_payload` output.
+
+        Payloads written before the latency summary was derived from
+        the records also carry a ``"latency"`` sample list; it is
+        ignored, since the records hold the same samples.
+        """
         usage = payload.get("usage")
-        latency = payload.get("latency")
         return cls(
             key=payload["key"],
             offered=payload["offered"],
@@ -182,10 +191,6 @@ class CellResult:
             tenant_of=dict(payload["tenant_of"]),
             profile=dict(payload.get("profile") or {}),
             usage=None if usage is None else UsageSummary(**usage),
-            latency=(
-                None if latency is None
-                else LatencySummary(samples=tuple(latency))
-            ),
             records=[
                 record_from_payload(record) for record in payload["records"]
             ],
@@ -234,12 +239,12 @@ class ParallelReplayResult(TraceRunResult):
     #: reports byte-identically to a fault-free run.
     failed_cells: List[CellFailure] = field(default_factory=list)
     #: Streaming aggregate the record sink folded in canonical merge
-    #: order.  When present, ``to_dict`` renders the record-derived
-    #: report sections from it instead of re-scanning :attr:`records` —
-    #: which is what lets a disk-spilled result report without reading
-    #: its records back into RAM.  The aggregate observes records in the
-    #: exact order an in-memory scan would, so both paths are
-    #: byte-identical.
+    #: order.  ``to_dict`` renders the record-derived report sections
+    #: from it instead of re-scanning :attr:`records` — which is what
+    #: lets a disk-spilled result report without reading its records
+    #: back into RAM.  Required: :meth:`StreamingMerge.finalize`, the
+    #: only constructor, always sets it (the ``None`` default exists
+    #: only because dataclass fields after defaulted ones need one).
     record_stats: Optional[RecordAggregate] = None
 
     def latency(self) -> LatencySummary:
@@ -252,20 +257,16 @@ class ParallelReplayResult(TraceRunResult):
         """Replayed trace events per wall-clock second (host speed)."""
         return self.offered / self.wall_s if self.wall_s > 0 else 0.0
 
-    def to_dict(self) -> dict:
-        from ..metrics.report import tag_tenant_profiles
-
-        if self.record_stats is not None:
-            payload = self.record_stats.report_payload(
-                system=self.system_name,
-                workflow=self.workflow,
-                duration_s=self.duration_s,
-                offered=self.offered,
-                latency=self.merged_latency,
-                usage=self.usage,
+    def record_aggregate(self) -> RecordAggregate:
+        if self.record_stats is None:
+            raise ValueError(
+                "ParallelReplayResult.record_stats is unset; results come "
+                "from StreamingMerge.finalize"
             )
-        else:
-            payload = super().to_dict()
+        return self.record_stats
+
+    def to_dict(self) -> dict:
+        payload = super().to_dict()
         payload["replay"] = {
             "policy": self.policy_name,
             "cells": self.cell_count,
@@ -336,7 +337,6 @@ def replay_cell(spec: ReplaySpec, key: str, cell_trace: InvocationTrace) -> Cell
         records=result.records,
         tenant_of=result.tenant_of,
         usage=result.usage,
-        latency=result.latency() if result.completed else None,
         wall_s=time.perf_counter() - start,
         profile=resolved.tag(),
     )

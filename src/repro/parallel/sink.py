@@ -12,9 +12,8 @@ writes records through one :class:`RecordSink`, bounded by default:
 * Each cell's records are buffered as a sorted in-memory run.  While
   the buffer stays at or below ``max_records_in_memory`` (default
   :data:`DEFAULT_MAX_RECORDS_IN_MEMORY`), ``finalize`` k-way merges the
-  runs in RAM (``heapq.merge`` — the k-way generalization of
-  :func:`repro.metrics.latency._merge_sorted`) and returns a plain
-  ``list``; no scratch directory is ever created.
+  runs in RAM (``heapq.merge``) and returns a plain ``list``; no
+  scratch directory is ever created.
 * Once the buffer crosses the threshold, every buffered cell flushes to
   its own **sorted run file** (NDJSON of :func:`record_to_payload`
   lines) and later cells buffer afresh.  ``finalize`` then k-way merges
@@ -26,13 +25,13 @@ writes records through one :class:`RecordSink`, bounded by default:
 Both branches produce the merged stream in the identical canonical
 order (the ``(submit_time, request_id)`` key is globally unique:
 request ids are cell-qualified), and both fold a
-:class:`RecordAggregate` over it in that order — every count and float
-the report's record-derived sections need, computed in exactly the
-order the in-memory scan would have used.  Reports are therefore
-byte-identical at every threshold, worker count and executor; Python
-floats round-trip JSON exactly (shortest repr), so a record that passed
-through a spill file aggregates to the same bits as one that never left
-RAM.
+:class:`~repro.metrics.report.RecordAggregate` over it in that order —
+the same aggregate every other run report is rendered from, so the
+merged report needs no second scan of the records.  Reports are
+therefore byte-identical at every threshold, worker count and executor;
+Python floats round-trip JSON exactly (shortest repr), so a record that
+passed through a spill file aggregates to the same bits as one that
+never left RAM.
 """
 
 from __future__ import annotations
@@ -47,11 +46,11 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from ..metrics.latency import LatencySummary, RequestRecord, TaskRecord
+from ..metrics.latency import RequestRecord, TaskRecord
+from ..metrics.report import RecordAggregate
 
 __all__ = [
     "DEFAULT_MAX_RECORDS_IN_MEMORY",
-    "RecordAggregate",
     "RecordSink",
     "RecordSinkSpec",
     "SpillError",
@@ -127,163 +126,6 @@ def _record_key(record: RequestRecord) -> Tuple[float, str]:
 
 def _payload_key(payload: dict) -> Tuple[float, str]:
     return (payload["submit_time"], payload["request_id"])
-
-
-# -- the streaming aggregate --------------------------------------------------
-
-
-class _Group:
-    """Offered count plus completed latencies (merged order) for one
-    tenant or workflow breakdown row."""
-
-    __slots__ = ("offered", "latencies")
-
-    def __init__(self) -> None:
-        self.offered = 0
-        self.latencies: List[float] = []
-
-
-class RecordAggregate:
-    """Everything ``to_dict`` derives from records, folded in one pass.
-
-    Observed strictly in canonical merged order, so the per-group
-    latency sample order — and therefore float-summation order inside
-    :class:`~repro.metrics.latency.LatencySummary` — matches a scan of
-    the materialized record list bit for bit.  This is what lets a
-    spilled result render its report without ever holding the records.
-    """
-
-    __slots__ = ("total", "completed", "failed", "tenants", "workflows")
-
-    def __init__(self) -> None:
-        self.total = 0
-        self.completed = 0
-        self.failed = 0
-        self.tenants: Dict[str, _Group] = {}
-        self.workflows: Dict[str, _Group] = {}
-
-    def observe(
-        self,
-        request_id: str,
-        workflow: str,
-        submit_time: float,
-        end_time: Optional[float],
-        failed: bool,
-        tenant: str,
-    ) -> None:
-        self.total += 1
-        tenant_group = self.tenants.get(tenant)
-        if tenant_group is None:
-            tenant_group = self.tenants[tenant] = _Group()
-        workflow_group = self.workflows.get(workflow)
-        if workflow_group is None:
-            workflow_group = self.workflows[workflow] = _Group()
-        tenant_group.offered += 1
-        workflow_group.offered += 1
-        if end_time is not None and not failed:
-            self.completed += 1
-            latency = end_time - submit_time
-            tenant_group.latencies.append(latency)
-            workflow_group.latencies.append(latency)
-        elif failed:
-            self.failed += 1
-
-    def observe_record(
-        self, record: RequestRecord, tenant_of: Dict[str, str]
-    ) -> None:
-        self.observe(
-            record.request_id,
-            record.workflow,
-            record.submit_time,
-            record.end_time,
-            record.failed,
-            tenant_of.get(record.request_id, "default"),
-        )
-
-    def observe_payload(
-        self, payload: dict, tenant_of: Dict[str, str]
-    ) -> None:
-        self.observe(
-            payload["request_id"],
-            payload["workflow"],
-            payload["submit_time"],
-            payload["end_time"],
-            payload["failed"],
-            tenant_of.get(payload["request_id"], "default"),
-        )
-
-    def workflow_names(self) -> List[str]:
-        return sorted(self.workflows)
-
-    @staticmethod
-    def _breakdown(groups: Dict[str, _Group]) -> dict:
-        from ..metrics.report import summary_to_dict
-
-        out = {}
-        for key, group in sorted(groups.items()):
-            out[key] = {
-                "offered": group.offered,
-                "completed": len(group.latencies),
-                "latency": (
-                    summary_to_dict(
-                        LatencySummary.from_latencies(group.latencies)
-                    )
-                    if group.latencies
-                    else None
-                ),
-            }
-        return out
-
-    def report_payload(
-        self,
-        system: str,
-        workflow: str,
-        duration_s: float,
-        offered: int,
-        latency: Optional[LatencySummary],
-        usage,
-    ) -> dict:
-        """The record-derived report body, mirroring
-        :meth:`~repro.loadgen.runner.RunResult.to_dict` plus the
-        tenant/workflow breakdowns of
-        :meth:`~repro.loadgen.trace.TraceRunResult.to_dict` field for
-        field — any drift here breaks report byte-identity between the
-        spilled and in-memory paths, which the sink property tests pin.
-        """
-        from ..metrics.report import summary_to_dict
-
-        payload: dict = {
-            "system": system,
-            "workflow": workflow,
-            "duration_s": duration_s,
-            "offered": offered,
-            "completed": self.completed,
-            "failed": self.failed,
-            "failure_rate": self.failed / self.total if self.total else 0.0,
-            "throughput_rpm": (
-                self.completed / duration_s * 60.0 if duration_s > 0 else 0.0
-            ),
-            "latency": (
-                summary_to_dict(latency)
-                if self.completed and latency is not None
-                else None
-            ),
-            "usage": None,
-        }
-        if usage is not None:
-            usage_dict = summary_to_dict(usage)
-            per_request = usage.memory_gbs_per_request
-            usage_dict["memory_gbs_per_request"] = (
-                None if per_request != per_request else per_request
-            )
-            per_request = usage.cache_mbs_per_request
-            usage_dict["cache_mbs_per_request"] = (
-                None if per_request != per_request else per_request
-            )
-            payload["usage"] = usage_dict
-        payload["tenants"] = self._breakdown(self.tenants)
-        payload["workflows"] = self._breakdown(self.workflows)
-        return payload
 
 
 # -- sink configuration -------------------------------------------------------

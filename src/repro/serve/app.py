@@ -632,7 +632,7 @@ def create_server(
     journal: Optional[str] = None,
     dashboard: bool = True,
     keepalive_s: Optional[float] = 15.0,
-    max_events_per_run: Optional[int] = 10_000,
+    max_events_per_run: int = 10_000,
     max_queued: Optional[int] = None,
     lease_timeout_s: float = 30.0,
     heartbeat_timeout_s: float = 90.0,
@@ -659,7 +659,7 @@ def create_server(
     them).
 
     ``max_events_per_run`` caps each run's in-RAM event log
-    (``--max-events-per-run`` on the CLI; ``None`` = unbounded): older
+    (``--max-events-per-run`` on the CLI, at least 1): older
     envelopes move to a per-run disk spool that event followers replay
     history from, so a huge trace can stream without growing the
     server's resident memory per event.

@@ -258,7 +258,7 @@ class JobStore:
         journal: Optional[RunJournal] = None,
         default_tenant_config: Optional[TenantConfig] = None,
         metrics: Optional[MetricsRegistry] = None,
-        max_events_per_run: Optional[int] = 10_000,
+        max_events_per_run: int = 10_000,
         max_record_runs: int = 8,
         max_queued: Optional[int] = None,
         lease_timeout_s: float = 30.0,
@@ -268,8 +268,8 @@ class JobStore:
             raise ValueError("workers must be >= 1")
         if max_finished < 1:
             raise ValueError("max_finished must be >= 1")
-        if max_events_per_run is not None and max_events_per_run < 1:
-            raise ValueError("max_events_per_run must be >= 1 (or None)")
+        if max_events_per_run < 1:
+            raise ValueError("max_events_per_run must be >= 1")
         if max_record_runs < 1:
             raise ValueError("max_record_runs must be >= 1")
         if max_queued is not None and max_queued < 1:
@@ -292,18 +292,16 @@ class JobStore:
         self._closed = False
         self._journal = journal
         self._default_tenant_config = default_tenant_config
-        self._spool: Optional[EventSpool] = None
-        if max_events_per_run is not None:
-            journal_path = getattr(journal, "path", None)
-            if journal_path is not None:
-                # Journal-adjacent spool: history files sit next to the
-                # durable log they complement.
-                self._spool = EventSpool(f"{journal_path}.events")
-            else:
-                self._spool = EventSpool(
-                    tempfile.mkdtemp(prefix="repro-serve-events-"),
-                    owned=True,
-                )
+        journal_path = getattr(journal, "path", None)
+        if journal_path is not None:
+            # Journal-adjacent spool: history files sit next to the
+            # durable log they complement.
+            self._spool = EventSpool(f"{journal_path}.events")
+        else:
+            self._spool = EventSpool(
+                tempfile.mkdtemp(prefix="repro-serve-events-"),
+                owned=True,
+            )
         #: The process-wide registry every run populates (engine cell /
         #: tenant / phase instruments, journal fsyncs, pool gauges) and
         #: ``GET /metrics`` renders.  Counts cover this process's
@@ -369,10 +367,9 @@ class JobStore:
                 next_seq=run.last_seq + 1,
             )
             self._jobs[run.run_id] = job
-            if self._spool is not None:
-                # Recovery re-emits history with fresh seqs; a spool
-                # file from the previous process would misalign.
-                self._spool.reset(run.run_id)
+            # Recovery re-emits history with fresh seqs; a spool file
+            # from the previous process would misalign.
+            self._spool.reset(run.run_id)
             self._append(
                 job, "queued", {"run_id": job.id, "request": job.summary}
             )
@@ -526,10 +523,9 @@ class JobStore:
                 cells=len(request.trace.tenants()),
             )
             self._jobs[job_id] = job
-            if self._spool is not None:
-                # A fresh journal in a reused directory can leave stale
-                # spool files whose line numbers belong to another run.
-                self._spool.reset(job_id)
+            # A fresh journal in a reused directory can leave stale
+            # spool files whose line numbers belong to another run.
+            self._spool.reset(job_id)
             seq = self._append(job, "queued", {"run_id": job_id,
                                                "request": request.summary})
             self._evict()
@@ -554,8 +550,7 @@ class JobStore:
         ]
         for job_id in terminal[: max(0, len(terminal) - self.max_finished)]:
             self._drop_records(self._jobs[job_id])
-            if self._spool is not None:
-                self._spool.remove(job_id)
+            self._spool.remove(job_id)
             del self._jobs[job_id]
         # Records are the bulky part of a done run: keep only the most
         # recent handles pageable, release the rest (their reports stay).
@@ -796,14 +791,10 @@ class JobStore:
                 # Catch up from the spool in bounded chunks so one lap
                 # never holds a huge history list in memory.
                 stop = min(spool_to, index + 1000)
-                batch = (
-                    self._spool.read(job.id, index, stop)
-                    if self._spool is not None
-                    else []
-                )
+                batch = self._spool.read(job.id, index, stop)
                 if not batch:
-                    # No spool (or a vanished file): the history below
-                    # the ring is gone; resume at the ring start.  The
+                    # A vanished spool file: the history below the ring
+                    # is gone; resume at the ring start.  The
                     # suffix stays seq-ordered, so client-side
                     # monotonicity checks still hold.
                     index = spool_to
@@ -849,17 +840,13 @@ class JobStore:
         job.events.append(envelope)
         if envelope["event"] == "cell":
             job.cells_done += 1
-        cap = self.max_events_per_run
-        if cap is not None:
-            # Ring eviction: move the oldest envelopes to the disk
-            # spool.  The newest event — which is the terminal one on
-            # any finished run — is never evicted, so the follower
-            # termination guarantee is structural.
-            while len(job.events) > cap:
-                evicted = job.events.popleft()
-                if self._spool is not None:
-                    self._spool.append(job.id, evicted)
-                job.events_dropped += 1
+        # Ring eviction: move the oldest envelopes to the disk spool.
+        # The newest event — which is the terminal one on any finished
+        # run — is never evicted, so the follower termination guarantee
+        # is structural.
+        while len(job.events) > self.max_events_per_run:
+            self._spool.append(job.id, job.events.popleft())
+            job.events_dropped += 1
         self._cond.notify_all()
 
     @contextmanager
@@ -931,11 +918,12 @@ class JobStore:
         }
         if resumed:
             body["resumed"] = True
-        if cell.latency is not None:
+        latency = cell.latency
+        if latency is not None:
             body["latency"] = {
-                "mean_s": round(cell.latency.mean_s, 6),
-                "p50_s": round(cell.latency.p50_s, 6),
-                "p99_s": round(cell.latency.p99_s, 6),
+                "mean_s": round(latency.mean_s, 6),
+                "p50_s": round(latency.p50_s, 6),
+                "p99_s": round(latency.p99_s, 6),
             }
         return body
 
@@ -1191,5 +1179,4 @@ WorkerRegistry` and its delivered outcomes feed the same fold a local
         self._interrupt(("queued", "running"))
         if self._journal is not None:
             self._journal.close()
-        if self._spool is not None:
-            self._spool.close()
+        self._spool.close()

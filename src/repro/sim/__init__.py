@@ -13,7 +13,7 @@ Public surface::
 from .environment import EmptySchedule, Environment
 from .events import AllOf, AnyOf, ConditionEvent, Event, Timeout
 from .process import Interrupt, Process
-from .resources import LevelContainer, Request, Resource, Store
+from .resources import Request, Resource, Store
 from .rng import RngRegistry
 
 __all__ = [
@@ -24,7 +24,6 @@ __all__ = [
     "Environment",
     "Event",
     "Interrupt",
-    "LevelContainer",
     "Process",
     "Request",
     "Resource",

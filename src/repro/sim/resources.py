@@ -1,20 +1,18 @@
 """Shared-resource primitives built on the event kernel.
 
-Three primitives cover everything the cluster substrate needs:
+Two primitives cover everything the cluster substrate needs:
 
 :class:`Resource`
     A counted resource (e.g. CPU cores) acquired with ``request()`` /
     ``release()``.  Requests queue FIFO.
 :class:`Store`
     An unbounded-or-bounded FIFO of Python objects (e.g. a dispatch queue).
-:class:`LevelContainer`
-    A continuous level (e.g. bytes of memory) with ``get``/``put`` amounts.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import TYPE_CHECKING, Any, Callable, Deque, List, Optional
+from typing import TYPE_CHECKING, Any, Deque, List
 
 from .events import Event
 
@@ -117,18 +115,17 @@ class StorePut(Event):
 
 
 class StoreGet(Event):
-    __slots__ = ("store", "predicate")
+    __slots__ = ("store",)
 
-    def __init__(self, store: "Store", predicate: Optional[Callable[[Any], bool]]) -> None:
+    def __init__(self, store: "Store") -> None:
         super().__init__(store.env)
         self.store = store
-        self.predicate = predicate
 
     def cancel(self) -> None:
         """Withdraw a not-yet-satisfied get (e.g. after an interrupt).
 
         Without this, an interrupted waiter's get stays queued and will
-        silently swallow the next matching item.
+        silently swallow the next item.
         """
         try:
             self.store._getters.remove(self)
@@ -139,8 +136,8 @@ class StoreGet(Event):
 class Store:
     """A FIFO store of items with optional capacity.
 
-    ``get(predicate)`` supports filtered retrieval (first matching item),
-    which the schedulers use to pick work for a specific function.
+    ``get()`` hands out items in put order to getters in request order;
+    the function dispatchers and the DLU queue work through it.
     """
 
     __slots__ = ("env", "capacity", "items", "_putters", "_getters")
@@ -173,8 +170,8 @@ class Store:
         self.items.append(item)
         self._dispatch()
 
-    def get(self, predicate: Optional[Callable[[Any], bool]] = None) -> StoreGet:
-        event = StoreGet(self, predicate)
+    def get(self) -> StoreGet:
+        event = StoreGet(self)
         self._getters.append(event)
         self._dispatch()
         return event
@@ -194,101 +191,7 @@ class Store:
                 self.items.append(put.item)
                 put.succeed()
                 progress = True
-            # Satisfy getters whose predicate matches an item.
-            pending_getters = len(self._getters)
-            for _ in range(pending_getters):
-                if not self._getters:
-                    break
-                get = self._getters.popleft()
-                matched = None
-                if get.predicate is None:
-                    if self.items:
-                        matched = self.items.popleft()
-                else:
-                    for index, item in enumerate(self.items):
-                        if get.predicate(item):
-                            matched = item
-                            del self.items[index]
-                            break
-                if matched is not None:
-                    get.succeed(matched)
-                    progress = True
-                else:
-                    self._getters.append(get)
-
-
-class ContainerGet(Event):
-    __slots__ = ("amount",)
-
-    def __init__(self, env: "Environment", amount: float) -> None:
-        super().__init__(env)
-        self.amount = amount
-
-
-class ContainerPut(Event):
-    __slots__ = ("amount",)
-
-    def __init__(self, env: "Environment", amount: float) -> None:
-        super().__init__(env)
-        self.amount = amount
-
-
-class LevelContainer:
-    """A continuous quantity with blocking get/put (e.g. memory bytes)."""
-
-    __slots__ = ("env", "capacity", "_level", "_getters", "_putters")
-
-    def __init__(
-        self,
-        env: "Environment",
-        capacity: float = float("inf"),
-        init: float = 0.0,
-    ) -> None:
-        if capacity <= 0:
-            raise ValueError("capacity must be positive")
-        if not 0 <= init <= capacity:
-            raise ValueError("init must lie in [0, capacity]")
-        self.env = env
-        self.capacity = capacity
-        self._level = float(init)
-        self._getters: Deque[ContainerGet] = deque()
-        self._putters: Deque[ContainerPut] = deque()
-
-    @property
-    def level(self) -> float:
-        return self._level
-
-    def put(self, amount: float) -> ContainerPut:
-        if amount < 0:
-            raise ValueError("cannot put a negative amount")
-        event = ContainerPut(self.env, amount)
-        self._putters.append(event)
-        self._dispatch()
-        return event
-
-    def get(self, amount: float) -> ContainerGet:
-        if amount < 0:
-            raise ValueError("cannot get a negative amount")
-        event = ContainerGet(self.env, amount)
-        self._getters.append(event)
-        self._dispatch()
-        return event
-
-    def _dispatch(self) -> None:
-        progress = True
-        while progress:
-            progress = False
-            if self._putters:
-                put = self._putters[0]
-                if self._level + put.amount <= self.capacity:
-                    self._putters.popleft()
-                    self._level += put.amount
-                    put.succeed()
-                    progress = True
-            if self._getters:
-                get = self._getters[0]
-                if get.amount <= self._level:
-                    self._getters.popleft()
-                    self._level -= get.amount
-                    get.succeed()
-                    progress = True
+            # Hand items to waiting getters, oldest first.
+            while self._getters and self.items:
+                self._getters.popleft().succeed(self.items.popleft())
+                progress = True

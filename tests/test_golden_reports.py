@@ -1,11 +1,13 @@
 """Golden-report regression fixtures: catch simulator drift explicitly.
 
 ``tests/golden/`` holds one canonical merged replay report per
-registered execution system (generated by ``tools/regen_golden.py``).
-These tests re-run the exact scenario and compare byte-for-byte: any
-change to the simulator, metrics, or report serialization must either be
-reverted or acknowledged by regenerating the fixtures in the same
-commit.
+registered execution system, plus ``repro run --format json`` reports
+for DataFlower and the control-flow baseline under open-loop,
+closed-loop and trace arrivals (all generated by
+``tools/regen_golden.py``).  These tests re-run the exact scenarios and
+compare byte-for-byte: any change to the simulator, metrics, or report
+serialization must either be reverted or acknowledged by regenerating
+the fixtures in the same commit.
 """
 
 import importlib.util
@@ -44,6 +46,10 @@ def test_every_registered_system_has_a_fixture():
 
 def test_no_orphaned_fixtures():
     expected = {regen_golden.golden_path(name).name for name in system_names()}
+    expected |= {
+        regen_golden.golden_run_path(*case).name
+        for case in regen_golden.run_cases()
+    }
     actual = {path.name for path in GOLDEN_DIR.glob("*.json")}
     assert actual == expected
 
@@ -65,3 +71,31 @@ def test_golden_fixture_schema(system_name):
     assert set(report["tenants"]) == {"acme", "globex"}
     assert report["replay"]["policy"] == "tenant"
     assert report["replay"]["cells"] == 2
+
+
+RUN_CASES = pytest.mark.parametrize(
+    "case",
+    regen_golden.run_cases(),
+    ids=lambda case: regen_golden.golden_run_path(*case).stem,
+)
+
+
+@RUN_CASES
+def test_run_report_matches_golden(case):
+    path = regen_golden.golden_run_path(*case)
+    assert path.read_text() == regen_golden.golden_run_report(*case), (
+        f"{path.name}: {REGEN_HINT}"
+    )
+
+
+@RUN_CASES
+def test_run_fixture_schema(case):
+    system_name, app, arrivals = case
+    report = json.loads(regen_golden.golden_run_path(*case).read_text())
+    assert report["system"] == system_name
+    assert report["app"] == app
+    assert report["arrivals"] == arrivals
+    assert report["completed"] == report["offered"] > 0
+    assert report["latency"]["count"] == report["completed"]
+    # Only trace arrivals carry the tenant/workflow breakdowns.
+    assert ("tenants" in report) == arrivals.startswith("trace:")

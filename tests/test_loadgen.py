@@ -1,7 +1,7 @@
 """Tests for arrival schedules and the run harness."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro import (
@@ -65,6 +65,8 @@ def test_total_duration():
     rate=st.floats(min_value=1, max_value=600),
     duration=st.floats(min_value=1, max_value=120),
 )
+# Summing gaps once piled rounding error into a 931st arrival here.
+@example(rate=599.9999999999999, duration=93.0)
 def test_property_arrivals_within_schedule(rate, duration):
     times = arrival_times(constant(rate, duration))
     assert all(0 <= t < duration for t in times)

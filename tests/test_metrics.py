@@ -148,31 +148,19 @@ def test_latency_summary_empty_raises():
 
 
 def test_latency_merge_equals_union():
-    """Merging split record-sets equals from_records on the union, exactly."""
+    """Folding split record-sets equals from_records on the union, exactly."""
     latencies = [0.5, 3.0, 1.25, 2.0, 0.75, 4.5, 1.0]
     records = [make_record(lat, f"r{i}") for i, lat in enumerate(latencies)]
     for split in (1, 3, 5):
-        merged = LatencySummary.from_records(records[:split]).merge(
-            LatencySummary.from_records(records[split:])
-        )
+        merged = LatencySummary.fold([
+            LatencySummary.from_records(records[:split]),
+            LatencySummary.from_records(records[split:]),
+        ])
         union = LatencySummary.from_records(records)
         assert merged == union
         assert merged.mean_s == union.mean_s  # bit-identical, not approx
         assert merged.p99_s == union.p99_s
         assert merged.sigma_s == union.sigma_s
-
-
-def test_latency_merge_operator_and_errors():
-    a = LatencySummary.from_latencies([1.0, 2.0])
-    b = LatencySummary.from_latencies([3.0])
-    assert (a + b) == LatencySummary.from_latencies([1.0, 2.0, 3.0])
-    bare = LatencySummary(
-        count=1, mean_s=1.0, p50_s=1.0, p99_s=1.0, sigma_s=0.0, max_s=1.0
-    )
-    with pytest.raises(ValueError):
-        a.merge(bare)  # raw-constructed summary has no samples
-    with pytest.raises(TypeError):
-        a.merge("nope")
 
 
 @given(
@@ -181,45 +169,49 @@ def test_latency_merge_operator_and_errors():
 )
 @settings(max_examples=50, deadline=None)
 def test_latency_merge_matches_union_property(left, right):
-    merged = LatencySummary.from_latencies(left).merge(
-        LatencySummary.from_latencies(right)
-    )
+    merged = LatencySummary.fold([
+        LatencySummary.from_latencies(left),
+        LatencySummary.from_latencies(right),
+    ])
     assert merged == LatencySummary.from_latencies(left + right)
 
 
 def test_lazy_latency_merge_equals_union_from_latencies():
-    """The lazy summary's merge equals from_latencies on the union —
+    """The lazy summary's fold equals from_latencies on the union —
     the statistics materialize on first read, byte-identical to eager
     computation, whether or not the operands were already read."""
     left = [0.5, 3.0, 1.25, 2.0]
     right = [0.75, 4.5, 1.0]
     union = LatencySummary.from_latencies(left + right)
 
-    # Never-read operands: merge is pure concatenation, stats deferred.
-    merged = LatencySummary.from_latencies(left).merge(
-        LatencySummary.from_latencies(right)
-    )
+    # Never-read operands: the fold is pure concatenation, stats deferred.
+    merged = LatencySummary.fold([
+        LatencySummary.from_latencies(left),
+        LatencySummary.from_latencies(right),
+    ])
     assert merged.samples == tuple(left + right)
     assert merged == union
     assert merged.mean_s == union.mean_s  # bit-identical, not approx
     assert merged.p99_s == union.p99_s
     assert merged.sigma_s == union.sigma_s
 
-    # Already-materialized operands: the pre-sorted sample arrays merge
-    # O(n) two-way instead of re-sorting, to the same statistics.
+    # Already-materialized operands fold to the same statistics.
     a, b = LatencySummary.from_latencies(left), LatencySummary.from_latencies(right)
     assert a.p50_s and b.p50_s  # force materialization
-    assert a.merge(b) == union
-    assert a.merge(b).p99_s == union.p99_s
+    assert LatencySummary.fold([a, b]) == union
+    assert LatencySummary.fold([a, b]).p99_s == union.p99_s
 
 
 def test_lazy_latency_fold_equals_chained_merges():
     chunks = [[1.0, 3.0], [0.5], [2.0, 0.25, 4.0]]
     summaries = [LatencySummary.from_latencies(c) for c in chunks]
     folded = LatencySummary.fold(summaries)
-    chained = summaries[0].merge(summaries[1]).merge(summaries[2])
+    chained = LatencySummary.fold([
+        LatencySummary.fold(summaries[:2]), summaries[2],
+    ])
     assert folded == chained
     assert folded.samples == chained.samples
+    assert folded.samples == (1.0, 3.0, 0.5, 2.0, 0.25, 4.0)
     assert LatencySummary.fold([summaries[0]]) is summaries[0]
     with pytest.raises(ValueError):
         LatencySummary.fold([])
@@ -266,7 +258,6 @@ def test_usage_merge_adds_integrals():
     b = UsageSummary(memory_gbs=2.5, cache_mbs=30.0, completed_requests=3)
     merged = a.merge(b)
     assert merged == UsageSummary(12.5, 130.0, 8)
-    assert (a + b) == merged
     assert merged.memory_gbs_per_request == pytest.approx(12.5 / 8)
     with pytest.raises(TypeError):
         a.merge(3.0)

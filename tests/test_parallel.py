@@ -91,6 +91,21 @@ def test_replay_cell_prefixes_request_ids(mixed_trace):
     assert set(result.tenant_of.values()) == {"a"}
 
 
+def test_cell_latency_is_derived_once_and_not_pickled(mixed_trace):
+    """A worker's pickled cell carries its latency samples only in the
+    records; the parent derives the summary on first use and keeps it."""
+    import pickle
+
+    key, cell_trace = TenantShardPolicy().split(mixed_trace)[0]
+    result = replay_cell(ReplaySpec(), key, cell_trace)
+    assert "latency" not in vars(pickle.loads(pickle.dumps(result)))
+    latency = result.latency
+    assert latency is result.latency
+    assert latency.samples == tuple(
+        r.latency for r in result.records if r.completed
+    )
+
+
 def test_shard_count_does_not_change_report(mixed_trace):
     """``shards`` only defaults ``workers``; the report never moves."""
     import os

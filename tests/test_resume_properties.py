@@ -119,6 +119,51 @@ def test_full_checkpoint_executes_nothing(events, seed):
     assert render_json(resumed.to_dict()) == render_json(full.to_dict())
 
 
+def _parent_format(payload):
+    """A cell payload as journals written before the cell's latency
+    summary was derived from its records store it: the same payload
+    plus a ``"latency"`` list of the completed requests' latencies in
+    record order (``None`` when nothing completed)."""
+    latencies = [
+        record["end_time"] - record["submit_time"]
+        for record in payload["records"]
+        if record["end_time"] is not None and not record["failed"]
+    ]
+    return dict(payload, latency=latencies or None)
+
+
+def test_parent_format_payloads_resume_byte_identically():
+    """Old journals still resume: their extra ``"latency"`` key is
+    ignored, and the cells fold to the uninterrupted report."""
+    trace = InvocationTrace(
+        events=[
+            TraceEvent(at_s=0.0, tenant="t0", fanout=3),
+            TraceEvent(at_s=0.5, tenant="t1", app="etl"),
+            TraceEvent(at_s=1.5, tenant="t0", app="etl"),
+            TraceEvent(at_s=2.0, tenant="t2"),
+        ],
+        name="old-journal",
+    )
+    spec = ReplaySpec(default_app="wc", seed=3)
+    payloads = []
+    full = run_parallel_replay(
+        trace, spec, workers=1,
+        on_cell=lambda cell: payloads.append(cell.to_payload()),
+    )
+    assert all("latency" not in payload for payload in payloads)
+    baseline = render_json(full.to_dict())
+    for cut in range(1, len(payloads) + 1):
+        checkpoint = [
+            _journal_round_trip(_parent_format(p)) for p in payloads[:cut]
+        ]
+        resumed = run_parallel_replay(
+            trace, spec, workers=1, completed_cells=checkpoint
+        )
+        assert render_json(resumed.to_dict()) == baseline, cut
+        for old, clone in zip(payloads, checkpoint):
+            assert clone.to_payload() == old
+
+
 def test_duplicate_completed_cell_is_rejected():
     trace = InvocationTrace(
         events=[TraceEvent(at_s=0.0, tenant="t0")], name="dup"

@@ -132,14 +132,19 @@ def test_snapshot_progress_survives_ring_eviction():
         store.close()
 
 
-def test_unbounded_event_log_keeps_everything_in_ram():
-    store = JobStore(workers=1, max_events_per_run=None)
+def test_vanished_spool_file_resumes_at_ring_start():
+    """History below the ring is gone with its spool file; a follower
+    then gets the ring's seq-ordered suffix, terminal event last."""
+    store = JobStore(workers=1, max_events_per_run=3)
     try:
         run_id = store.submit(parse_run_request(RUN_BODY))
         _store_await_done(store, run_id)
         job = store._jobs[run_id]
-        assert job.events_dropped == 0
-        assert store._spool is None
+        assert job.events_dropped > 0
+        store._spool.remove(run_id)
+        events = [e for e in store.follow(run_id) if e is not None]
+        assert [e["seq"] for e in events] == [e["seq"] for e in job.events]
+        assert events[-1]["event"] == "report"
     finally:
         store.close()
 

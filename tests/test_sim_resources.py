@@ -1,8 +1,8 @@
-"""Unit tests for Resource, Store, and LevelContainer primitives."""
+"""Unit tests for the Resource and Store primitives."""
 
 import pytest
 
-from repro.sim import Environment, LevelContainer, Resource, Store
+from repro.sim import Environment, Resource, Store
 
 
 def test_resource_grants_up_to_capacity():
@@ -149,64 +149,19 @@ def test_store_capacity_blocks_put():
     assert times == [0, 5]
 
 
-def test_store_predicate_get():
-    env = Environment()
-    store = Store(env)
-    got = []
-
-    def setup(env):
-        yield store.put({"key": "a"})
-        yield store.put({"key": "b"})
-
-    def consumer(env):
-        yield env.timeout(1)
-        item = yield store.get(lambda it: it["key"] == "b")
-        got.append(item["key"])
-        item = yield store.get()
-        got.append(item["key"])
-
-    env.process(setup(env))
-    env.process(consumer(env))
-    env.run()
-    assert got == ["b", "a"]
-
-
-def test_store_predicate_waits_for_match():
-    env = Environment()
-    store = Store(env)
-    got = []
-
-    def consumer(env):
-        item = yield store.get(lambda it: it == "wanted")
-        got.append((item, env.now))
-
-    def producer(env):
-        yield store.put("other")
-        yield env.timeout(2)
-        yield store.put("wanted")
-
-    env.process(consumer(env))
-    env.process(producer(env))
-    env.run()
-    assert got == [("wanted", 2)]
-    assert list(store.items) == ["other"]
-
-
 def _store_wakeups(put_item):
-    """Getters (some filtered) park, then items arrive through
-    ``put_item(store, item)``; returns (getter, item, time) in wake order."""
+    """Getters park, then items arrive through ``put_item(store,
+    item)``; returns (getter, item, time) in wake order."""
     env = Environment()
     store = Store(env)
     woke = []
 
-    def getter(name, predicate=None):
-        item = yield store.get(predicate)
+    def getter(name):
+        item = yield store.get()
         woke.append((name, item, env.now))
 
-    env.process(getter("odd", lambda it: it % 2 == 1))
-    env.process(getter("any"))
-    env.process(getter("big", lambda it: it > 3))
-    env.process(getter("any2"))
+    for name in ("a", "b", "c", "d"):
+        env.process(getter(name))
 
     def producer():
         yield env.timeout(1)
@@ -225,7 +180,10 @@ def test_store_put_nowait_wakes_getters_like_put():
     by_put = _store_wakeups(lambda store, item: store.put(item))
     by_put_nowait = _store_wakeups(lambda store, item: store.put_nowait(item))
     assert by_put_nowait == by_put
-    assert [name for name, _, _ in by_put[0]] == ["any", "big", "odd", "any2"]
+    assert by_put == (
+        [("a", 2, 1), ("b", 4, 1), ("c", 5, 1), ("d", 7, 2)],
+        [1],
+    )
 
 
 def test_store_put_nowait_rejects_bounded_store():
@@ -233,60 +191,3 @@ def test_store_put_nowait_rejects_bounded_store():
     with pytest.raises(ValueError):
         store.put_nowait("x")
     assert len(store) == 0
-
-
-def test_level_container_get_blocks_until_level():
-    env = Environment()
-    tank = LevelContainer(env, capacity=100, init=0)
-    got = []
-
-    def consumer(env):
-        yield tank.get(30)
-        got.append(env.now)
-
-    def producer(env):
-        yield env.timeout(1)
-        yield tank.put(10)
-        yield env.timeout(1)
-        yield tank.put(25)
-
-    env.process(consumer(env))
-    env.process(producer(env))
-    env.run()
-    assert got == [2]
-    assert tank.level == 5
-
-
-def test_level_container_put_blocks_at_capacity():
-    env = Environment()
-    tank = LevelContainer(env, capacity=10, init=10)
-    times = []
-
-    def producer(env):
-        yield tank.put(5)
-        times.append(env.now)
-
-    def consumer(env):
-        yield env.timeout(3)
-        yield tank.get(6)
-
-    env.process(producer(env))
-    env.process(consumer(env))
-    env.run()
-    assert times == [3]
-    assert tank.level == 9
-
-
-def test_level_container_rejects_negative_amounts():
-    env = Environment()
-    tank = LevelContainer(env, capacity=10)
-    with pytest.raises(ValueError):
-        tank.put(-1)
-    with pytest.raises(ValueError):
-        tank.get(-1)
-
-
-def test_level_container_init_validation():
-    env = Environment()
-    with pytest.raises(ValueError):
-        LevelContainer(env, capacity=5, init=6)

@@ -1,13 +1,15 @@
 #!/usr/bin/env python3
-"""Regenerate the golden replay reports under ``tests/golden/``.
+"""Regenerate the golden reports under ``tests/golden/``.
 
-Each registered execution system gets one canonical fixture: the merged
-JSON report of a small fixed trace (one app, two tenants) replayed
-through the replay engine's serial fold.  The comparator in
-``tests/test_golden_reports.py`` re-runs the same scenario on every test
-run and diffs byte-for-byte, so any drift in the simulator, the metrics
-layer, or the report serialization is caught explicitly instead of
-silently absorbed.
+Each registered execution system gets one canonical replay fixture: the
+merged JSON report of a small fixed trace (one app, two tenants)
+replayed through the replay engine's serial fold.  ``repro run --format
+json`` gets fixtures too, for the systems in :data:`RUN_SYSTEMS` under
+each of :data:`RUN_SCENARIOS` (open loop, closed loop, trace arrivals).
+The comparator in ``tests/test_golden_reports.py`` re-runs the same
+scenarios on every test run and diffs byte-for-byte, so any drift in the
+simulator, the metrics layer, or the report serialization is caught
+explicitly instead of silently absorbed.
 
 Run after an *intentional* behavior change::
 
@@ -19,6 +21,9 @@ them.
 
 from __future__ import annotations
 
+import contextlib
+import io
+import os
 import sys
 from pathlib import Path
 
@@ -26,6 +31,7 @@ ROOT = Path(__file__).resolve().parent.parent
 if str(ROOT / "src") not in sys.path:
     sys.path.insert(0, str(ROOT / "src"))
 
+from repro.cli import main as cli_main  # noqa: E402
 from repro.experiments.common import system_names  # noqa: E402
 from repro.loadgen.trace import InvocationTrace  # noqa: E402
 from repro.metrics.report import render_json  # noqa: E402
@@ -64,11 +70,64 @@ def golden_path(system_name: str) -> Path:
     return GOLDEN_DIR / f"replay_{system_name}__{GOLDEN_APP}.json"
 
 
+#: Systems whose ``repro run`` reports are pinned: DataFlower and the
+#: centralized control-flow baseline it is compared against.
+RUN_SYSTEMS = ("dataflower", "production")
+
+#: ``(app, --arrivals)`` scenarios for the ``repro run`` fixtures.  The
+#: trace path is relative to the repo root (it is echoed into the
+#: report's ``arrivals`` field, so it must not depend on the checkout).
+RUN_SCENARIOS = (
+    ("wc", "constant:60:20"),
+    ("wc", "closed:4:20"),
+    ("ml_ensemble", "trace:examples/traces/sample_trace.json"),
+)
+
+
+def run_cases():
+    """Every ``(system, app, arrivals)`` the run fixtures cover."""
+    return [
+        (system_name, app, arrivals)
+        for system_name in RUN_SYSTEMS
+        for app, arrivals in RUN_SCENARIOS
+    ]
+
+
+def golden_run_report(system_name: str, app: str, arrivals: str) -> str:
+    """The ``repro run --format json`` output for one case (trailing
+    newline), run from the repo root so the trace path resolves."""
+    out = io.StringIO()
+    cwd = os.getcwd()
+    os.chdir(ROOT)
+    try:
+        with contextlib.redirect_stdout(out):
+            code = cli_main([
+                "run", "--system", system_name, "--app", app,
+                "--arrivals", arrivals, "--format", "json",
+            ])
+    finally:
+        os.chdir(cwd)
+    if code != 0:
+        raise RuntimeError(
+            f"repro run {system_name}/{app}/{arrivals} exited {code}"
+        )
+    return out.getvalue()
+
+
+def golden_run_path(system_name: str, app: str, arrivals: str) -> Path:
+    kind = arrivals.split(":", 1)[0]
+    return GOLDEN_DIR / f"run_{system_name}__{app}__{kind}.json"
+
+
 def main(argv=None) -> int:
     GOLDEN_DIR.mkdir(parents=True, exist_ok=True)
     for system_name in system_names():
         path = golden_path(system_name)
         path.write_text(golden_report(system_name))
+        print(f"[wrote {path.relative_to(ROOT)}]")
+    for case in run_cases():
+        path = golden_run_path(*case)
+        path.write_text(golden_run_report(*case))
         print(f"[wrote {path.relative_to(ROOT)}]")
     return 0
 
