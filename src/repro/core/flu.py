@@ -20,6 +20,7 @@ from ..workflow.profiles import FunctionProfile
 if TYPE_CHECKING:  # pragma: no cover
     from ..metrics.latency import TaskRecord
     from ..sim.events import Event
+    from ..systems.base import Deployment, RequestState
 
 
 @dataclass
@@ -33,7 +34,11 @@ class FluInvocation:
     #: Fails with ReDoSignal if the FLU dies mid-computation, so that
     #: streaming pushes gated on it abandon cleanly.
     compute_done: "Event"
-    #: Shared flag; ``[True]`` stops checkpoint retries of this attempt.
+    #: Where the invocation runs: what a crash needs to ReDo the task.
+    deployment: "Deployment"
+    state: "RequestState"
+    #: Shared flag; ``[True]`` stops the FLU's next step and checkpoint
+    #: retries of this attempt.
     cancel_token: List[bool] = field(default_factory=lambda: [False])
     #: Per-output "datum fully produced" events; for fan-out outputs the
     #: branches complete progressively (Figure 5(b)'s pipelined FLUs), so

@@ -8,8 +8,9 @@ by the multi-level key ``(RequestID, TaskID, DataName)``.
 Lifetime management (the Figure 14 win over FaaSFlow):
 
 * **Proactive release** — an entry is freed as soon as the destination FLU
-  has received the data *and completed*, instead of at request completion.
-  (Completion, not fetch, so a crashed FLU can ReDo from the sink.)
+  has received the data, instead of at request completion.  A crashed
+  FLU's ReDo then backtracks to the producer (§6.2); a fetch still in
+  flight when its FLU is aborted keeps the entry for the ReDo.
 * **Passive expire** — entries not consumed within a TTL spill to the
   function-exclusive disk, trading memory for a later disk read.
 """
@@ -18,7 +19,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Optional, Sequence, Tuple
 
 from ..cluster.node import Node
 
@@ -122,7 +123,8 @@ class WaitMatchMemory:
 
     # -- fetch ------------------------------------------------------------------
 
-    def fetch(self, key: SinkKey) -> "Event":
+    def fetch(self, key: SinkKey,
+              cancel_token: Sequence[bool] = (False,)) -> "Event":
         """Copy the datum into a container's WORKDIR; the event fires when
         it is there (and fails with :class:`KeyError` for a missing key).
 
@@ -130,7 +132,9 @@ class WaitMatchMemory:
         the disk read first.  Once the destination FLU has received the
         data the entry is **proactively released** (§7) — if that FLU later
         crashes, the engine backtracks and ReDoes the producer (§6.2).
-        The entry is looked up in the next urgent slot, not at the call.
+        A fetch whose FLU was aborted (``cancel_token[0]`` set by the time
+        the copy lands) keeps the entry for the ReDo.  The entry is looked
+        up in the next urgent slot, not at the call.
         """
         done = self.env.event()
 
@@ -148,7 +152,7 @@ class WaitMatchMemory:
 
             def copied(_event: "Event") -> None:
                 entry.fetched = True
-                if self.proactive_release:
+                if self.proactive_release and not cancel_token[0]:
                     self._free(entry)
                 done.succeed()
 

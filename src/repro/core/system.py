@@ -30,7 +30,6 @@ from typing import TYPE_CHECKING, Dict, Optional, Set
 
 from ..cluster.container import Container
 from ..cluster.node import Node
-from ..sim.process import Interrupt
 from ..workflow.instance import Task
 from ..systems.base import Deployment, RequestState, WorkflowSystem
 from .config import DataFlowerConfig
@@ -58,8 +57,8 @@ class DataFlowerSystem(WorkflowSystem):
         self.config: DataFlowerConfig = config
         self.router = PipeRouter(env, cluster, config)
         self.engines: Dict[str, NodeEngine] = {}
-        #: container_id -> the Process of the FLU currently running there.
-        self.active_flus: Dict[str, object] = {}
+        #: container_id -> the invocation of the FLU running there.
+        self.active_flus: Dict[str, FluInvocation] = {}
         self.redo_count = 0
         from .prewarm import PrewarmPolicy
 
@@ -107,6 +106,7 @@ class DataFlowerSystem(WorkflowSystem):
         state.task_done = {t.task_id: False for t in state.graph.tasks}  # type: ignore[attr-defined]
         state.finished = False  # type: ignore[attr-defined]
         state.redo_guard = set()  # type: ignore[attr-defined]
+        state.exec_seq = {}  # type: ignore[attr-defined]
         state.finish = finish  # type: ignore[attr-defined]
 
         # Make sure each involved node has its engine before data arrives.
@@ -183,8 +183,6 @@ class DataFlowerSystem(WorkflowSystem):
 
     def _start_flu(self, deployment, state, task: Task,
                    container: Container) -> None:
-        if not hasattr(state, "exec_seq"):
-            state.exec_seq = {}
         sequence = state.exec_seq.get(task.task_id, 0) + 1
         state.exec_seq[task.task_id] = sequence
         invocation = FluInvocation(
@@ -193,39 +191,36 @@ class DataFlowerSystem(WorkflowSystem):
             record=state.task_record(task.task_id),
             attempt=sequence,
             compute_done=self.env.event(),
+            deployment=deployment,
+            state=state,
         )
-        process = self.env.process(
-            self._run_flu(deployment, state, invocation)
-        )
-        self.active_flus[container.container_id] = process
+        self.active_flus[container.container_id] = invocation
+        self.env.call_soon(lambda _event: self._run_flu(invocation))
 
-    def _run_flu(self, deployment, state, invocation: FluInvocation):
+    def _run_flu(self, invocation: FluInvocation) -> None:
+        """The FLU, as a chain of callbacks: load the inputs from the
+        Wait-Match Memory, compute, then free the container.
+
+        Each step runs where a generator process resuming on the same
+        event would: the kick-off in an urgent slot (``call_soon``), the
+        compute step and the completion step as callbacks of the fetch
+        ``AllOf`` and the compute event.  A step returns at once when
+        :meth:`_abort_flu` has set the invocation's ``cancel_token``.
+        """
+        deployment, state = invocation.deployment, invocation.state
         task = invocation.task
         container = invocation.container
         record = invocation.record
         plane: RequestDataPlane = state.plane
         node = plane.node_of_task(task)
-        engine = self.engine_of(node)
-        sink = engine.sink
-        function = deployment.workflow.functions[task.function]
-        profile = function.profile
-        dispatcher = deployment.dispatcher(task.function)
+        sink = self.engine_of(node).sink
+        profile = deployment.workflow.functions[task.function].profile
+        cancel_token = invocation.cancel_token
+        record.exec_start = self.env.now
+        record.cold_start = container.invocations_served == 0
 
-        try:
-            record.exec_start = self.env.now
-            record.cold_start = container.invocations_served == 0
-
-            # Load inputs from the Wait-Match Memory.
-            fetch_start = self.env.now
-            fetches = []
-            if task.is_entry and state.graph.request.input_bytes > 0:
-                fetches.append(sink.fetch(plane.user_input_key(task)))
-            for edge in task.inputs:
-                fetches.append(sink.fetch(plane.input_key(task, edge)))
-            if fetches:
-                yield self.env.all_of(fetches)
-            record.get_s = self.env.now - fetch_start
-
+        def compute() -> None:
+            record.get_s = self.env.now - record.exec_start
             # Compute, with the DLU starting pushes at the first chunk.
             core_seconds = profile.compute.core_seconds(
                 task.input_bytes, self.rng.stream(f"compute:{task.function}")
@@ -233,45 +228,75 @@ class DataFlowerSystem(WorkflowSystem):
             duration = container.compute_seconds(core_seconds)
             compute_start = self.env.now
             self._schedule_pushes(deployment, state, invocation, duration)
-            yield container.compute(core_seconds)
-            record.compute_s = self.env.now - compute_start
-            record.exec_end = self.env.now
-            invocation.compute_done.succeed()
 
-            # Pressure-aware scaling (Equation 1).
-            size = invocation.remote_stream_bytes(
-                plane, node, self.cluster.gateway, self.config.small_data_bytes
-            )
-            decision = evaluate_pressure(
-                size,
-                container.spec.net_bytes_per_s,
-                duration,
-                self.config.pressure_alpha,
-                enabled=self.config.pressure_aware,
-            )
-            self.active_flus.pop(container.container_id, None)
-            dispatcher.release(container, delay_s=decision.block_s)
-            if decision.backpressure:
-                # The engine reacts to the Callstack blocking signal by
-                # scaling out in the normal serverless manner.
-                dispatcher.maybe_scale_out()
+            def computed(_event) -> None:
+                if cancel_token[0]:
+                    return
+                record.compute_s = self.env.now - compute_start
+                record.exec_end = self.env.now
+                invocation.compute_done.succeed()
 
-            self._complete_task(deployment, state, task)
-        except Interrupt:
-            # Container crashed mid-invocation: sever its connectors and
-            # ReDo on a fresh container (§6.2).
-            self.active_flus.pop(container.container_id, None)
-            invocation.cancel_token[0] = True
-            if not invocation.compute_done.triggered:
-                invocation.compute_done.fail(ReDoSignal())
-                invocation.compute_done.defused = True
-            for gate in invocation.edge_events.values():
-                if not gate.triggered:
-                    gate.fail(ReDoSignal())
-                    gate.defused = True
-            self.router.cancel_container_flows(container)
-            dispatcher.pool.recycle(container)
-            self._redo_task(deployment, state, task, ("exec", invocation.attempt))
+                # Pressure-aware scaling (Equation 1).
+                size = invocation.remote_stream_bytes(
+                    plane, node, self.cluster.gateway,
+                    self.config.small_data_bytes,
+                )
+                decision = evaluate_pressure(
+                    size,
+                    container.spec.net_bytes_per_s,
+                    duration,
+                    self.config.pressure_alpha,
+                    enabled=self.config.pressure_aware,
+                )
+                self.active_flus.pop(container.container_id, None)
+                dispatcher = deployment.dispatcher(task.function)
+                dispatcher.release(container, delay_s=decision.block_s)
+                if decision.backpressure:
+                    # The engine reacts to the Callstack blocking signal by
+                    # scaling out in the normal serverless manner.
+                    dispatcher.maybe_scale_out()
+                self._complete_task(deployment, state, task)
+
+            container.compute(core_seconds).callbacks.append(computed)
+
+        def fetched(event) -> None:
+            # A failed fetch is left undefused, so it raises out of env.run.
+            if not cancel_token[0] and event._exception is None:
+                compute()
+
+        fetches = []
+        if task.is_entry and state.graph.request.input_bytes > 0:
+            fetches.append(sink.fetch(plane.user_input_key(task), cancel_token))
+        for edge in task.inputs:
+            fetches.append(sink.fetch(plane.input_key(task, edge), cancel_token))
+        if fetches:
+            self.env.all_of(fetches).callbacks.append(fetched)
+        else:
+            compute()
+
+    def _abort_flu(self, invocation: FluInvocation) -> None:
+        """The container crashed mid-invocation: sever its connectors and
+        ReDo on a fresh container (§6.2).  A no-op once the FLU finished
+        or was aborted."""
+        container = invocation.container
+        if self.active_flus.get(container.container_id) is not invocation:
+            return
+        del self.active_flus[container.container_id]
+        invocation.cancel_token[0] = True
+        if not invocation.compute_done.triggered:
+            invocation.compute_done.fail(ReDoSignal())
+            invocation.compute_done.defused = True
+        for gate in invocation.edge_events.values():
+            if not gate.triggered:
+                gate.fail(ReDoSignal())
+                gate.defused = True
+        self.router.cancel_container_flows(container)
+        deployment = invocation.deployment
+        deployment.dispatcher(invocation.task.function).pool.recycle(container)
+        self._redo_task(
+            deployment, invocation.state, invocation.task,
+            ("exec", invocation.attempt),
+        )
 
     # -- DLU pushes -------------------------------------------------------------------
 
@@ -455,19 +480,22 @@ class DataFlowerSystem(WorkflowSystem):
 
         # Backtracking: mark the missing data undelivered so the normal
         # availability-triggered path re-fires this task on re-arrival.
-        for edge in missing_edges:
-            key = plane.input_key(task, edge)
-            plane.delivered.discard(key)
-            plane._waiting[task.task_id] += 1
+        # A key an earlier ReDo already marked is waited for only once.
+        missing_keys = [plane.input_key(task, edge) for edge in missing_edges]
         if user_input_missing:
-            plane.delivered.discard(plane.user_input_key(task))
-            plane._waiting[task.task_id] += 1
+            missing_keys.append(plane.user_input_key(task))
+        for key in missing_keys:
+            if key in plane.delivered:
+                plane.delivered.remove(key)
+                plane._waiting[task.task_id] += 1
 
+        # One backtrack per producer execution, however many of its
+        # consumers lost their input.
         for edge in missing_edges:
             producer = edge.src
             self._redo_task(
                 deployment, state, producer,
-                attempt=("bt", state.task_record(producer.task_id).retries),
+                attempt=("bt", state.exec_seq[producer.task_id]),
             )
         if user_input_missing:
             # The input is missing only if it had bytes to deposit.
@@ -479,10 +507,11 @@ class DataFlowerSystem(WorkflowSystem):
     # -- fault injection -----------------------------------------------------------------
 
     def crash_container(self, container: Container) -> None:
-        """Kill a container: interrupt its FLU and sever its connectors."""
-        process = self.active_flus.get(container.container_id)
-        if process is not None and getattr(process, "is_alive", False):
-            process.interrupt("container crash")
+        """Kill a container: abort its FLU and sever its connectors."""
+        invocation = self.active_flus.get(container.container_id)
+        if invocation is not None:
+            # The urgent slot, so the abort runs before the FLU's next step.
+            self.env.call_soon(lambda _event: self._abort_flu(invocation))
             return
         # No FLU running: the container may still be draining DLU data.
         self.router.cancel_container_flows(container)

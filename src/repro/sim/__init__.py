@@ -12,7 +12,7 @@ Public surface::
 
 from .environment import EmptySchedule, Environment
 from .events import AllOf, AnyOf, ConditionEvent, Event, Timeout
-from .process import Interrupt, Process
+from .process import Process
 from .resources import Request, Resource, Store
 from .rng import RngRegistry
 
@@ -23,7 +23,6 @@ __all__ = [
     "EmptySchedule",
     "Environment",
     "Event",
-    "Interrupt",
     "Process",
     "Request",
     "Resource",

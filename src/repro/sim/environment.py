@@ -11,7 +11,7 @@ Events are processed in (time, priority, insertion-order) order, kept in
 two queues:
 
 * the **urgent lane**, a FIFO deque of events due *now* that must run
-  before every normal event (process kick-offs, interrupts,
+  before every normal event (process kick-offs and every other
   :meth:`Environment.call_soon`);
 * the **heap** of normal events, ordered by (time, insertion-order).
 
@@ -57,7 +57,7 @@ class Environment:
     insertion-order) order, which makes runs fully deterministic.
     """
 
-    __slots__ = ("_now", "_queue", "_urgent", "_eid", "_active_stack")
+    __slots__ = ("_now", "_queue", "_urgent", "_eid")
 
     def __init__(self, initial_time: float = 0.0) -> None:
         self._now = float(initial_time)
@@ -66,7 +66,6 @@ class Environment:
         #: The urgent lane: events due now, ahead of every normal event.
         self._urgent: Deque[Event] = deque()
         self._eid = 0
-        self._active_stack: List[Process] = []
 
     # -- clock ---------------------------------------------------------------
 
@@ -174,7 +173,7 @@ class Environment:
     def schedule_urgent(self, event: Event) -> None:
         """Queue ``event`` on the urgent lane: *now*, ahead of normal events.
 
-        The process kick-off/interrupt hot path; O(1).
+        The process kick-off and ``call_soon`` hot path; O(1).
         """
         self._urgent.append(event)
 
@@ -255,16 +254,6 @@ class Environment:
             exception = event._exception
             if exception is not None and not event.defused:
                 raise exception
-
-    # -- active-process bookkeeping (used by Process.interrupt) ---------------
-
-    @property
-    def active_process(self) -> Optional[Process]:
-        """The process currently being advanced, if any.
-
-        ``Process._advance`` pushes itself onto ``_active_stack`` for the
-        span of one generator step."""
-        return self._active_stack[-1] if self._active_stack else None
 
     def __repr__(self) -> str:
         pending = len(self._queue) + len(self._urgent)

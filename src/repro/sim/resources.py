@@ -40,10 +40,6 @@ class Request(Event):
     def __exit__(self, exc_type: Any, exc: Any, tb: Any) -> None:
         self.resource.release(self)
 
-    def cancel(self) -> None:
-        """Withdraw a not-yet-granted request (no-op if already granted)."""
-        self.resource._cancel(self)
-
 
 class Resource:
     """A resource with integer capacity and FIFO request queue."""
@@ -71,8 +67,11 @@ class Resource:
         try:
             self.users.remove(request)
         except ValueError:
-            # Releasing an ungranted request cancels it instead.
-            self._cancel(request)
+            # Releasing an ungranted request withdraws it from the queue.
+            try:
+                self.queue.remove(request)
+            except ValueError:
+                pass
             return
         self._grant_next()
 
@@ -84,12 +83,6 @@ class Resource:
             request.succeed()
         else:
             self.queue.append(request)
-
-    def _cancel(self, request: Request) -> None:
-        try:
-            self.queue.remove(request)
-        except ValueError:
-            pass
 
     def _grant_next(self) -> None:
         while self.queue and len(self.users) < self.capacity:
@@ -106,13 +99,6 @@ class StorePut(Event):
         self.store = store
         self.item = item
 
-    def cancel(self) -> None:
-        """Withdraw a not-yet-admitted put (e.g. after an interrupt)."""
-        try:
-            self.store._putters.remove(self)
-        except ValueError:
-            pass
-
 
 class StoreGet(Event):
     __slots__ = ("store",)
@@ -120,17 +106,6 @@ class StoreGet(Event):
     def __init__(self, store: "Store") -> None:
         super().__init__(store.env)
         self.store = store
-
-    def cancel(self) -> None:
-        """Withdraw a not-yet-satisfied get (e.g. after an interrupt).
-
-        Without this, an interrupted waiter's get stays queued and will
-        silently swallow the next item.
-        """
-        try:
-            self.store._getters.remove(self)
-        except ValueError:
-            pass
 
 
 class Store:

@@ -139,3 +139,101 @@ def test_crash_of_idle_container_is_harmless():
     done2 = submit(system, app, workflow, rid="r2")
     record2 = env.run(until=done2)
     assert record2.completed
+
+
+def test_two_crashes_in_one_instant_abort_the_flu_once():
+    env, cluster, system, app, workflow = build("wc")
+    crash = system.crash_container
+    system.crash_container = lambda container: (crash(container),
+                                                crash(container))
+    injector = FailureInjector(system)
+    injector.crash_when_busy(workflow.name, "wordcount_start")
+    record = env.run(until=submit(system, app, workflow))
+    assert injector.log.crashes
+    assert record.completed, record.error
+    assert system.redo_count == 1
+    assert record.task("wordcount_start").retries == 1
+
+
+def test_crashed_flu_leaves_its_inputs_for_the_redo():
+    """The aborted FLU's in-flight fetch must not release the input that
+    its ReDo fetches again (it used to raise KeyError out of run)."""
+    env, cluster, system, app, workflow = build("etl")
+    injector = FailureInjector(system)
+    injector.crash_when_busy(workflow.name, "etl_ingest")
+    record = env.run(until=submit(system, app, workflow, rid="r0"))
+    assert injector.log.crashes
+    assert record.completed, record.error
+    assert record.task("etl_ingest").retries == 1
+
+
+@pytest.mark.parametrize(
+    "app_name,consumer,producer",
+    [("ml_ensemble", "ens_vote", "ens_preprocess"),
+     ("svd", "svd_merge", "svd_split")],
+)
+def test_fan_in_consumer_crash_backtracks_a_shared_producer_once(
+    app_name, consumer, producer
+):
+    """A crashed fan-in consumer backtracks each producer branch; the
+    producer they share is ReDone once, and the request completes (it
+    used to hang waiting for inputs counted twice)."""
+    env, cluster, system, app, workflow = build(app_name)
+    injector = FailureInjector(system)
+    injector.crash_when_busy(workflow.name, consumer)
+    record = env.run(until=submit(system, app, workflow, rid="r0"))
+    assert injector.log.crashes
+    assert record.completed, record.error
+    assert record.task(producer).retries == 1
+
+
+def test_failed_fetch_raises_out_of_run(monkeypatch):
+    from repro.core.sink import WaitMatchMemory
+
+    fetch = WaitMatchMemory.fetch
+    monkeypatch.setattr(
+        WaitMatchMemory, "fetch",
+        lambda self, key, *args: fetch(self, ("no-such",) + key[1:], *args),
+    )
+    env, cluster, system, app, workflow = build("wc")
+    done = submit(system, app, workflow)
+    with pytest.raises(KeyError, match="no entry"):
+        env.run(until=done)
+
+
+def _once_run(env, task_record):
+    """An event that fires once ``task_record`` shows a finished run."""
+    fired = env.event()
+
+    def poll(_event):
+        if task_record.exec_end > 0:
+            fired.succeed()
+        else:
+            env.call_later(0.001, poll)
+
+    env.call_soon(poll)
+    return fired
+
+
+def test_two_redos_that_find_an_input_lost_wait_for_it_once():
+    """Each ReDo that finds an input released marks it undelivered; the
+    task must still wait for that input once, not once per ReDo."""
+    env, cluster, system, app, workflow = build("wc")
+    started = []
+    execute = system._execute_request
+
+    def capture(deployment, state, finish):
+        started.append((deployment, state))
+        execute(deployment, state, finish)
+
+    system._execute_request = capture
+    done = submit(system, app, workflow)
+    deployment, state = started[0]
+    entry = next(task for task in state.graph.tasks if task.is_entry)
+    env.run(until=_once_run(env, state.task_record(entry.task_id)))
+    assert not done.triggered  # the entry ran and its input was released
+    system._redo_task(deployment, state, entry, ("exec", 1))
+    system._redo_task(deployment, state, entry, ("bt", 1))
+    assert state.plane.waiting_count(entry) == 1
+    record = env.run(until=done)
+    assert record.completed, record.error

@@ -24,11 +24,16 @@ link for its share once, events fell to 14453 (301.10 per request) on
 3304 (68.83) to 2728 (56.83) and from 36252 to 10151 (317.22);
 processes did not change.
 
-``PINNED`` holds the counts once each link cached its share until a flow
-joined or left it: share calls fell from 2728 to 2458 (51.21 per
-request) on ``dataflower`` and from 10151 to 3034 (94.81) on
-``production``; events and processes did not change.  To
-re-pin after a change that lowers a count, run
+Once each link cached its share until a flow joined or left it, share
+calls fell from 2728 to 2458 (51.21 per request) on ``dataflower`` and
+from 10151 to 3034 (94.81) on ``production``; events and processes did
+not change.
+
+``PINNED`` holds the counts once the FLU became a callback chain with an
+explicit abort instead of an interruptible generator: on ``dataflower``
+processes fell from 486 to 150 (3.13 per request) and events from 14453
+to 14117 (294.10), the FLU processes' completion events; ``production``
+runs no FLU and did not change.  To re-pin after a change that lowers a count, run
 ``python -m pytest -s tests/test_kernel_counts.py``: the first test
 prints the measured totals; copy them into ``PINNED``.  Raise a pin
 only with the reason written in CHANGES.md.
@@ -50,7 +55,7 @@ APPS = ("wc", "etl", "ml_ensemble", "vid")
 #: Totals over the replay of each trace at seed 7 (divide by the trace's
 #: request count for per-request values).
 PINNED = {
-    "dataflower": {"processes": 486, "events": 14453, "share_calls": 2458},
+    "dataflower": {"processes": 150, "events": 14117, "share_calls": 2458},
     "production": {"processes": 1006, "events": 9332, "share_calls": 3034},
 }
 

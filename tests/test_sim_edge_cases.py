@@ -1,102 +1,7 @@
-"""Edge-case tests for the kernel under interrupts and cancellations."""
+"""Edge-case tests for the kernel and the experiment CLI."""
 
-import pytest
-
-from repro.sim import Environment, Interrupt, Resource, Store
+from repro.sim import Environment
 from repro.experiments.registry import ExperimentResult
-
-
-def test_interrupt_while_queued_on_resource():
-    """An interrupted waiter must not hold a phantom place in the queue."""
-    env = Environment()
-    resource = Resource(env, capacity=1)
-    outcomes = []
-
-    def holder(env):
-        with resource.request() as req:
-            yield req
-            yield env.timeout(10)
-
-    def impatient(env):
-        request = resource.request()
-        try:
-            yield request
-            outcomes.append("granted")
-        except Interrupt:
-            request.cancel()
-            outcomes.append("walked away")
-
-    def patient(env):
-        with resource.request() as req:
-            yield req
-            outcomes.append(("patient", env.now))
-
-    env.process(holder(env))
-    victim = env.process(impatient(env))
-    env.process(patient(env))
-
-    def interrupter(env):
-        yield env.timeout(1)
-        victim.interrupt()
-
-    env.process(interrupter(env))
-    env.run()
-    assert "walked away" in outcomes
-    assert ("patient", 10) in outcomes
-
-
-def test_interrupt_while_waiting_on_store():
-    env = Environment()
-    store = Store(env)
-    caught = []
-
-    def consumer(env):
-        get_event = store.get()
-        try:
-            yield get_event
-        except Interrupt:
-            get_event.cancel()  # withdraw, or the get would eat an item
-            caught.append(env.now)
-
-    victim = env.process(consumer(env))
-
-    def interrupter(env):
-        yield env.timeout(2)
-        victim.interrupt()
-        # Interrupt delivery is asynchronous: give it one tick so the
-        # victim can withdraw its get before the item arrives.
-        yield env.timeout(0.001)
-        yield store.put("late")
-
-    env.process(interrupter(env))
-    env.run()
-    assert caught == [2]
-    # The interrupted getter must not consume the item.
-    assert list(store.items) == ["late"]
-
-
-def test_double_interrupt_is_safe():
-    env = Environment()
-    log = []
-
-    def sleeper(env):
-        for _ in range(2):
-            try:
-                yield env.timeout(100)
-            except Interrupt as interrupt:
-                log.append(interrupt.cause)
-
-    victim = env.process(sleeper(env))
-
-    def interrupter(env):
-        yield env.timeout(1)
-        victim.interrupt("first")
-        yield env.timeout(1)
-        victim.interrupt("second")
-
-    env.process(interrupter(env))
-    env.run(until=10)
-    assert log == ["first", "second"]
 
 
 def test_process_waiting_on_failed_process_propagates():

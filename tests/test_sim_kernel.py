@@ -11,7 +11,6 @@ from repro.sim import (
     EmptySchedule,
     Environment,
     Event,
-    Interrupt,
     RngRegistry,
     Timeout,
 )
@@ -256,87 +255,6 @@ def test_condition_on_already_processed_event():
     assert results == [["x"]]
 
 
-def test_interrupt_delivers_cause():
-    env = Environment()
-    causes = []
-
-    def sleeper(env):
-        try:
-            yield env.timeout(100)
-        except Interrupt as interrupt:
-            causes.append((env.now, interrupt.cause))
-
-    victim = env.process(sleeper(env))
-
-    def interrupter(env):
-        yield env.timeout(3)
-        victim.interrupt("wake up")
-
-    env.process(interrupter(env))
-    env.run()
-    assert causes == [(3, "wake up")]
-
-
-def test_interrupt_terminated_process_is_error():
-    env = Environment()
-
-    def quick(env):
-        yield env.timeout(1)
-
-    victim = env.process(quick(env))
-
-    def interrupter(env):
-        yield env.timeout(5)
-        with pytest.raises(RuntimeError):
-            victim.interrupt()
-
-    env.process(interrupter(env))
-    env.run()
-
-
-def test_process_cannot_interrupt_itself():
-    env = Environment()
-    seen = []
-
-    def selfish(env):
-        yield env.timeout(1)
-        assert env.active_process is me
-        with pytest.raises(RuntimeError, match="cannot interrupt itself"):
-            me.interrupt()
-        seen.append(env.now)
-        yield env.timeout(1)
-        seen.append(env.now)
-
-    me = env.process(selfish(env))
-    env.run()
-    # The guard raised before scheduling anything: no Interrupt arrived.
-    assert seen == [1, 2]
-    assert env.active_process is None
-
-
-def test_interrupted_process_can_continue():
-    env = Environment()
-    trace = []
-
-    def sleeper(env):
-        try:
-            yield env.timeout(100)
-        except Interrupt:
-            trace.append("interrupted")
-        yield env.timeout(1)
-        trace.append(env.now)
-
-    victim = env.process(sleeper(env))
-
-    def interrupter(env):
-        yield env.timeout(2)
-        victim.interrupt()
-
-    env.process(interrupter(env))
-    env.run()
-    assert trace == ["interrupted", 3]
-
-
 def test_step_on_empty_schedule_raises():
     env = Environment()
     with pytest.raises(EmptySchedule):
@@ -443,7 +361,6 @@ _OPS = st.one_of(
     st.tuples(st.just("wait"), _DELAYS),
     st.tuples(st.just("chain"), _DELAYS, _DELAYS),
     st.tuples(st.just("zero")),
-    st.tuples(st.just("interrupt"), _DELAYS),
 )
 _CONTROLS = st.one_of(
     st.tuples(st.just("run_until"), st.sampled_from([0.0, 0.5, 1.0, 3.0])),
@@ -495,9 +412,9 @@ def _run_program(program, form, env_class=Environment):
 
     Every "wait d, then act" is written in ``form``: an ``env.process``
     (``"process"``), ``call_soon`` -> ``call_later`` (``"callbacks"``),
-    or ``env.defer`` (``"defer"``).  The zero-delay timeouts, the
-    interrupted process and the driver calls (``run(until=...)``,
-    ``step()``, ``peek()``) are the same in every form.
+    or ``env.defer`` (``"defer"``).  The zero-delay timeouts and the
+    driver calls (``run(until=...)``, ``step()``, ``peek()``) are the
+    same in every form.
     The driver runs between batches of ops issued from outside the run
     loop, so urgent kick-offs are pending when it peeks and steps.
 
@@ -534,23 +451,9 @@ def _run_program(program, form, env_class=Environment):
                 wait_then(op[2], lambda: log.append((tag, "second", env.now)))
 
             wait_then(op[1], first)
-        elif kind == "zero":
+        else:
             env.timeout(0).callbacks.append(
                 lambda _e: log.append((tag, "zero", env.now))
-            )
-        else:
-            def sleeper():
-                try:
-                    yield env.timeout(10.0)
-                    log.append((tag, "slept", env.now))
-                except Interrupt:
-                    log.append((tag, "interrupted", env.now))
-                    yield env.timeout(0)
-                    log.append((tag, "resumed", env.now))
-
-            victim = env.process(sleeper())
-            wait_then(
-                op[1], lambda: victim.interrupt() if victim.is_alive else None
             )
 
     def step_until_logged():

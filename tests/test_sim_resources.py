@@ -73,7 +73,7 @@ def test_resource_cancel_queued_request():
     def impatient(env):
         req = res.request()
         yield env.timeout(1)
-        req.cancel()
+        res.release(req)  # not yet granted: withdraws it from the queue
 
     def patient(env):
         yield env.timeout(0.5)
