@@ -11,11 +11,11 @@ Public surface::
 
 from .config import DataFlowerConfig
 from .dataflow_graph import RequestDataPlane, USER_INPUT
-from .dlu import DLU, ReDoSignal
+from .dlu import DLU
 from .engine import NodeEngine
 from .fault import FailureInjector, InjectionLog
 from .flu import FluInvocation
-from .pipes import PipeRouter, PushOutcome
+from .pipes import PipeRouter, PushOutcome, ReDoSignal
 from .prewarm import PrewarmPolicy
 from .scaling import ScalingDecision, evaluate, pressure
 from .sink import EntryState, SinkEntry, WaitMatchMemory

@@ -19,32 +19,16 @@ The DLU also:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, List, Optional
+from collections import deque
+from typing import TYPE_CHECKING, Callable, Deque, List, Optional
 
 from ..cluster.container import Container
-from ..cluster.network import FlowCancelled
 from ..cluster.node import Node
-from ..sim.resources import Store
-
-from .pipes import ReDoSignal
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..sim.environment import Environment
     from ..sim.events import Event
     from .pipes import PipeRouter
-
-
-@dataclass
-class _PushJob:
-    src_node: Node
-    dst_node: Node
-    nbytes: float
-    produced: "Event"
-    label: str
-    cancel_token: List[bool]
-    on_delivered: Callable[[], None]
-    on_abandoned: Optional[Callable[[], None]]
 
 
 class DLU:
@@ -58,9 +42,12 @@ class DLU:
         self.pending = 0
         self.pushed_bytes = 0.0
         self.push_count = 0
-        self._queue: Store = Store(env)
-        self._worker = env.process(self._drain())
+        #: Queued pushes, each a call that starts it.
+        self._queue: Deque[Callable[[], None]] = deque()
+        #: True while the drain waits for the next push.
+        self._parked = False
         container.dlu = self
+        env.call_soon(lambda _event: self._next())
 
     @property
     def idle(self) -> bool:
@@ -81,43 +68,41 @@ class DLU:
         """Enqueue an asynchronous push; callbacks fire on the outcome."""
         self.pending += 1
         self.push_count += 1
-        self._queue.put_nowait(
-            _PushJob(
-                src_node=src_node,
-                dst_node=dst_node,
-                nbytes=nbytes,
-                produced=compute_done,
-                label=label,
-                cancel_token=cancel_token,
-                on_delivered=on_delivered,
-                on_abandoned=on_abandoned,
+
+        def send() -> None:
+            if cancel_token[0]:
+                settle(None, None)
+                return
+            self.router.push(
+                self.container, src_node, dst_node, nbytes, compute_done,
+                label=label, cancel_token=cancel_token, then=settle,
             )
-        )
+
+        def settle(outcome, _error) -> None:
+            if outcome is not None:
+                self.pushed_bytes += outcome.nbytes
+                on_delivered()
+            elif on_abandoned is not None:
+                # The producing FLU crashed: ReDo re-executes it on another
+                # container, which repushes this datum from scratch.
+                on_abandoned()
+            self.pending -= 1
+            self._next()
+
+        self._queue.append(send)
+        if self._parked:
+            self._parked = False
+            self._next()
 
     # -- internal ------------------------------------------------------------
 
-    def _drain(self):
-        """FIFO worker: one pipe connector transmits at a time."""
-        while True:
-            job = yield self._queue.get()
-            try:
-                if job.cancel_token[0]:
-                    raise ReDoSignal()
-                outcome = yield from self.router.push(
-                    self.container,
-                    job.src_node,
-                    job.dst_node,
-                    job.nbytes,
-                    job.produced,
-                    label=job.label,
-                    cancel_token=job.cancel_token,
-                )
-                self.pushed_bytes += outcome.nbytes
-                job.on_delivered()
-            except (FlowCancelled, ReDoSignal):
-                # The producing FLU crashed: ReDo re-executes it on another
-                # container, which repushes this datum from scratch.
-                if job.on_abandoned is not None:
-                    job.on_abandoned()
-            finally:
-                self.pending -= 1
+    def _next(self) -> None:
+        """FIFO drain: one pipe connector transmits at a time.  The next
+        push starts in a fresh zero-delay slot (where a store get woke the
+        drain loop): now if one is queued, else when :meth:`push` queues
+        one."""
+        if not self._queue:
+            self._parked = True
+            return
+        send = self._queue.popleft()
+        self.env.call_later(0.0, lambda _event: send())

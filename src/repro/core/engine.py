@@ -17,7 +17,6 @@ from .sink import WaitMatchMemory
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..sim.environment import Environment
-    from ..sim.events import Event
     from .config import DataFlowerConfig
 
 
@@ -46,21 +45,13 @@ class NodeEngine:
         """Fire a ready task: account the engine's reaction time, then
         hand the invocation to the function's dispatcher."""
         self.triggers += 1
-        env = self.env
 
-        def queue(_event: "Event") -> None:
-            self._slot.request().callbacks.append(react)
-
-        def react(slot: "Event") -> None:
-            env.call_later(self._trigger_cost(), lambda _event: fire(slot))
-
-        def fire(slot: "Event") -> None:
-            self._slot.release(slot)
+        def fire() -> None:
             on_triggered()
             dispatch()
 
         # Queue for the engine slot, hold it for the reaction time, fire.
-        env.call_soon(queue)
+        self._slot.hold(self._trigger_cost, fire)
 
     def __repr__(self) -> str:
         return f"<NodeEngine {self.node.name} triggers={self.triggers}>"

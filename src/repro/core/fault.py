@@ -44,23 +44,19 @@ class FailureInjector:
     def crash_container_at(self, container: Container, at_time: float) -> None:
         """Kill ``container`` at the given simulated time."""
 
-        def schedule():
-            delay = max(at_time - self.env.now, 0.0)
-            yield self.env.timeout(delay)
+        def crash(_event) -> None:
             if container.alive:
                 self.log.crashes.append((self.env.now, container.container_id))
                 self.system.crash_container(container)
 
-        self.env.process(schedule())
+        self.env.defer(max(at_time - self.env.now, 0.0), crash)
 
     def crash_function_container_at(
         self, workflow: str, function: str, at_time: float
     ) -> None:
         """Kill whichever container of ``function`` is busy at ``at_time``."""
 
-        def schedule():
-            delay = max(at_time - self.env.now, 0.0)
-            yield self.env.timeout(delay)
+        def crash(_event) -> None:
             deployment = self.system.deployment(workflow)
             pool = deployment.dispatcher(function).pool
             victims = [c for c in pool.containers if c.state == "busy"]
@@ -71,7 +67,7 @@ class FailureInjector:
                 self.log.crashes.append((self.env.now, victim.container_id))
                 self.system.crash_container(victim)
 
-        self.env.process(schedule())
+        self.env.defer(max(at_time - self.env.now, 0.0), crash)
 
     def crash_when_busy(
         self,
@@ -80,29 +76,29 @@ class FailureInjector:
         check_interval_s: float = 0.005,
         give_up_after_s: float = 60.0,
     ) -> None:
-        """Kill a container of ``function`` the moment one is executing."""
+        """Kill a container of ``function`` the moment one is executing,
+        looking every ``check_interval_s`` for ``give_up_after_s``."""
+        deadline = self.env.now + give_up_after_s
 
-        def watch():
-            deadline = self.env.now + give_up_after_s
-            while self.env.now < deadline:
-                deployment = self.system.deployment(workflow)
-                pool = deployment.dispatcher(function).pool
-                busy = [c for c in pool.containers if c.state == "busy"]
-                if busy:
-                    victim = busy[0]
-                    self.log.crashes.append((self.env.now, victim.container_id))
-                    self.system.crash_container(victim)
-                    return
-                yield self.env.timeout(check_interval_s)
+        def watch(_event) -> None:
+            if self.env.now >= deadline:
+                return
+            deployment = self.system.deployment(workflow)
+            pool = deployment.dispatcher(function).pool
+            busy = [c for c in pool.containers if c.state == "busy"]
+            if busy:
+                victim = busy[0]
+                self.log.crashes.append((self.env.now, victim.container_id))
+                self.system.crash_container(victim)
+                return
+            self.env.call_later(check_interval_s, watch)
 
-        self.env.process(watch())
+        self.env.call_soon(watch)
 
     def cancel_random_flow_at(self, at_time: float, seed: int = 0) -> None:
         """Cancel one in-flight pipe stream (pure data-plane interrupt)."""
 
-        def schedule():
-            delay = max(at_time - self.env.now, 0.0)
-            yield self.env.timeout(delay)
+        def cancel(_event) -> None:
             rng = random.Random(seed)
             candidates = [
                 flow
@@ -115,4 +111,4 @@ class FailureInjector:
                 self.log.flow_cancellations.append((self.env.now, victim.label))
                 victim.cancel("injected data-plane interrupt")
 
-        self.env.process(schedule())
+        self.env.defer(max(at_time - self.env.now, 0.0), cancel)

@@ -18,11 +18,10 @@ FLU emits its first chunk, but never *completes* before the FLU does
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, List, Optional
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Callable, List, Optional
 
 from ..cluster.container import Container
-from ..cluster.network import FlowCancelled
 from ..cluster.node import Node
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -84,49 +83,72 @@ class PipeRouter:
         compute_done: "Event",
         label: str,
         cancel_token: Optional[List[bool]] = None,
-    ):
-        """Process generator moving ``nbytes`` to ``dst_node``'s sink.
+        *,
+        then: Callable[[Optional[PushOutcome], Optional[Exception]], None],
+    ) -> None:
+        """Move ``nbytes`` to ``dst_node``'s sink, then call
+        ``then(outcome, None)`` with a :class:`PushOutcome`, or
+        ``then(None, error)`` with the :class:`ReDoSignal` or
+        ``FlowCancelled`` that abandoned the push.  ``then`` runs in the
+        callback of the last event the push waited on, so the caller goes
+        on in that queue slot, as after ``yield from`` a generator.
 
-        Returns a :class:`PushOutcome`.  ``compute_done`` gates completion:
-        the datum is only fully materialized when the FLU finishes.
-        ``cancel_token`` is a one-element list; ``[True]`` aborts retries
-        (the source container died and ReDo will repush from a new one).
+        ``compute_done`` gates completion: the datum is only fully
+        materialized when the FLU finishes.  ``cancel_token`` is a
+        one-element list; ``[True]`` aborts retries (the source container
+        died and ReDo will repush from a new one).
         """
         self.pushes += 1
         outcome = PushOutcome(nbytes=nbytes, transport="?")
         push_start = self.env.now
 
+        def transported(_event: Optional["Event"] = None,
+                        error: Optional[Exception] = None) -> None:
+            if error is not None:
+                then(None, error)
+                return
+            transport_s = self.env.now - push_start
+
+            def produced(event: "Event") -> None:
+                if event._exception is not None:
+                    # The producer died before finishing this datum.
+                    event.defused = True
+                    then(None, event._exception)
+                    return
+                if self.record_log:
+                    # Pure transport time (the Figure 19 metric), excluding
+                    # the wait for the producer to emit its final byte.
+                    self.push_log.append(
+                        (label, outcome.transport, nbytes, transport_s)
+                    )
+                then(outcome, None)
+
+            # Streaming cannot complete before the producer has produced
+            # the last byte.
+            if compute_done.callbacks is not None:
+                compute_done.callbacks.append(produced)
+            elif compute_done._exception is not None:
+                then(None, ReDoSignal(label))
+            else:
+                produced(compute_done)
+
         if nbytes <= self.config.small_data_bytes:
             # Direct socket path: split and pass directly (§7).
             self.socket_pushes += 1
             outcome.transport = "socket"
-            yield self.env.timeout(self.config.socket_latency_s)
+            self.env.call_later(self.config.socket_latency_s, transported)
         elif src_node is dst_node:
             self.local_pushes += 1
             outcome.transport = "local-pipe"
             channel = self.cluster.memory_channel(src_node)
-            yield channel.copy(nbytes, label=label)
+            channel.copy(nbytes, label=label).callbacks.append(transported)
         else:
             self.stream_pushes += 1
             outcome.transport = "stream-pipe"
-            yield from self._stream(
+            self._stream(
                 container, src_node, dst_node, nbytes, label, outcome,
-                cancel_token,
+                cancel_token, transported,
             )
-
-        transport_s = self.env.now - push_start
-        # Streaming cannot complete before the producer has produced the
-        # last byte.
-        if not compute_done.processed:
-            yield compute_done
-        elif not compute_done.ok:
-            # The producer died before finishing this datum.
-            raise ReDoSignal(label)
-        if self.record_log:
-            # Pure transport time (the Figure 19 metric), excluding the
-            # wait for the producer to emit its final byte.
-            self.push_log.append((label, outcome.transport, nbytes, transport_s))
-        return outcome
 
     # -- streaming with checkpointed retry ------------------------------------
 
@@ -139,10 +161,19 @@ class PipeRouter:
         label: str,
         outcome: PushOutcome,
         cancel_token: Optional[List[bool]],
-    ):
+        streamed: Callable[..., None],
+    ) -> None:
+        """Stream until every byte is across, then call ``streamed()``.  A
+        cancelled flow resumes from its last checkpoint after the retry
+        delay, or, once ``cancel_token`` is set, ends the stream with
+        ``streamed(error=...)``."""
         checkpoint_bytes = max(nbytes * self.config.checkpoint_fraction, 1.0)
         sent = 0.0
-        while sent < nbytes:
+
+        def advance(_event: Optional["Event"] = None) -> None:
+            if sent >= nbytes:
+                streamed()
+                return
             links = [container.egress, src_node.egress, dst_node.ingress]
             flow = self.cluster.fabric.transfer(
                 nbytes - sent,
@@ -153,15 +184,20 @@ class PipeRouter:
             registry = self._active_flows.setdefault(container.container_id, set())
             registry.add(flow)
             start = self.env.now
-            try:
-                yield flow.done
-                container.record_transfer(start, self.env.now)
-                sent = nbytes
-            except FlowCancelled:
+
+            def landed(event: "Event") -> None:
+                nonlocal sent
                 registry.discard(flow)
                 container.record_transfer(start, self.env.now)
+                error = event._exception
+                if error is None:
+                    sent = nbytes
+                    streamed()
+                    return
+                event.defused = True
                 if cancel_token is not None and cancel_token[0]:
-                    raise
+                    streamed(error=error)
+                    return
                 # Resume from the last completed checkpoint (§6.2): the
                 # connector checkpoints asynchronously and incrementally.
                 moved = flow.nbytes - flow.remaining
@@ -170,6 +206,8 @@ class PipeRouter:
                 outcome.retries += 1
                 outcome.checkpoint_restarts += 1
                 self.checkpoint_restarts += 1
-                yield self.env.timeout(self.config.retry_delay_s)
-            else:
-                registry.discard(flow)
+                self.env.call_later(self.config.retry_delay_s, advance)
+
+            flow.done.callbacks.append(landed)
+
+        advance()

@@ -62,7 +62,7 @@ class PrewarmPolicy:
                     dispatcher: "FunctionDispatcher") -> None:
         pool = dispatcher.pool
         supply = (
-            sum(1 for c in dispatcher.idle.items if c.alive)
+            sum(1 for c in dispatcher.idle if c.alive)
             + dispatcher.booting
             + pool.busy_count()
         )
@@ -83,7 +83,7 @@ class PrewarmPolicy:
 
         def on_ready(event, dispatcher=dispatcher):
             dispatcher.booting -= 1
-            dispatcher.idle.put_nowait(event.value)
+            dispatcher.add_idle(event.value)
 
         if ready.callbacks is not None:
             ready.callbacks.append(on_ready)

@@ -34,10 +34,10 @@ from ..workflow.instance import Task
 from ..systems.base import Deployment, RequestState, WorkflowSystem
 from .config import DataFlowerConfig
 from .dataflow_graph import RequestDataPlane
-from .dlu import DLU, ReDoSignal
+from .dlu import DLU
 from .engine import NodeEngine
 from .flu import FluInvocation
-from .pipes import PipeRouter
+from .pipes import PipeRouter, ReDoSignal
 from .scaling import evaluate as evaluate_pressure
 from .sink import WaitMatchMemory
 

@@ -20,7 +20,7 @@ from typing import Dict, List
 from ..apps import APP_ORDER, get_app
 from ..cluster.cluster import Cluster, ClusterConfig
 from ..loadgen.arrivals import arrival_times, constant
-from ..loadgen.runner import _guarded_submit
+from ..loadgen.runner import _guarded_submit, _produce
 from ..metrics.stats import mean
 from ..sim.environment import Environment
 from ..systems.placement import offset_round_robin
@@ -61,11 +61,8 @@ def _co_run(system_name: str, multiplier: float, duration: float):
         times = arrival_times(
             constant(BASE_RPM[app_name] * multiplier, duration)
         )
-        start = env.now
-        for index, at in enumerate(times):
-            delay = start + at - env.now
-            if delay > 0:
-                yield env.timeout(delay)
+
+        def arrive(_index: int) -> None:
             request = RequestSpec(
                 request_id=system.next_request_id(workflow_name),
                 input_bytes=app.default_input_bytes,
@@ -77,11 +74,13 @@ def _co_run(system_name: str, multiplier: float, duration: float):
             records_by_app[app_name].append(record)
             guards.append(guard)
 
+        return _produce(env, times, arrive)
+
     app_to_workflow = {
         "img": "imageproc", "vid": "video", "svd": "svd", "wc": "wordcount",
     }
     producers = [
-        env.process(generate(app_name, app_to_workflow[app_name]))
+        generate(app_name, app_to_workflow[app_name])
         for app_name in APP_ORDER
     ]
     env.run(until=env.all_of(producers))

@@ -16,6 +16,8 @@ from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence
 
 from ..metrics.latency import LatencySummary, RequestRecord
+from ..sim.environment import Environment
+from ..sim.events import Event
 from ..metrics.report import RecordAggregate
 from ..metrics.usage import UsageSummary, collect_usage
 from ..systems.base import WorkflowSystem
@@ -102,20 +104,56 @@ def default_request_factory(
 
 
 def _guarded_submit(system, workflow_name, request, timeout_s):
-    """Submit and cap the wait; returns (record, completion process)."""
+    """Submit and cap the wait; returns (record, guard), where ``guard``
+    fires with the record once the request finished or timed out."""
     env = system.env
     done = system.submit(workflow_name, request)
     record = system.records[-1]
+    guard = env.event()
+    first: List[Event] = []
 
-    def guard():
-        result = yield done | env.timeout(timeout_s)
-        if done not in result and record.end_time is None:
+    def settle(event: Event) -> None:
+        # The first of completion and timeout, relayed one slot on.
+        if not first:
+            first.append(event)
+            env.call_later(0.0, resolve)
+
+    def resolve(_event: Event) -> None:
+        if first[0] is not done and record.end_time is None:
             record.end_time = env.now
             record.failed = True
             record.error = "timeout"
-        return record
+        guard.succeed(record)
 
-    return record, env.process(guard())
+    def start(_event: Event) -> None:
+        env.call_later(timeout_s, settle)
+        done.callbacks.append(settle)
+
+    env.call_soon(start)
+    return record, guard
+
+
+def _produce(env: Environment, offsets: Sequence[float],
+             arrive: Callable[[int], None]) -> Event:
+    """Call ``arrive(index)`` at ``offsets[index]`` seconds from now, in
+    order, in the slots of a producer process that sleeps to each
+    arrival; the returned event fires where that process would end."""
+    finished = env.event()
+
+    def produce(index: int, start: float, due: bool = False) -> None:
+        for index in range(index, len(offsets)):
+            delay = start + offsets[index] - env.now
+            if delay > 0 and not due:
+                env.call_later(
+                    delay, lambda _event, i=index: produce(i, start, True)
+                )
+                return
+            due = False
+            arrive(index)
+        finished.succeed()
+
+    env.call_soon(lambda _event: produce(0, env.now))
+    return finished
 
 
 def run_open_loop(
@@ -135,20 +173,14 @@ def run_open_loop(
     run_records: List[RequestRecord] = []
     guards = []
 
-    def generator():
-        start = env.now
-        for index, at in enumerate(times):
-            delay = start + at - env.now
-            if delay > 0:
-                yield env.timeout(delay)
-            record, guard = _guarded_submit(
-                system, workflow_name, request_factory(index), timeout_s
-            )
-            run_records.append(record)
-            guards.append(guard)
+    def arrive(index: int) -> None:
+        record, guard = _guarded_submit(
+            system, workflow_name, request_factory(index), timeout_s
+        )
+        run_records.append(record)
+        guards.append(guard)
 
-    producer = env.process(generator())
-    env.run(until=producer)
+    env.run(until=_produce(env, times, arrive))
     if guards:
         env.run(until=env.all_of(guards))
     if drain_s:
@@ -190,21 +222,29 @@ def run_closed_loop(
         ramp_s = duration_s / 4.0
     stagger = ramp_s / clients
 
-    def client_loop(client_id: int):
-        delay = client_id * stagger
-        if delay > 0:
-            yield env.timeout(delay)
-        while env.now < deadline:
+    def client(client_id: int) -> Event:
+        finished = env.event()
+
+        def submit(_event=None) -> None:
+            if env.now >= deadline:
+                finished.succeed()
+                return
             index = counter[0]
             counter[0] += 1
             record, guard = _guarded_submit(
                 system, workflow_name, request_factory(index), timeout_s
             )
             run_records.append(record)
-            yield guard
+            guard.callbacks.append(submit)
 
-    workers = [env.process(client_loop(i)) for i in range(clients)]
-    env.run(until=env.all_of(workers))
+        delay = client_id * stagger
+        if delay > 0:
+            env.defer(delay, submit)
+        else:
+            env.call_soon(submit)
+        return finished
+
+    env.run(until=env.all_of([client(i) for i in range(clients)]))
     return RunResult(
         system_name=system.name,
         workflow=workflow_name,

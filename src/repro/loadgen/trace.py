@@ -32,7 +32,7 @@ from ..metrics.usage import collect_usage
 from ..systems.base import WorkflowSystem
 from ..workflow.dsl import parse_size
 from ..workflow.instance import RequestSpec
-from .runner import DEFAULT_TIMEOUT_S, RunResult, _guarded_submit
+from .runner import DEFAULT_TIMEOUT_S, RunResult, _guarded_submit, _produce
 
 
 @dataclass(frozen=True)
@@ -353,34 +353,29 @@ def run_trace(
     tenant_of: Dict[str, str] = {}
     guards = []
 
-    def generator():
-        start = env.now
-        for event in trace.events:
-            spec = specs[event.app or default_app]
-            delay = start + event.at_s - env.now
-            if delay > 0:
-                yield env.timeout(delay)
-            size = event.input_bytes
-            if size is None:
-                size = input_bytes if input_bytes is not None else spec.default_input_bytes
-            width = event.fanout
-            if width is None:
-                width = fanout if fanout is not None else spec.default_fanout
-            request = RequestSpec(
-                request_id=system.next_request_id(spec.workflow_name),
-                input_bytes=size,
-                fanout=width,
-                seed=event.seed,
-            )
-            record, guard = _guarded_submit(
-                system, spec.workflow_name, request, timeout_s
-            )
-            run_records.append(record)
-            tenant_of[record.request_id] = event.tenant
-            guards.append(guard)
+    def arrive(index: int) -> None:
+        event = trace.events[index]
+        spec = specs[event.app or default_app]
+        size = event.input_bytes
+        if size is None:
+            size = input_bytes if input_bytes is not None else spec.default_input_bytes
+        width = event.fanout
+        if width is None:
+            width = fanout if fanout is not None else spec.default_fanout
+        request = RequestSpec(
+            request_id=system.next_request_id(spec.workflow_name),
+            input_bytes=size,
+            fanout=width,
+            seed=event.seed,
+        )
+        record, guard = _guarded_submit(
+            system, spec.workflow_name, request, timeout_s
+        )
+        run_records.append(record)
+        tenant_of[record.request_id] = event.tenant
+        guards.append(guard)
 
-    producer = env.process(generator())
-    env.run(until=producer)
+    env.run(until=_produce(env, [e.at_s for e in trace.events], arrive))
     if guards:
         env.run(until=env.all_of(guards))
     workflows = sorted({r.workflow for r in run_records})

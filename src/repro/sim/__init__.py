@@ -1,25 +1,30 @@
 """Discrete-event simulation kernel (SimPy-style, written from scratch).
 
-Public surface::
+Public surface: an :class:`Environment` with a clock and two queues,
+one-shot :class:`Event`\\ s (``Timeout``, ``AllOf``), a counted
+:class:`Resource`, and seeded RNG streams.  Simulation logic is written
+as chains of callbacks, each in the queue slot a generator process
+would have resumed in::
 
     env = Environment()
-    def proc(env):
-        yield env.timeout(1.0)
-        return "done"
-    p = env.process(proc(env))
+    fired = []
+    env.call_soon(lambda _event: env.call_later(
+        1.0, lambda _event: fired.append(env.now)))
     env.run()
+    assert fired == [1.0]
+
+:class:`Process` remains as the generator-coroutine reference those
+slots are defined by; nothing in the simulator's own code starts one.
 """
 
 from .environment import EmptySchedule, Environment
-from .events import AllOf, AnyOf, ConditionEvent, Event, Timeout
+from .events import AllOf, Event, Timeout
 from .process import Process
-from .resources import Request, Resource, Store
+from .resources import Request, Resource
 from .rng import RngRegistry
 
 __all__ = [
     "AllOf",
-    "AnyOf",
-    "ConditionEvent",
     "EmptySchedule",
     "Environment",
     "Event",
@@ -27,6 +32,5 @@ __all__ = [
     "Request",
     "Resource",
     "RngRegistry",
-    "Store",
     "Timeout",
 ]

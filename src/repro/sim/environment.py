@@ -42,7 +42,7 @@ from collections import deque
 from heapq import heappop, heappush
 from typing import Any, Callable, Deque, Iterable, List, Optional, Tuple
 
-from .events import AllOf, AnyOf, Event, PENDING, PROCESSED, Timeout
+from .events import AllOf, Event, PENDING, PROCESSED, Timeout
 from .process import Process, ProcessGenerator
 
 
@@ -132,9 +132,6 @@ class Environment:
 
     def all_of(self, events: Iterable[Event]) -> AllOf:
         return AllOf(self, events)
-
-    def any_of(self, events: Iterable[Event]) -> AnyOf:
-        return AnyOf(self, events)
 
     # -- scheduling ------------------------------------------------------------
 

@@ -1,8 +1,8 @@
 """Event primitives for the discrete-event simulation kernel.
 
-The kernel follows the classic generator-coroutine design: simulation
-*processes* are Python generators that ``yield`` :class:`Event` objects and
-are resumed when those events fire.  Events move through three states:
+An :class:`Event` is a one-shot occurrence; whoever waits on it appends
+a callback to its ``callbacks`` list, and the environment runs those
+callbacks when it processes the event.  Events move through three states:
 
 ``PENDING``
     Created but not yet triggered; callbacks may still be added.
@@ -11,7 +11,7 @@ are resumed when those events fire.  Events move through three states:
     environment's queues (the heap, or the urgent lane) waiting to be
     processed.
 ``PROCESSED``
-    The environment has run all callbacks; waiting processes have resumed.
+    The environment has run all callbacks.
 
 Hot-path note: millions of events exist per replay, so every class here
 declares ``__slots__`` (smaller objects, faster attribute access) and
@@ -35,9 +35,8 @@ class Event:
     """A one-shot occurrence at a point in simulated time.
 
     An event carries either a *value* (on success) or an *exception*
-    (on failure).  Processes waiting on a failed event have the exception
-    raised at their ``yield`` statement, so errors propagate like ordinary
-    Python exceptions.
+    (on failure).  A failure no callback marks *defused* raises out of
+    :meth:`Environment.run`, so errors are never silently lost.
     """
 
     __slots__ = ("env", "callbacks", "_value", "_exception", "_state", "defused")
@@ -48,7 +47,7 @@ class Event:
         self._value: Any = None
         self._exception: Optional[BaseException] = None
         self._state = PENDING
-        #: Set when a failure has been handled (e.g. by a condition event);
+        #: Set when a failure has been handled (e.g. by an ``AllOf``);
         #: unhandled failures crash the simulation run to avoid silent loss.
         self.defused = False
 
@@ -128,14 +127,6 @@ class Event:
         else:
             self.succeed(event._value)
 
-    # -- composition --------------------------------------------------------
-
-    def __or__(self, other: "Event") -> "AnyOf":
-        return AnyOf(self.env, [self, other])
-
-    def __and__(self, other: "Event") -> "AllOf":
-        return AllOf(self.env, [self, other])
-
     def __repr__(self) -> str:
         return f"<{type(self).__name__} state={self._state}>"
 
@@ -158,10 +149,10 @@ class Timeout(Event):
         return f"<Timeout delay={self.delay}>"
 
 
-class ConditionEvent(Event):
-    """Base for events that fire when a set of child events satisfies a test.
+class AllOf(Event):
+    """Fires when every child event has fired; value maps events to values.
 
-    Failures of any child event propagate immediately: the condition fails
+    A failure of any child propagates immediately: the ``AllOf`` fails
     with the child's exception and the child is marked *defused*.
     """
 
@@ -170,9 +161,9 @@ class ConditionEvent(Event):
     def __init__(self, env: "Environment", events: Iterable[Event]) -> None:
         super().__init__(env)
         self.events = list(events)
-        self._matched: List[Event] = []
+        self._matched = 0
         if not self.events:
-            self.succeed(self._result())
+            self.succeed({})
             return
         for event in self.events:
             if event.env is not env:
@@ -193,36 +184,6 @@ class ConditionEvent(Event):
             event.defused = True
             self.fail(event._exception)
             return
-        self._matched.append(event)
-        if self._satisfied():
-            self.succeed(self._result())
-
-    def _satisfied(self) -> bool:
-        raise NotImplementedError
-
-    def _result(self) -> Any:
-        raise NotImplementedError
-
-
-class AllOf(ConditionEvent):
-    """Fires when every child event has fired; value maps events to values."""
-
-    __slots__ = ()
-
-    def _satisfied(self) -> bool:
-        return len(self._matched) == len(self.events)
-
-    def _result(self) -> Any:
-        return {event: event._value for event in self.events if event.triggered}
-
-
-class AnyOf(ConditionEvent):
-    """Fires when the first child event fires; value maps fired events."""
-
-    __slots__ = ()
-
-    def _satisfied(self) -> bool:
-        return len(self._matched) >= 1
-
-    def _result(self) -> Any:
-        return {event: event._value for event in self._matched}
+        self._matched += 1
+        if self._matched == len(self.events):
+            self.succeed({event: event._value for event in self.events})

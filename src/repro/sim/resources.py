@@ -1,18 +1,10 @@
-"""Shared-resource primitives built on the event kernel.
-
-Two primitives cover everything the cluster substrate needs:
-
-:class:`Resource`
-    A counted resource (e.g. CPU cores) acquired with ``request()`` /
-    ``release()``.  Requests queue FIFO.
-:class:`Store`
-    An unbounded-or-bounded FIFO of Python objects (e.g. a dispatch queue).
-"""
+"""A counted resource (e.g. an orchestrator's trigger slot) acquired with
+``request()`` / ``release()``; requests queue FIFO."""
 
 from __future__ import annotations
 
 from collections import deque
-from typing import TYPE_CHECKING, Any, Deque, List
+from typing import TYPE_CHECKING, Any, Callable, Deque, List
 
 from .events import Event
 
@@ -75,6 +67,23 @@ class Resource:
             return
         self._grant_next()
 
+    def hold(self, duration: Callable[[], float],
+             then: Callable[[], None]) -> None:
+        """Queue for a unit, hold it ``duration()`` seconds once granted,
+        release it, then call ``then()``: the queue slots of a process
+        that does ``with self.request() as req: yield req; yield
+        env.timeout(duration())`` and then ``then()``."""
+        env = self.env
+
+        def granted(request: Request) -> None:
+            env.call_later(duration(), lambda _event: done(request))
+
+        def done(request: Request) -> None:
+            self.release(request)
+            then()
+
+        env.call_soon(lambda _event: self.request().callbacks.append(granted))
+
     # -- internal -----------------------------------------------------------
 
     def _do_request(self, request: Request) -> None:
@@ -89,84 +98,3 @@ class Resource:
             nxt = self.queue.popleft()
             self.users.append(nxt)
             nxt.succeed()
-
-
-class StorePut(Event):
-    __slots__ = ("store", "item")
-
-    def __init__(self, store: "Store", item: Any) -> None:
-        super().__init__(store.env)
-        self.store = store
-        self.item = item
-
-
-class StoreGet(Event):
-    __slots__ = ("store",)
-
-    def __init__(self, store: "Store") -> None:
-        super().__init__(store.env)
-        self.store = store
-
-
-class Store:
-    """A FIFO store of items with optional capacity.
-
-    ``get()`` hands out items in put order to getters in request order;
-    the function dispatchers and the DLU queue work through it.
-    """
-
-    __slots__ = ("env", "capacity", "items", "_putters", "_getters")
-
-    def __init__(self, env: "Environment", capacity: float = float("inf")) -> None:
-        if capacity <= 0:
-            raise ValueError("capacity must be positive")
-        self.env = env
-        self.capacity = capacity
-        self.items: Deque[Any] = deque()
-        self._putters: Deque[StorePut] = deque()
-        self._getters: Deque[StoreGet] = deque()
-
-    def put(self, item: Any) -> StorePut:
-        event = StorePut(self, item)
-        self._putters.append(event)
-        self._dispatch()
-        return event
-
-    def put_nowait(self, item: Any) -> None:
-        """Add ``item`` to an unbounded store, with no :class:`StorePut`.
-
-        On an unbounded store a put is admitted at once, so its event
-        only tells a waiter what it already knows; callers that never
-        wait on it use this instead.  Getters wake in the same order as
-        after :meth:`put`.
-        """
-        if self.capacity != float("inf"):
-            raise ValueError("put_nowait needs an unbounded store")
-        self.items.append(item)
-        self._dispatch()
-
-    def get(self) -> StoreGet:
-        event = StoreGet(self)
-        self._getters.append(event)
-        self._dispatch()
-        return event
-
-    def __len__(self) -> int:
-        return len(self.items)
-
-    # -- internal -----------------------------------------------------------
-
-    def _dispatch(self) -> None:
-        progress = True
-        while progress:
-            progress = False
-            # Admit pending puts while there is room.
-            while self._putters and len(self.items) < self.capacity:
-                put = self._putters.popleft()
-                self.items.append(put.item)
-                put.succeed()
-                progress = True
-            # Hand items to waiting getters, oldest first.
-            while self._getters and self.items:
-                self._getters.popleft().succeed(self.items.popleft())
-                progress = True

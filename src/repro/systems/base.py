@@ -14,15 +14,15 @@ the same three calls::
 from __future__ import annotations
 
 import abc
+from collections import deque
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Dict, List, Optional
+from typing import TYPE_CHECKING, Callable, Deque, Dict, List, Optional, Tuple
 
 from ..cluster.cluster import Cluster
 from ..cluster.container import Container, ContainerPool
 from ..cluster.node import InsufficientResources, Node
 from ..cluster.spec import ContainerSpec
 from ..metrics.latency import RequestRecord, TaskRecord
-from ..sim.resources import Store
 from ..sim.rng import RngRegistry
 from ..workflow.instance import RequestSpec, TaskGraph
 from ..workflow.model import Workflow
@@ -98,31 +98,37 @@ class Deployment:
 class FunctionDispatcher:
     """Matches pending invocations with containers for one function/node.
 
-    Containers flow through an idle store; work items queue FIFO.  Demand
+    Containers flow through an idle queue; work items queue FIFO.  Demand
     beyond warm supply cold-starts new containers up to the node's
     admission limit — the "serverless manner" of scaling out.  DataFlower's
-    pressure-aware mechanism delays a container's return to the idle store
+    pressure-aware mechanism delays a container's return to the idle queue
     (the Callstack blocking signal) and nudges the scale-out path.
     """
 
     def __init__(self, env: "Environment", pool: ContainerPool) -> None:
         self.env = env
         self.pool = pool
-        self.work: Store = Store(env)
-        self.idle: Store = Store(env)
+        self.work: Deque[Callable[[Container], None]] = deque()
+        self.idle: Deque[Container] = deque()
         self.booting = 0
         self.dispatched = 0
         #: Invocations submitted but not yet matched with a container.
         self.unassigned = 0
-        env.process(self._loop())
+        #: The empty queue the loop waits on, and its continuation.
+        self._parked: Optional[Tuple[Deque, Callable]] = None
+        env.call_soon(lambda _event: self._take(self.work, self._got_work))
 
     # -- client API ---------------------------------------------------------
 
     def submit(self, run_callable) -> None:
         """Queue an invocation; ``run_callable(container)`` starts it."""
         self.unassigned += 1
-        self.work.put_nowait(run_callable)
+        self._put(self.work, run_callable)
         self.maybe_scale_out()
+
+    def add_idle(self, container: Container) -> None:
+        """Offer a ready container to the queued invocations."""
+        self._put(self.idle, container)
 
     def release(self, container: Container, delay_s: float = 0.0) -> None:
         """Return a container after an invocation (optionally blocked).
@@ -132,20 +138,18 @@ class FunctionDispatcher:
         """
         self.pool.checkin(container)
         if delay_s <= 0:
-            self.idle.put_nowait(container)
+            self.add_idle(container)
             return
 
         def unblock(_event: "Event") -> None:
             if container.alive:
-                self.idle.put_nowait(container)
+                self.add_idle(container)
 
         self.env.defer(delay_s, unblock)
 
     def maybe_scale_out(self) -> None:
         """Cold-start a container when demand outstrips warm supply."""
-        supply = (
-            sum(1 for c in self.idle.items if c.alive) + self.booting
-        )
+        supply = sum(1 for c in self.idle if c.alive) + self.booting
         while self.unassigned > supply:
             if not self.pool.can_start_new():
                 # Under pressure, reclaim idle capacity held by other
@@ -162,7 +166,7 @@ class FunctionDispatcher:
 
             def on_ready(event, self=self):
                 self.booting -= 1
-                self.idle.put_nowait(event.value)
+                self.add_idle(event.value)
 
             if ready.callbacks is not None:
                 ready.callbacks.append(on_ready)
@@ -170,22 +174,40 @@ class FunctionDispatcher:
 
     # -- internal -----------------------------------------------------------
 
-    def _loop(self):
-        while True:
-            run_callable = yield self.work.get()
-            container = None
-            while container is None:
-                candidate = yield self.idle.get()
-                if candidate.alive:
-                    container = candidate
-                else:
-                    # A recycled container was still queued here; the
-                    # supply it represented is gone, so re-evaluate.
-                    self.maybe_scale_out()
-            self.pool.checkout(container)
-            self.unassigned -= 1
-            self.dispatched += 1
-            run_callable(container)
+    def _put(self, queue: Deque, item) -> None:
+        queue.append(item)
+        if self._parked is not None and self._parked[0] is queue:
+            queue, then = self._parked
+            self._parked = None
+            self._take(queue, then)
+
+    def _take(self, queue: Deque, then: Callable) -> None:
+        """Hand the head of ``queue`` to ``then`` in a fresh zero-delay
+        slot, the one a store get took: now if the queue holds one, else
+        when the next one is put."""
+        if not queue:
+            self._parked = (queue, then)
+            return
+        item = queue.popleft()
+        self.env.call_later(0.0, lambda _event: then(item))
+
+    def _got_work(self, run_callable) -> None:
+        self._take(
+            self.idle, lambda candidate: self._got_idle(run_callable, candidate)
+        )
+
+    def _got_idle(self, run_callable, container: Container) -> None:
+        if not container.alive:
+            # A recycled container was still queued here; the supply it
+            # represented is gone, so re-evaluate.
+            self.maybe_scale_out()
+            self._got_work(run_callable)
+            return
+        self.pool.checkout(container)
+        self.unassigned -= 1
+        self.dispatched += 1
+        run_callable(container)
+        self._take(self.work, self._got_work)
 
 
 class RequestState:

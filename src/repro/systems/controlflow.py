@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Tuple
 
 from ..cluster.container import Container
 from ..cluster.node import Node
@@ -27,7 +27,7 @@ from ..workflow.instance import Task, TaskEdge
 from .base import Deployment, RequestState, SystemConfig, WorkflowSystem
 
 if TYPE_CHECKING:  # pragma: no cover
-    from ..sim.environment import Environment
+    from ..sim.events import Event
 
 
 @dataclass(frozen=True)
@@ -57,14 +57,16 @@ class ControlFlowSystem(WorkflowSystem):
         """The control-plane resource that serializes triggers."""
 
     @abc.abstractmethod
-    def _get_input(self, deployment, state, task, edge, container):
-        """Process generator fetching one input edge into the container."""
+    def _get_input(self, deployment, state, task, edge, container) -> "Event":
+        """Start fetching one input edge into the container; the event
+        fires once it is there."""
 
     @abc.abstractmethod
-    def _put_output(self, deployment, state, task, edge, container):
-        """Process generator persisting/forwarding one output edge."""
+    def _put_output(self, deployment, state, task, edge, container) -> "Event":
+        """Start persisting/forwarding one output edge; the event fires
+        once it is stored."""
 
-    def _get_user_input(self, deployment, state, task, container):
+    def _get_user_input(self, deployment, state, task, container) -> "Event":
         """Fetch the request's input into the entry container.
 
         Default: the user uploaded the input to backend storage; the entry
@@ -75,15 +77,14 @@ class ControlFlowSystem(WorkflowSystem):
         node = deployment.node_of(task.function)
         if self.config.input_local:
             channel = self.cluster.memory_channel(node)
-            yield channel.copy(nbytes, label="input-local")
-            return
+            return self._completion(channel.copy(nbytes, label="input-local"))
         key = (state.record.request_id, "$input")
-        yield self.cluster.storage.get(
+        return self._completion(self.cluster.storage.get(
             key,
             via=[node.ingress, container.ingress],
             rate_cap=container.spec.net_bytes_per_s,
             nbytes=nbytes,
-        )
+        ))
 
     def _on_request_complete(self, deployment, state) -> None:
         """Hook for request-scoped cleanup (FaaSFlow's cache release)."""
@@ -120,80 +121,110 @@ class ControlFlowSystem(WorkflowSystem):
         record.ready_time = self.env.now
         node = deployment.node_of(task.function)
         record.node = node.name
-        orchestrator = self._orchestrator(node)
+        env = self.env
 
-        def trigger():
-            # The orchestrator updates its state machine and triggers the
-            # function in topological order; triggers serialize through it.
-            with orchestrator.request() as slot:
-                yield slot
-                yield self.env.timeout(self._trigger_cost())
-            record.trigger_time = self.env.now
-            dispatcher = deployment.dispatcher(task.function)
-            dispatcher.submit(
-                lambda container: self.env.process(
-                    self._run_on_container(
+        def trigger() -> None:
+            record.trigger_time = env.now
+            deployment.dispatcher(task.function).submit(
+                lambda container: env.call_soon(
+                    lambda _event: self._run_on_container(
                         deployment, state, task, container, finish
                     )
                 )
             )
 
-        self.env.process(trigger())
+        # The orchestrator updates its state machine and triggers the
+        # function in topological order; triggers serialize through it.
+        self._orchestrator(node).hold(self._trigger_cost, trigger)
 
     def _run_on_container(
         self, deployment, state, task: Task, container: Container, finish
-    ):
+    ) -> None:
+        """Get() every input, compute, Put() every output, then free the
+        container: three phases, each starting when the last ended."""
+        env = self.env
         record = state.task_record(task.task_id)
-        record.exec_start = self.env.now
+        record.exec_start = env.now
         record.cold_start = container.invocations_served == 0
+        get_start = env.now
+
+        def compute() -> None:
+            record.get_s = env.now - get_start
+            if record.get_s > 0:
+                container.record_transfer(get_start, env.now)
+            compute_start = env.now
+            function = deployment.workflow.functions[task.function]
+            core_seconds = function.profile.compute.core_seconds(
+                task.input_bytes, self.rng.stream(f"compute:{task.function}")
+            )
+
+            def computed(_event) -> None:
+                record.compute_s = env.now - compute_start
+                put_start = env.now
+
+                def stored() -> None:
+                    record.put_s = env.now - put_start
+                    if record.put_s > 0:
+                        container.record_transfer(put_start, env.now)
+                    record.exec_end = env.now
+                    self._release_container(deployment, state, task, container)
+                    self._complete_task(deployment, state, task, finish)
+
+                # Phase 3: Put() — persist every output before completion.
+                self._join(
+                    [
+                        lambda edge=edge: self._put_output(
+                            deployment, state, task, edge, container
+                        )
+                        for edge in task.outputs
+                    ],
+                    stored,
+                )
+
+            # Phase 2: compute.
+            container.compute(core_seconds).callbacks.append(computed)
 
         # Phase 1: Get() — load every input from the data plane.
-        get_start = self.env.now
-        gets = []
-        if task.is_entry:
-            gets.append(
-                self.env.process(
-                    self._get_user_input(deployment, state, task, container)
-                )
+        gets = [
+            lambda edge=edge: self._get_input(
+                deployment, state, task, edge, container
             )
-        for edge in task.inputs:
-            gets.append(
-                self.env.process(
-                    self._get_input(deployment, state, task, edge, container)
-                )
-            )
-        if gets:
-            yield self.env.all_of(gets)
-        record.get_s = self.env.now - get_start
-        if record.get_s > 0:
-            container.record_transfer(get_start, self.env.now)
-
-        # Phase 2: compute.
-        compute_start = self.env.now
-        function = deployment.workflow.functions[task.function]
-        core_seconds = function.profile.compute.core_seconds(
-            task.input_bytes, self.rng.stream(f"compute:{task.function}")
-        )
-        yield container.compute(core_seconds)
-        record.compute_s = self.env.now - compute_start
-
-        # Phase 3: Put() — persist every output before completion.
-        put_start = self.env.now
-        puts = [
-            self.env.process(
-                self._put_output(deployment, state, task, edge, container)
-            )
-            for edge in task.outputs
+            for edge in task.inputs
         ]
-        if puts:
-            yield self.env.all_of(puts)
-        record.put_s = self.env.now - put_start
-        if record.put_s > 0:
-            container.record_transfer(put_start, self.env.now)
-        record.exec_end = self.env.now
+        if task.is_entry:
+            gets.insert(
+                0, lambda: self._get_user_input(deployment, state, task, container)
+            )
+        self._join(gets, compute)
 
-        self._release_container(deployment, state, task, container)
-        self._complete_task(deployment, state, task, finish)
+    def _join(self, steps: List[Callable[[], "Event"]],
+              then: Callable[[], None]) -> None:
+        """Start each step in the kick-off slot of a process of its own and
+        call ``then()`` where an ``AllOf`` over those processes would fire
+        (at once when there are none).  A step returns an event firing
+        where its process would have completed (see :meth:`_completion`)."""
+        if not steps:
+            then()
+            return
+        env = self.env
+        left = [len(steps)]
+
+        def joined(_event) -> None:
+            left[0] -= 1
+            if left[0] == 0:
+                env.call_later(0.0, lambda _event: then())
+
+        for step in steps:
+            env.call_soon(
+                lambda _event, step=step: step().callbacks.append(joined)
+            )
+
+    def _completion(self, event: "Event") -> "Event":
+        """An event firing where a process that waited on ``event`` and
+        then returned would have completed: one relay after ``event``."""
+        done = self.env.event()
+        event.callbacks.append(done.trigger)
+        return done
 
     def _complete_task(self, deployment, state, task: Task, finish) -> None:
         state.remaining_tasks -= 1
@@ -214,17 +245,16 @@ class ControlFlowSystem(WorkflowSystem):
     def _edge_key(self, state, edge: TaskEdge) -> Tuple:
         return (state.record.request_id, edge.src.task_id, edge.dataname)
 
-    def _backend_put(self, state, edge, node, container):
-        yield self.cluster.storage.put(
-            self._edge_key(state, edge),
-            edge.nbytes,
+    def _backend_put(self, state, edge, node, container) -> "Event":
+        return self._completion(self.cluster.storage.put(
+            self._edge_key(state, edge), edge.nbytes,
             via=[container.egress, node.egress],
             rate_cap=container.spec.net_bytes_per_s,
-        )
+        ))
 
-    def _backend_get(self, state, edge, node, container):
-        yield self.cluster.storage.get(
+    def _backend_get(self, state, edge, node, container) -> "Event":
+        return self._completion(self.cluster.storage.get(
             self._edge_key(state, edge),
             via=[node.ingress, container.ingress],
             rate_cap=container.spec.net_bytes_per_s,
-        )
+        ))

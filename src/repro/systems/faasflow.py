@@ -56,24 +56,29 @@ class FaasFlowSystem(ControlFlowSystem):
 
     def _put_output(self, deployment, state, task, edge, container):
         node = deployment.node_of(task.function)
-        if edge.dst is not None and self._is_local(deployment, edge):
-            # Local store: copy into the node's memory cache.  The cache
-            # entry lives until the whole request completes (no lifetime
-            # knowledge under control flow).
-            channel = self.cluster.memory_channel(node)
-            yield channel.copy(edge.nbytes, label=f"local-put:{edge.dataname}")
+        if edge.dst is None or not self._is_local(deployment, edge):
+            return self._backend_put(state, edge, node, container)
+        # Local store: copy into the node's memory cache.  The cache entry
+        # lives until the whole request completes (no lifetime knowledge
+        # under control flow).
+        channel = self.cluster.memory_channel(node)
+        copied = channel.copy(edge.nbytes, label=f"local-put:{edge.dataname}")
+
+        def cached(_event) -> None:
             node.cache_usage.add(edge.nbytes)
             self._cache_ledger(state).append((node, edge.nbytes))
-        else:
-            yield from self._backend_put(state, edge, node, container)
+
+        copied.callbacks.append(cached)
+        return self._completion(copied)
 
     def _get_input(self, deployment, state, task, edge, container):
         node = deployment.node_of(task.function)
-        if self._is_local(deployment, edge):
-            channel = self.cluster.memory_channel(node)
-            yield channel.copy(edge.nbytes, label=f"local-get:{edge.dataname}")
-        else:
-            yield from self._backend_get(state, edge, node, container)
+        if not self._is_local(deployment, edge):
+            return self._backend_get(state, edge, node, container)
+        channel = self.cluster.memory_channel(node)
+        return self._completion(
+            channel.copy(edge.nbytes, label=f"local-get:{edge.dataname}")
+        )
 
     def _cache_ledger(self, state) -> List[Tuple[Node, float]]:
         if not hasattr(state, "faasflow_cache"):

@@ -49,16 +49,14 @@ class ProductionSystem(ControlFlowSystem):
     def _get_input(self, deployment, state, task, edge, container):
         node = deployment.node_of(task.function)
         if self.config.state_machine_data:
-            yield from self._context_get(state, edge, node, container)
-        else:
-            yield from self._backend_get(state, edge, node, container)
+            return self._context_get(state, edge, node, container)
+        return self._backend_get(state, edge, node, container)
 
     def _put_output(self, deployment, state, task, edge, container):
         node = deployment.node_of(task.function)
         if self.config.state_machine_data:
-            yield from self._context_put(state, edge, node, container)
-        else:
-            yield from self._backend_put(state, edge, node, container)
+            return self._context_put(state, edge, node, container)
+        return self._backend_put(state, edge, node, container)
 
     # -- Figure 19: state-machine context-object data passing --------------------
 
@@ -71,7 +69,7 @@ class ProductionSystem(ControlFlowSystem):
             rate_cap=container.spec.net_bytes_per_s,
             label=f"ctx-put:{edge.dataname}",
         )
-        yield flow.done
+        return self._completion(flow.done)
 
     def _context_get(self, state, edge, node: Node, container):
         """Receive the context object from the orchestrator."""
@@ -82,4 +80,4 @@ class ProductionSystem(ControlFlowSystem):
             rate_cap=container.spec.net_bytes_per_s,
             label=f"ctx-get:{edge.dataname}",
         )
-        yield flow.done
+        return self._completion(flow.done)

@@ -79,44 +79,55 @@ class SonicSystem(ControlFlowSystem):
         node = deployment.node_of(task.function)
         if edge.dst is None:
             # Final results still return through the backend store.
-            yield from self._backend_put(state, edge, node, container)
-            return
+            return self._backend_put(state, edge, node, container)
         # Persist in the source sandbox's VM storage; destinations fetch p2p.
         self._sources(state)[edge.key] = (container, node)
         self._fetched_events(state)[edge.key] = self.env.event()
-        yield node.disk.write(edge.nbytes, label=f"sonic-put:{edge.dataname}")
+        return self._completion(
+            node.disk.write(edge.nbytes, label=f"sonic-put:{edge.dataname}")
+        )
 
     def _get_input(self, deployment, state, task, edge, container):
         src_container, src_node = self._sources(state)[edge.key]
         dst_node = deployment.node_of(task.function)
+        got = self.env.event()
+
+        def fetch(_event=None) -> None:
+            if src_node is dst_node:
+                # Same host: read from the local VM storage.
+                moved = src_node.disk.read(
+                    edge.nbytes, label=f"sonic-get:{edge.dataname}"
+                )
+            else:
+                # P2p fetch crossing the *source container's* TC-limited
+                # NIC — fan-out children share one source sandbox's
+                # bandwidth.
+                links = [
+                    src_node.disk.read_link, src_container.egress,
+                    src_node.egress, dst_node.ingress, container.ingress,
+                ]
+                moved = self.cluster.fabric.transfer(
+                    edge.nbytes, links, rate_cap=container.spec.net_bytes_per_s,
+                    label=f"sonic-p2p:{edge.dataname}",
+                ).done
+            moved.callbacks.append(fetched)
+
+        def fetched(_event) -> None:
+            # ``got`` fires where the fetching process would have ended.
+            fetched_event = self._fetched_events(state)[edge.key]
+            if not fetched_event.triggered:
+                fetched_event.succeed()
+            got.succeed()
+
         if self.config.p2p_setup_s > 0:
-            yield self.env.timeout(self.config.p2p_setup_s)
-        if src_node is dst_node:
-            # Same host: read from the local VM storage.
-            yield src_node.disk.read(edge.nbytes, label=f"sonic-get:{edge.dataname}")
+            self.env.call_later(self.config.p2p_setup_s, fetch)
         else:
-            # P2p fetch crossing the *source container's* TC-limited NIC —
-            # fan-out children share one source sandbox's bandwidth.
-            links = [
-                src_node.disk.read_link,
-                src_container.egress,
-                src_node.egress,
-                dst_node.ingress,
-                container.ingress,
-            ]
-            flow = self.cluster.fabric.transfer(
-                edge.nbytes,
-                links,
-                rate_cap=container.spec.net_bytes_per_s,
-                label=f"sonic-p2p:{edge.dataname}",
-            )
-            yield flow.done
-        fetched = self._fetched_events(state)[edge.key]
-        if not fetched.triggered:
-            fetched.succeed()
+            fetch()
+        return got
 
     def _release_container(self, deployment, state, task, container) -> None:
-        """Hold the source sandbox until every consumer has fetched."""
+        """Hold the source sandbox until every consumer has fetched, or
+        for at most ``hold_cap_s``."""
         waiting = [
             self._fetched_events(state)[edge.key]
             for edge in task.outputs
@@ -126,10 +137,21 @@ class SonicSystem(ControlFlowSystem):
         if not waiting:
             dispatcher.release(container)
             return
+        env = self.env
 
-        def hold():
-            yield self.env.all_of(waiting) | self.env.timeout(self.config.hold_cap_s)
+        def unhold(_event) -> None:
+            # The first of "every consumer fetched" and the cap, relayed
+            # one slot on; emptying ``waiting`` makes the second a no-op.
+            if waiting:
+                waiting.clear()
+                env.call_later(0.0, release)
+
+        def release(_event) -> None:
             if container.alive:
                 dispatcher.release(container)
 
-        self.env.process(hold())
+        def hold(_event) -> None:
+            env.all_of(waiting).callbacks.append(unhold)
+            env.call_later(self.config.hold_cap_s, unhold)
+
+        env.call_soon(hold)

@@ -246,7 +246,7 @@ def test_backend_store_contention_slows_ops():
     node = cluster.workers[0]
     a = store.put(("a",), 10e6, via=[node.egress])
     b = store.put(("b",), 10e6, via=[node.egress])
-    env.run(until=a & b)
+    env.run(until=env.all_of([a, b]))
     # Two puts share the 10 MB/s service channel -> 2 s total.
     assert env.now == pytest.approx(2.0)
 

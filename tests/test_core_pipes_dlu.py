@@ -22,6 +22,21 @@ def make_env(**config_overrides):
     return env, cluster, router, container
 
 
+def pushed(env, router, *args, **kwargs):
+    """``router.push`` as an event: it fires with the outcome, or fails
+    with the error that abandoned the push."""
+    result = env.event()
+
+    def then(outcome, error):
+        if error is None:
+            result.succeed(outcome)
+        else:
+            result.fail(error)
+
+    router.push(*args, then=then, **kwargs)
+    return result
+
+
 def run_push(env, router, container, src, dst, nbytes, compute_delay=0.0):
     compute_done = env.event()
     outcome = {}
@@ -32,8 +47,8 @@ def run_push(env, router, container, src, dst, nbytes, compute_delay=0.0):
         compute_done.succeed()
 
     def pusher(env):
-        result = yield from router.push(
-            container, src, dst, nbytes, compute_done, label="t"
+        result = yield pushed(
+            env, router, container, src, dst, nbytes, compute_done, label="t"
         )
         outcome["result"] = result
         outcome["at"] = env.now
@@ -89,9 +104,9 @@ def test_checkpoint_restart_resumes_not_restarts():
     done = {}
 
     def pusher(env):
-        result = yield from router.push(
-            container, cluster.workers[0], cluster.workers[1], nbytes,
-            compute_done, label="ckpt",
+        result = yield pushed(
+            env, router, container, cluster.workers[0], cluster.workers[1],
+            nbytes, compute_done, label="ckpt",
         )
         done["at"] = env.now
         done["restarts"] = result.checkpoint_restarts
@@ -119,9 +134,9 @@ def test_cancelled_push_with_token_raises_to_caller():
 
     def pusher(env):
         try:
-            yield from router.push(
-                container, cluster.workers[0], cluster.workers[1], 20e6,
-                compute_done, label="dead", cancel_token=token,
+            yield pushed(
+                env, router, container, cluster.workers[0], cluster.workers[1],
+                20e6, compute_done, label="dead", cancel_token=token,
             )
         except FlowCancelled:
             failures.append(env.now)

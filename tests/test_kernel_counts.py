@@ -29,11 +29,19 @@ calls fell from 2728 to 2458 (51.21 per request) on ``dataflower`` and
 from 10151 to 3034 (94.81) on ``production``; events and processes did
 not change.
 
-``PINNED`` holds the counts once the FLU became a callback chain with an
-explicit abort instead of an interruptible generator: on ``dataflower``
-processes fell from 486 to 150 (3.13 per request) and events from 14453
-to 14117 (294.10), the FLU processes' completion events; ``production``
-runs no FLU and did not change.  To re-pin after a change that lowers a count, run
+Once the FLU became a callback chain with an explicit abort instead of
+an interruptible generator, processes fell from 486 to 150 (3.13 per
+request) on ``dataflower`` and events from 14453 to 14117 (294.10), the
+FLU processes' completion events; ``production`` runs no FLU and did not
+change.
+
+``PINNED`` holds the counts once every process left under ``src/`` became
+a callback chain in the same queue slots: processes fell to 0 on both
+traces; on ``production`` events fell from 9332 to 8948 (279.63 per
+request), the completion events of the trigger, run and request-guard
+processes nothing waited on; on ``dataflower`` (dispatcher loop, DLU
+drain, guards and producer) events stayed at 14117.  Share calls did not
+change.  To re-pin after a change that lowers a count, run
 ``python -m pytest -s tests/test_kernel_counts.py``: the first test
 prints the measured totals; copy them into ``PINNED``.  Raise a pin
 only with the reason written in CHANGES.md.
@@ -55,8 +63,8 @@ APPS = ("wc", "etl", "ml_ensemble", "vid")
 #: Totals over the replay of each trace at seed 7 (divide by the trace's
 #: request count for per-request values).
 PINNED = {
-    "dataflower": {"processes": 150, "events": 14117, "share_calls": 2458},
-    "production": {"processes": 1006, "events": 9332, "share_calls": 3034},
+    "dataflower": {"processes": 0, "events": 14117, "share_calls": 2458},
+    "production": {"processes": 0, "events": 8948, "share_calls": 3034},
 }
 
 

@@ -202,28 +202,13 @@ def test_all_of_collects_all_values():
     def proc(env):
         t1 = env.timeout(1, value="a")
         t2 = env.timeout(2, value="b")
-        values = yield t1 & t2
+        values = yield env.all_of([t1, t2])
         results.append(sorted(values.values()))
 
     env.process(proc(env))
     env.run()
     assert results == [["a", "b"]]
     assert env.now == 2
-
-
-def test_any_of_fires_on_first():
-    env = Environment()
-    results = []
-
-    def proc(env):
-        t1 = env.timeout(5, value="slow")
-        t2 = env.timeout(1, value="fast")
-        values = yield t1 | t2
-        results.append(list(values.values()))
-
-    env.process(proc(env))
-    env.run(until=2)
-    assert results == [["fast"]]
 
 
 def test_all_of_empty_fires_immediately():
