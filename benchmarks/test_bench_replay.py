@@ -18,8 +18,11 @@ first collections traverse it, unsharing copy-on-write pages), and the
 RSS high-water mark is monotonic — same-process comparison
 systematically penalizes whichever run goes second.
 
-Assertions scale with the cores actually available — on a single-core
-runner the comparison only bounds overhead.  ``BENCH_REPLAY_SCALE``
+The pool-speedup bounds (:func:`check_speedup`) scale with the cores
+actually available — on a single-core runner they only bound overhead.
+They are a wall-clock gate, so the pytest bench records the point but
+does not assert them; ``tools/bench_replay.py --points throughput`` does
+(the CI ``perf-smoke`` job, at scale 1.0).  ``BENCH_REPLAY_SCALE``
 scales trace duration (1.0 ~= 900 events; ~114 gives the 100k-event
 acceptance trace).
 """
@@ -223,16 +226,20 @@ def spill_point(scale: float = None, workers: int = WORKERS) -> dict:
     return point
 
 
-def test_bench_replay_throughput(benchmark):
-    point = benchmark.pedantic(throughput_point, rounds=1, iterations=1)
-    print("BENCH " + json.dumps(point, sort_keys=True))
-    benchmark.extra_info.update(point)
-
+def check_speedup(point: dict) -> None:
+    """The pool must beat serial by the bound for the cores available:
+    > 1.5x at >= 4 cores, > 1.1x at 2-3, and at one core (no speedup
+    possible) stay under 3x the serial wall time."""
     cores = point["cpu_count"]
     if cores >= 4:
         assert point["speedup"] > 1.5, point
     elif cores >= 2:
         assert point["speedup"] > 1.1, point
     else:
-        # Single core: no speedup possible; bound the pool overhead.
         assert point["parallel_wall_s"] < point["serial_wall_s"] * 3.0, point
+
+
+def test_bench_replay_throughput(benchmark):
+    point = benchmark.pedantic(throughput_point, rounds=1, iterations=1)
+    print("BENCH " + json.dumps(point, sort_keys=True))
+    benchmark.extra_info.update(point)

@@ -13,7 +13,7 @@ agrees, e.g. when no DLU data remains to be pumped.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional
+from typing import TYPE_CHECKING, Callable, List, Optional
 
 from .network import SharedLink
 from .node import Node
@@ -83,7 +83,8 @@ class Container:
         """Occupy the CPU share for the given work; the event fires when done.
 
         The busy interval opens in the next urgent slot and closes
-        ``compute_seconds(core_seconds)`` later.
+        ``compute_seconds(core_seconds)`` later, or when the container is
+        recycled (a crash); a crashed compute never fires.
         """
         duration = self.compute_seconds(core_seconds)
         env = self.env
@@ -95,8 +96,9 @@ class Container:
             self.intervals.begin(key, "cpu")
 
             def finish(_event: "Event") -> None:
-                self.intervals.end(key)
-                done.succeed()
+                if self.alive:
+                    self.intervals.end(key)
+                    done.succeed()
 
             env.call_later(duration, finish)
 
@@ -230,6 +232,7 @@ class ContainerPool:
             return
         container.state = RECYCLED
         container.recycled_at = self.env.now
+        container.intervals.end_all()
         self.recycle_count += 1
         self.containers.remove(container)
         self.node.release(self.spec.cpu_cores, self.spec.memory_bytes)

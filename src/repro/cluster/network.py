@@ -228,6 +228,7 @@ class NetworkFabric:
         rate_cap: float = math.inf,
         label: str = "flow",
         on_moved: Optional[Callable[[], None]] = None,
+        abandon: Optional[Event] = None,
     ) -> Event:
         """A storage-style operation: ``latency_s`` of access latency
         (none when zero), then a flow of ``nbytes`` across ``links``.
@@ -236,20 +237,36 @@ class NetworkFabric:
         right after ``on_moved()`` runs.  The steps take the queue slots
         of a process started now that sleeps ``latency_s`` and then waits
         on the flow: a kick-off, the latency timer, the flow's ``done``.
+
+        If ``abandon`` has failed when the latency ends, the flow never
+        starts; if it fails while the flow runs, the flow is cancelled.
+        Either way the returned event never fires.
         """
         _check_transfer(nbytes, rate_cap)
         link_list = list(links)
         env = self.env
         done = env.event()
 
-        def moved(_event: Event) -> None:
+        def moved(event: Event) -> None:
+            if event._exception is not None:
+                event.defused = True  # abandoned: the operation never fires
+                return
             if on_moved is not None:
                 on_moved()
             done.succeed(nbytes)
 
         def start(_event: Event) -> None:
+            if abandon is not None and abandon._exception is not None:
+                return
             flow = self.transfer(nbytes, link_list, rate_cap=rate_cap, label=label)
             flow.done.callbacks.append(moved)
+
+            def abandoned(event: Event) -> None:
+                if event._exception is not None:
+                    flow.cancel("abandoned")
+
+            if abandon is not None and abandon.callbacks is not None:
+                abandon.callbacks.append(abandoned)
 
         if latency_s > 0:
             env.defer(latency_s, start)

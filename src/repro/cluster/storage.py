@@ -11,7 +11,7 @@ scale up (Figure 17).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, Optional, Tuple
 
 from .network import NetworkFabric, SharedLink
 
@@ -114,9 +114,12 @@ class MemoryChannel:
         self.op_latency_s = op_latency_s
         self.bytes_moved = 0.0
 
-    def copy(self, nbytes: float, label: str = "memcopy") -> "Event":
-        """Move ``nbytes`` across the local memory bus."""
+    def copy(self, nbytes: float, label: str = "memcopy",
+             abandon: Optional["Event"] = None) -> "Event":
+        """Move ``nbytes`` across the local memory bus; see
+        :meth:`NetworkFabric.transfer_after` for ``abandon``."""
         self.bytes_moved += nbytes
         return self.fabric.transfer_after(
-            self.op_latency_s, nbytes, [self.membus], label=label
+            self.op_latency_s, nbytes, [self.membus], label=label,
+            abandon=abandon,
         )

@@ -84,6 +84,11 @@ class IntervalRecorder:
         start, label = self._open.pop(key)
         self.intervals.append((start, self.env.now, label))
 
+    def end_all(self) -> None:
+        """Close every open interval now."""
+        for key in list(self._open):
+            self.end(key)
+
     def labelled(self, label: str) -> List[Tuple[float, float]]:
         """All closed (start, end) intervals carrying ``label``."""
         return [(s, e) for (s, e, lab) in self.intervals if lab == label]

@@ -17,7 +17,6 @@ from .sink import WaitMatchMemory
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..sim.environment import Environment
-    from .config import DataFlowerConfig
 
 
 class NodeEngine:

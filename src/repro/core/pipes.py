@@ -127,8 +127,6 @@ class PipeRouter:
             # the last byte.
             if compute_done.callbacks is not None:
                 compute_done.callbacks.append(produced)
-            elif compute_done._exception is not None:
-                then(None, ReDoSignal(label))
             else:
                 produced(compute_done)
 
@@ -145,28 +143,17 @@ class PipeRouter:
         else:
             self.stream_pushes += 1
             outcome.transport = "stream-pipe"
-            self._stream(
-                container, src_node, dst_node, nbytes, label, outcome,
-                cancel_token, transported,
-            )
+            self._stream(container, src_node, dst_node, nbytes, label,
+                         outcome, cancel_token, transported)
 
     # -- streaming with checkpointed retry ------------------------------------
 
-    def _stream(
-        self,
-        container: Container,
-        src_node: Node,
-        dst_node: Node,
-        nbytes: float,
-        label: str,
-        outcome: PushOutcome,
-        cancel_token: Optional[List[bool]],
-        streamed: Callable[..., None],
-    ) -> None:
-        """Stream until every byte is across, then call ``streamed()``.  A
-        cancelled flow resumes from its last checkpoint after the retry
-        delay, or, once ``cancel_token`` is set, ends the stream with
-        ``streamed(error=...)``."""
+    def _stream(self, container: Container, src_node: Node, dst_node: Node,
+                nbytes: float, label: str, outcome: PushOutcome,
+                cancel_token: Optional[List[bool]],
+                streamed: Callable[..., None]) -> None:
+        """Stream every byte across, then call ``streamed()``; once
+        ``cancel_token`` is set, a cancel ends it with ``streamed(error=...)``."""
         checkpoint_bytes = max(nbytes * self.config.checkpoint_fraction, 1.0)
         sent = 0.0
 

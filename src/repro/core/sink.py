@@ -18,8 +18,8 @@ Lifetime management (the Figure 14 win over FaaSFlow):
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
 from ..cluster.node import Node
 
@@ -124,7 +124,7 @@ class WaitMatchMemory:
     # -- fetch ------------------------------------------------------------------
 
     def fetch(self, key: SinkKey,
-              cancel_token: Sequence[bool] = (False,)) -> "Event":
+              abandon: Optional["Event"] = None) -> "Event":
         """Copy the datum into a container's WORKDIR; the event fires when
         it is there (and fails with :class:`KeyError` for a missing key).
 
@@ -132,13 +132,19 @@ class WaitMatchMemory:
         the disk read first.  Once the destination FLU has received the
         data the entry is **proactively released** (§7) — if that FLU later
         crashes, the engine backtracks and ReDoes the producer (§6.2).
-        A fetch whose FLU was aborted (``cancel_token[0]`` set by the time
-        the copy lands) keeps the entry for the ReDo.  The entry is looked
-        up in the next urgent slot, not at the call.
+        ``abandon`` fails if the fetching FLU dies (its ``compute_done``):
+        the fetch then keeps the entry for the ReDo, skips an unspill or
+        copy it has not begun, cancels a running copy, and never fires.
+        The entry is looked up in the next urgent slot, not at the call.
         """
         done = self.env.event()
 
+        def abandoned() -> bool:
+            return abandon is not None and abandon._exception is not None
+
         def start(_event: "Event") -> None:
+            if abandoned():
+                return
             entry = self._lookup(key)
             if entry is None:
                 done.fail(KeyError(f"sink {self.node.name}: no entry for {key!r}"))
@@ -146,13 +152,17 @@ class WaitMatchMemory:
             entry.generation += 1
 
             def copy(_event: Optional["Event"] = None) -> None:
+                if abandoned():
+                    return
                 channel = self.cluster.memory_channel(self.node)
-                copying = channel.copy(entry.nbytes, label="sink-fetch")
+                copying = channel.copy(
+                    entry.nbytes, label="sink-fetch", abandon=abandon
+                )
                 copying.callbacks.append(copied)
 
             def copied(_event: "Event") -> None:
                 entry.fetched = True
-                if self.proactive_release and not cancel_token[0]:
+                if self.proactive_release and not abandoned():
                     self._free(entry)
                 done.succeed()
 

@@ -26,7 +26,7 @@ still holds undrained data.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Optional, Set
+from typing import TYPE_CHECKING, Dict, Optional
 
 from ..cluster.container import Container
 from ..cluster.node import Node
@@ -264,11 +264,13 @@ class DataFlowerSystem(WorkflowSystem):
             if not cancel_token[0] and event._exception is None:
                 compute()
 
+        # The abort fails compute_done, which abandons the fetches.
+        died = invocation.compute_done
         fetches = []
         if task.is_entry and state.graph.request.input_bytes > 0:
-            fetches.append(sink.fetch(plane.user_input_key(task), cancel_token))
+            fetches.append(sink.fetch(plane.user_input_key(task), died))
         for edge in task.inputs:
-            fetches.append(sink.fetch(plane.input_key(task, edge), cancel_token))
+            fetches.append(sink.fetch(plane.input_key(task, edge), died))
         if fetches:
             self.env.all_of(fetches).callbacks.append(fetched)
         else:

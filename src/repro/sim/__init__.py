@@ -1,10 +1,9 @@
 """Discrete-event simulation kernel (SimPy-style, written from scratch).
 
 Public surface: an :class:`Environment` with a clock and two queues,
-one-shot :class:`Event`\\ s (``Timeout``, ``AllOf``), a counted
-:class:`Resource`, and seeded RNG streams.  Simulation logic is written
-as chains of callbacks, each in the queue slot a generator process
-would have resumed in::
+one-shot :class:`Event`\\ s and their :class:`AllOf` join, a counted
+:class:`Resource`, and seeded RNG streams.  Simulation logic is chains
+of callbacks, each in the queue slot a generator process would take::
 
     env = Environment()
     fired = []
@@ -18,7 +17,7 @@ slots are defined by; nothing in the simulator's own code starts one.
 """
 
 from .environment import EmptySchedule, Environment
-from .events import AllOf, Event, Timeout
+from .events import AllOf, Event
 from .process import Process
 from .resources import Request, Resource
 from .rng import RngRegistry
@@ -32,5 +31,4 @@ __all__ = [
     "Request",
     "Resource",
     "RngRegistry",
-    "Timeout",
 ]

@@ -42,7 +42,7 @@ from collections import deque
 from heapq import heappop, heappush
 from typing import Any, Callable, Deque, Iterable, List, Optional, Tuple
 
-from .events import AllOf, Event, PENDING, PROCESSED, Timeout
+from .events import AllOf, Event, PENDING, PROCESSED, TRIGGERED
 from .process import Process, ProcessGenerator
 
 
@@ -80,9 +80,15 @@ class Environment:
         """Create a fresh, untriggered event."""
         return Event(self)
 
-    def timeout(self, delay: float, value: Any = None) -> Timeout:
-        """An event firing ``delay`` seconds from now."""
-        return Timeout(self, delay, value)
+    def timeout(self, delay: float, value: Any = None) -> Event:
+        """An event firing with ``value`` ``delay`` seconds from now."""
+        if not delay >= 0:  # also rejects NaN
+            raise ValueError(f"negative delay {delay}")
+        event = Event(self)
+        event._value = value
+        event._state = TRIGGERED
+        self.schedule(event, delay)
+        return event
 
     def process(self, generator: ProcessGenerator) -> Process:
         """Start a new process from a generator."""

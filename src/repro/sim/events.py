@@ -131,24 +131,6 @@ class Event:
         return f"<{type(self).__name__} state={self._state}>"
 
 
-class Timeout(Event):
-    """An event that fires after a fixed delay."""
-
-    __slots__ = ("delay",)
-
-    def __init__(self, env: "Environment", delay: float, value: Any = None) -> None:
-        if not delay >= 0:  # also rejects NaN
-            raise ValueError(f"negative delay {delay}")
-        super().__init__(env)
-        self.delay = delay
-        self._value = value
-        self._state = TRIGGERED
-        env.schedule(self, delay=delay)
-
-    def __repr__(self) -> str:
-        return f"<Timeout delay={self.delay}>"
-
-
 class AllOf(Event):
     """Fires when every child event has fired; value maps events to values.
 

@@ -70,9 +70,8 @@ class Resource:
     def hold(self, duration: Callable[[], float],
              then: Callable[[], None]) -> None:
         """Queue for a unit, hold it ``duration()`` seconds once granted,
-        release it, then call ``then()``: the queue slots of a process
-        that does ``with self.request() as req: yield req; yield
-        env.timeout(duration())`` and then ``then()``."""
+        release it, then call ``then()``: in the slots of a process that
+        does just that, starting now."""
         env = self.env
 
         def granted(request: Request) -> None:

@@ -15,12 +15,12 @@ from __future__ import annotations
 
 import abc
 from collections import deque
-from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Callable, Deque, Dict, List, Optional, Tuple
+from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING, Callable, Deque, Dict, List, Optional
 
 from ..cluster.cluster import Cluster
 from ..cluster.container import Container, ContainerPool
-from ..cluster.node import InsufficientResources, Node
+from ..cluster.node import Node
 from ..cluster.spec import ContainerSpec
 from ..metrics.latency import RequestRecord, TaskRecord
 from ..sim.rng import RngRegistry
@@ -114,9 +114,11 @@ class FunctionDispatcher:
         self.dispatched = 0
         #: Invocations submitted but not yet matched with a container.
         self.unassigned = 0
-        #: The empty queue the loop waits on, and its continuation.
-        self._parked: Optional[Tuple[Deque, Callable]] = None
-        env.call_soon(lambda _event: self._take(self.work, self._got_work))
+        #: The empty queue the matching loop waits on, if any.
+        self._parked: Optional[Deque] = None
+        #: The work item the loop is finding a container for.
+        self._running: Callable[[Container], None] = lambda _container: None
+        env.call_soon(lambda _event: self._take(self.work))
 
     # -- client API ---------------------------------------------------------
 
@@ -176,38 +178,37 @@ class FunctionDispatcher:
 
     def _put(self, queue: Deque, item) -> None:
         queue.append(item)
-        if self._parked is not None and self._parked[0] is queue:
-            queue, then = self._parked
+        if self._parked is queue:
             self._parked = None
-            self._take(queue, then)
+            self._take(queue)
 
-    def _take(self, queue: Deque, then: Callable) -> None:
-        """Hand the head of ``queue`` to ``then`` in a fresh zero-delay
+    def _take(self, queue: Deque) -> None:
+        """Hand the head of ``queue`` to :meth:`_got` in a fresh zero-delay
         slot, the one a store get took: now if the queue holds one, else
         when the next one is put."""
         if not queue:
-            self._parked = (queue, then)
+            self._parked = queue
             return
         item = queue.popleft()
-        self.env.call_later(0.0, lambda _event: then(item))
+        self.env.call_later(0.0, lambda _event: self._got(queue, item))
 
-    def _got_work(self, run_callable) -> None:
-        self._take(
-            self.idle, lambda candidate: self._got_idle(run_callable, candidate)
-        )
-
-    def _got_idle(self, run_callable, container: Container) -> None:
-        if not container.alive:
+    def _got(self, queue: Deque, item) -> None:
+        """The matching loop: a work item, then idle containers until a
+        live one turns up; run the item on it and take the next item."""
+        if queue is self.work:
+            self._running = item
+            self._take(self.idle)
+        elif not item.alive:
             # A recycled container was still queued here; the supply it
             # represented is gone, so re-evaluate.
             self.maybe_scale_out()
-            self._got_work(run_callable)
-            return
-        self.pool.checkout(container)
-        self.unassigned -= 1
-        self.dispatched += 1
-        run_callable(container)
-        self._take(self.work, self._got_work)
+            self._take(self.idle)
+        else:
+            self.pool.checkout(item)
+            self.unassigned -= 1
+            self.dispatched += 1
+            self._running(item)
+            self._take(self.work)
 
 
 class RequestState:

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
+from functools import partial
 from typing import TYPE_CHECKING, Callable, Dict, List, Tuple
 
 from ..cluster.container import Container
@@ -52,19 +53,20 @@ class ControlFlowSystem(WorkflowSystem):
 
     # -- specialization points ------------------------------------------------
 
-    @abc.abstractmethod
     def _orchestrator(self, node: Node) -> Resource:
-        """The control-plane resource that serializes triggers."""
+        """The control-plane resource that serializes triggers: one
+        per-node engine (decentralized), unless a system overrides it."""
+        if node.name not in self._orchestrators:
+            self._orchestrators[node.name] = Resource(self.env, capacity=1)
+        return self._orchestrators[node.name]
 
     @abc.abstractmethod
     def _get_input(self, deployment, state, task, edge, container) -> "Event":
-        """Start fetching one input edge into the container; the event
-        fires once it is there."""
+        """Fetch one input edge into the container (a :meth:`_join` step)."""
 
     @abc.abstractmethod
     def _put_output(self, deployment, state, task, edge, container) -> "Event":
-        """Start persisting/forwarding one output edge; the event fires
-        once it is stored."""
+        """Persist/forward one output edge (a :meth:`_join` step)."""
 
     def _get_user_input(self, deployment, state, task, container) -> "Event":
         """Fetch the request's input into the entry container.
@@ -80,10 +82,8 @@ class ControlFlowSystem(WorkflowSystem):
             return self._completion(channel.copy(nbytes, label="input-local"))
         key = (state.record.request_id, "$input")
         return self._completion(self.cluster.storage.get(
-            key,
-            via=[node.ingress, container.ingress],
-            rate_cap=container.spec.net_bytes_per_s,
-            nbytes=nbytes,
+            key, via=[node.ingress, container.ingress],
+            rate_cap=container.spec.net_bytes_per_s, nbytes=nbytes,
         ))
 
     def _on_request_complete(self, deployment, state) -> None:
@@ -171,13 +171,9 @@ class ControlFlowSystem(WorkflowSystem):
                     self._complete_task(deployment, state, task, finish)
 
                 # Phase 3: Put() — persist every output before completion.
+                put = partial(self._put_output, deployment, state, task)
                 self._join(
-                    [
-                        lambda edge=edge: self._put_output(
-                            deployment, state, task, edge, container
-                        )
-                        for edge in task.outputs
-                    ],
+                    [partial(put, edge, container) for edge in task.outputs],
                     stored,
                 )
 
@@ -185,16 +181,12 @@ class ControlFlowSystem(WorkflowSystem):
             container.compute(core_seconds).callbacks.append(computed)
 
         # Phase 1: Get() — load every input from the data plane.
-        gets = [
-            lambda edge=edge: self._get_input(
-                deployment, state, task, edge, container
-            )
-            for edge in task.inputs
-        ]
+        get = partial(self._get_input, deployment, state, task)
+        gets = [partial(get, edge, container) for edge in task.inputs]
         if task.is_entry:
-            gets.insert(
-                0, lambda: self._get_user_input(deployment, state, task, container)
-            )
+            gets.insert(0, partial(
+                self._get_user_input, deployment, state, task, container
+            ))
         self._join(gets, compute)
 
     def _join(self, steps: List[Callable[[], "Event"]],
@@ -254,7 +246,6 @@ class ControlFlowSystem(WorkflowSystem):
 
     def _backend_get(self, state, edge, node, container) -> "Event":
         return self._completion(self.cluster.storage.get(
-            self._edge_key(state, edge),
-            via=[node.ingress, container.ingress],
+            self._edge_key(state, edge), via=[node.ingress, container.ingress],
             rate_cap=container.spec.net_bytes_per_s,
         ))

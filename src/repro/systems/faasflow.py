@@ -17,10 +17,9 @@ proactive release.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 from ..cluster.node import Node
-from ..sim.resources import Resource
 from .controlflow import ControlFlowConfig, ControlFlowSystem
 
 
@@ -40,12 +39,6 @@ class FaasFlowSystem(ControlFlowSystem):
     def __init__(self, env, cluster, config: FaasFlowConfig = FaasFlowConfig()):
         super().__init__(env, cluster, config)
         self.config: FaasFlowConfig = config
-        self._engines: Dict[str, Resource] = {}
-
-    def _orchestrator(self, node: Node) -> Resource:
-        if node.name not in self._engines:
-            self._engines[node.name] = Resource(self.env, capacity=1)
-        return self._engines[node.name]
 
     # -- data plane -----------------------------------------------------------
 

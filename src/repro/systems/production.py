@@ -15,7 +15,6 @@ unlimited-size stateful data passing, still two network hops.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict
 
 from ..cluster.node import Node
 from ..sim.resources import Resource

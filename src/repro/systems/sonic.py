@@ -28,8 +28,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict
 
-from ..cluster.node import Node
-from ..sim.resources import Resource
 from .controlflow import ControlFlowConfig, ControlFlowSystem
 
 
@@ -54,12 +52,6 @@ class SonicSystem(ControlFlowSystem):
     def __init__(self, env, cluster, config: SonicConfig = SonicConfig()):
         super().__init__(env, cluster, config)
         self.config: SonicConfig = config
-        self._engines: Dict[str, Resource] = {}
-
-    def _orchestrator(self, node: Node) -> Resource:
-        if node.name not in self._engines:
-            self._engines[node.name] = Resource(self.env, capacity=1)
-        return self._engines[node.name]
 
     # -- per-request source bookkeeping -----------------------------------------
 

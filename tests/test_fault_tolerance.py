@@ -237,3 +237,42 @@ def test_two_redos_that_find_an_input_lost_wait_for_it_once():
     assert state.plane.waiting_count(entry) == 1
     record = env.run(until=done)
     assert record.completed, record.error
+
+
+def test_crashed_container_cpu_interval_ends_at_the_crash():
+    """A crash closes the container's CPU busy interval at the crash
+    instant; the aborted compute's finish adds nothing later."""
+    env, cluster, system, app, workflow = build("vid")
+    injector = FailureInjector(system)
+    injector.crash_when_busy(workflow.name, "vid_transcode")
+    pools = [d.pool for d in system.deployment(workflow.name).dispatchers.values()]
+    recycled = []
+    for pool in pools:
+        recycle = pool.recycle
+        pool.recycle = lambda c, recycle=recycle: (
+            recycled.append(c), recycle(c)
+        )
+    record = env.run(until=submit(system, app, workflow))
+    env.run()
+    assert record.completed, record.error
+    (crashed,) = [c for c in recycled if c.function_name == "vid_transcode"
+                  and c.recycled_at == injector.log.crashes[0][0]]
+    cpu = crashed.intervals.labelled("cpu")
+    assert cpu and max(end for _, end in cpu) == crashed.recycled_at
+
+
+def test_aborted_flu_stops_copying_its_inputs():
+    """An FLU aborted while it loads its input from the sink cancels the
+    copy: no ``sink-fetch`` flow stays on the node's memory bus."""
+    env, cluster, system, app, workflow = build("wc")
+    injector = FailureInjector(system)
+    injector.crash_when_busy(
+        workflow.name, "wordcount_start", check_interval_s=0.0005
+    )
+    system.submit(workflow.name, RequestSpec("r1", input_bytes=400e6, fanout=4))
+    while not injector.log.crashes:
+        env.step()
+    crashed_at, _ = injector.log.crashes[0]
+    node = system.deployment(workflow.name).node_of("wordcount_start")
+    env.run(until=crashed_at + 0.001)
+    assert not [f for f in node.membus.flows if f.label == "sink-fetch"]

@@ -12,7 +12,6 @@ from repro.sim import (
     Environment,
     Event,
     RngRegistry,
-    Timeout,
 )
 from repro.sim.events import PROCESSED
 
@@ -345,6 +344,7 @@ _DELAYS = st.sampled_from([0.0, 0.5, 1.0, 2.0])
 _OPS = st.one_of(
     st.tuples(st.just("wait"), _DELAYS),
     st.tuples(st.just("chain"), _DELAYS, _DELAYS),
+    st.tuples(st.just("join"), _DELAYS),
     st.tuples(st.just("zero")),
 )
 _CONTROLS = st.one_of(
@@ -403,6 +403,11 @@ def _run_program(program, form, env_class=Environment):
     The driver runs between batches of ops issued from outside the run
     loop, so urgent kick-offs are pending when it peeks and steps.
 
+    A "join" is a process that starts a child process ("wait d, then
+    act") and acts once the child returns; its callback form relays the
+    child's end through an event the child succeeds, in the slot of the
+    child process's completion.
+
     The process form has events the callback form drops: each process's
     completion event, which nothing waits on.  They change no clock and
     log nothing, so the driver steps until the log grows rather than a
@@ -436,6 +441,30 @@ def _run_program(program, form, env_class=Environment):
                 wait_then(op[2], lambda: log.append((tag, "second", env.now)))
 
             wait_then(op[1], first)
+        elif kind == "join":
+            def child_done():
+                log.append((tag, "child", env.now))
+
+            def joined(_e=None):
+                log.append((tag, "joined", env.now))
+
+            if form == "process":
+                def child():
+                    yield env.timeout(op[1])
+                    child_done()
+
+                def parent():
+                    yield env.process(child())
+                    joined()
+
+                env.process(parent())
+            else:
+                def parent_step(_e):
+                    done = env.event()
+                    wait_then(op[1], lambda: (child_done(), done.succeed()))
+                    done.callbacks.append(joined)
+
+                env.call_soon(parent_step)
         else:
             env.timeout(0).callbacks.append(
                 lambda _e: log.append((tag, "zero", env.now))

@@ -11,10 +11,12 @@ trajectory file::
     PYTHONPATH=src python tools/bench_replay.py --points spill,multicore
     PYTHONPATH=src python tools/bench_replay.py --output /tmp/b.json
 
-Points: ``throughput`` (serial vs parallel), ``memory`` (pooled peak
-RSS on the skewed trace), ``multicore`` (worker-count sweep), ``spill``
-(pooled RSS with the record sink at its default threshold vs unbounded
-— fails if the default does not win at >= 50k events).
+Points: ``throughput`` (serial vs parallel — fails if the pool speedup
+is below the bound for the cores available, see ``check_speedup`` in
+``benchmarks/test_bench_replay.py``), ``memory`` (pooled peak RSS on the
+skewed trace), ``multicore`` (worker-count sweep), ``spill`` (pooled RSS
+with the record sink at its default threshold vs unbounded — fails if
+the default does not win at >= 50k events).
 
 The ``memory``, ``multicore`` and ``spill`` replays each run in a
 *fresh subprocess* so wall clock and the monotonic ``ru_maxrss``
@@ -22,10 +24,10 @@ high-water mark are isolated per replay — and so no replay's forked
 workers inherit another's heap.  Report identity is asserted across
 processes via the canonical rendering's SHA-256.
 
-CI runs this at reduced scale and uploads the result as an artifact
-(plus the full-scale spill gate); full-scale runs are recorded
-manually and committed so the perf trajectory of the engine is
-diffable across commits.
+CI runs the throughput gate at scale 1.0 and the other points at reduced
+scale, and uploads the result as an artifact (plus the full-scale spill
+gate); full-scale runs are recorded manually and committed so the perf
+trajectory of the engine is diffable across commits.
 """
 
 from __future__ import annotations
@@ -111,6 +113,12 @@ def main(argv=None) -> int:
     payload["runs"].append(run)
     args.output.write_text(json.dumps(payload, indent=2) + "\n")
     print(f"[appended run to {args.output}]")
+    if "throughput" in selected:
+        try:
+            bench.check_speedup(points[0])
+        except AssertionError as exc:
+            print(f"pool speedup below its bound: {exc}", file=sys.stderr)
+            return 1
     return 0
 
 
