@@ -247,26 +247,28 @@ class NetworkFabric:
         env = self.env
         done = env.event()
 
+        def abandoned() -> bool:
+            return abandon is not None and abandon._exception is not None
+
         def moved(event: Event) -> None:
             if event._exception is not None:
-                event.defused = True  # abandoned: the operation never fires
+                # Abandoned, the operation never fires; any other failure
+                # raises out of ``env.run``.
+                event.defused = abandoned()
                 return
             if on_moved is not None:
                 on_moved()
             done.succeed(nbytes)
 
         def start(_event: Event) -> None:
-            if abandon is not None and abandon._exception is not None:
+            if abandoned():
                 return
             flow = self.transfer(nbytes, link_list, rate_cap=rate_cap, label=label)
             flow.done.callbacks.append(moved)
-
-            def abandoned(event: Event) -> None:
-                if event._exception is not None:
-                    flow.cancel("abandoned")
-
             if abandon is not None and abandon.callbacks is not None:
-                abandon.callbacks.append(abandoned)
+                abandon.callbacks.append(
+                    lambda _event: abandoned() and flow.cancel("abandoned")
+                )
 
         if latency_s > 0:
             env.defer(latency_s, start)

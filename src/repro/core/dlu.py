@@ -19,11 +19,11 @@ The DLU also:
 
 from __future__ import annotations
 
-from collections import deque
-from typing import TYPE_CHECKING, Callable, Deque, List, Optional
+from typing import TYPE_CHECKING, Callable, List, Optional
 
 from ..cluster.container import Container
 from ..cluster.node import Node
+from ..sim.resources import Fifo
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..sim.environment import Environment
@@ -43,9 +43,7 @@ class DLU:
         self.pushed_bytes = 0.0
         self.push_count = 0
         #: Queued pushes, each a call that starts it.
-        self._queue: Deque[Callable[[], None]] = deque()
-        #: True while the drain waits for the next push.
-        self._parked = False
+        self._queue = Fifo(env)
         container.dlu = self
         env.call_soon(lambda _event: self._next())
 
@@ -89,20 +87,11 @@ class DLU:
             self.pending -= 1
             self._next()
 
-        self._queue.append(send)
-        if self._parked:
-            self._parked = False
-            self._next()
+        self._queue.put(send)
 
     # -- internal ------------------------------------------------------------
 
     def _next(self) -> None:
-        """FIFO drain: one pipe connector transmits at a time.  The next
-        push starts in a fresh zero-delay slot (where a store get woke the
-        drain loop): now if one is queued, else when :meth:`push` queues
-        one."""
-        if not self._queue:
-            self._parked = True
-            return
-        send = self._queue.popleft()
-        self.env.call_later(0.0, lambda _event: send())
+        """FIFO drain: one pipe connector transmits at a time; the next
+        queued push starts once this one settles."""
+        self._queue.take(lambda send: send())

@@ -2,8 +2,9 @@
 
 Public surface: an :class:`Environment` with a clock and two queues,
 one-shot :class:`Event`\\ s and their :class:`AllOf` join, a counted
-:class:`Resource`, and seeded RNG streams.  Simulation logic is chains
-of callbacks, each in the queue slot a generator process would take::
+:class:`Resource`, a :class:`Fifo` that hands items to a parked consumer,
+and seeded RNG streams.  Simulation logic is chains of callbacks, each
+in the queue slot a generator process would take::
 
     env = Environment()
     fired = []
@@ -19,7 +20,7 @@ slots are defined by; nothing in the simulator's own code starts one.
 from .environment import EmptySchedule, Environment
 from .events import AllOf, Event
 from .process import Process
-from .resources import Request, Resource
+from .resources import Fifo, Request, Resource
 from .rng import RngRegistry
 
 __all__ = [
@@ -27,6 +28,7 @@ __all__ = [
     "EmptySchedule",
     "Environment",
     "Event",
+    "Fifo",
     "Process",
     "Request",
     "Resource",

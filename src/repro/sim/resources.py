@@ -1,10 +1,11 @@
 """A counted resource (e.g. an orchestrator's trigger slot) acquired with
-``request()`` / ``release()``; requests queue FIFO."""
+``request()`` / ``release()``; requests queue FIFO.  A :class:`Fifo` hands
+queued items to one consumer callback at a time."""
 
 from __future__ import annotations
 
 from collections import deque
-from typing import TYPE_CHECKING, Any, Callable, Deque, List
+from typing import TYPE_CHECKING, Any, Callable, Deque, List, Optional
 
 from .events import Event
 
@@ -97,3 +98,31 @@ class Resource:
             nxt = self.queue.popleft()
             self.users.append(nxt)
             nxt.succeed()
+
+
+class Fifo(deque):
+    """A FIFO queue with at most one parked consumer: :meth:`take` hands
+    the head item to ``consumer(item)`` one zero-delay slot after the
+    match (the take if an item waits, else the next :meth:`put`), where
+    a store get's event took its waiter."""
+
+    __slots__ = ("env", "_consumer")
+
+    def __init__(self, env: "Environment") -> None:
+        super().__init__()
+        self.env = env
+        self._consumer: Optional[Callable[[Any], None]] = None
+
+    def put(self, item: Any) -> None:
+        self.append(item)
+        consumer = self._consumer
+        if consumer is not None:
+            self._consumer = None
+            self.take(consumer)
+
+    def take(self, consumer: Callable[[Any], None]) -> None:
+        if not self:
+            self._consumer = consumer
+            return
+        item = self.popleft()
+        self.env.call_later(0.0, lambda _event: consumer(item))

@@ -14,15 +14,16 @@ the same three calls::
 from __future__ import annotations
 
 import abc
-from collections import deque
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Callable, Deque, Dict, List, Optional
+from functools import partial
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional
 
 from ..cluster.cluster import Cluster
 from ..cluster.container import Container, ContainerPool
 from ..cluster.node import Node
 from ..cluster.spec import ContainerSpec
 from ..metrics.latency import RequestRecord, TaskRecord
+from ..sim.resources import Fifo
 from ..sim.rng import RngRegistry
 from ..workflow.instance import RequestSpec, TaskGraph
 from ..workflow.model import Workflow
@@ -108,29 +109,26 @@ class FunctionDispatcher:
     def __init__(self, env: "Environment", pool: ContainerPool) -> None:
         self.env = env
         self.pool = pool
-        self.work: Deque[Callable[[Container], None]] = deque()
-        self.idle: Deque[Container] = deque()
+        #: Queued invocations, each a ``run(container)`` call.
+        self.work = Fifo(env)
+        self.idle = Fifo(env)
         self.booting = 0
         self.dispatched = 0
         #: Invocations submitted but not yet matched with a container.
         self.unassigned = 0
-        #: The empty queue the matching loop waits on, if any.
-        self._parked: Optional[Deque] = None
-        #: The work item the loop is finding a container for.
-        self._running: Callable[[Container], None] = lambda _container: None
-        env.call_soon(lambda _event: self._take(self.work))
+        env.call_soon(lambda _event: self.work.take(self._got_work))
 
     # -- client API ---------------------------------------------------------
 
     def submit(self, run_callable) -> None:
         """Queue an invocation; ``run_callable(container)`` starts it."""
         self.unassigned += 1
-        self._put(self.work, run_callable)
+        self.work.put(run_callable)
         self.maybe_scale_out()
 
     def add_idle(self, container: Container) -> None:
         """Offer a ready container to the queued invocations."""
-        self._put(self.idle, container)
+        self.idle.put(container)
 
     def release(self, container: Container, delay_s: float = 0.0) -> None:
         """Return a container after an invocation (optionally blocked).
@@ -176,39 +174,24 @@ class FunctionDispatcher:
 
     # -- internal -----------------------------------------------------------
 
-    def _put(self, queue: Deque, item) -> None:
-        queue.append(item)
-        if self._parked is queue:
-            self._parked = None
-            self._take(queue)
-
-    def _take(self, queue: Deque) -> None:
-        """Hand the head of ``queue`` to :meth:`_got` in a fresh zero-delay
-        slot, the one a store get took: now if the queue holds one, else
-        when the next one is put."""
-        if not queue:
-            self._parked = queue
-            return
-        item = queue.popleft()
-        self.env.call_later(0.0, lambda _event: self._got(queue, item))
-
-    def _got(self, queue: Deque, item) -> None:
+    def _got_work(self, run: Callable[[Container], None]) -> None:
         """The matching loop: a work item, then idle containers until a
         live one turns up; run the item on it and take the next item."""
-        if queue is self.work:
-            self._running = item
-            self._take(self.idle)
-        elif not item.alive:
+        self.idle.take(partial(self._got_container, run))
+
+    def _got_container(self, run: Callable[[Container], None],
+                       container: Container) -> None:
+        if not container.alive:
             # A recycled container was still queued here; the supply it
             # represented is gone, so re-evaluate.
             self.maybe_scale_out()
-            self._take(self.idle)
-        else:
-            self.pool.checkout(item)
-            self.unassigned -= 1
-            self.dispatched += 1
-            self._running(item)
-            self._take(self.work)
+            self.idle.take(partial(self._got_container, run))
+            return
+        self.pool.checkout(container)
+        self.unassigned -= 1
+        self.dispatched += 1
+        run(container)
+        self.work.take(self._got_work)
 
 
 class RequestState:

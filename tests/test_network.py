@@ -112,6 +112,33 @@ def test_nan_or_infinite_bytes_rejected(nbytes):
     assert fabric.bytes_moved == 0.0
 
 
+def test_transfer_after_abandoned_mid_flow_cancels_it_and_never_fires():
+    env, fabric = make_fabric()
+    link = fabric.link("l", 100.0)
+    abandon = env.event()
+    done = fabric.transfer_after(1.0, 1000.0, [link], abandon=abandon)
+    env.run(until=2.0)
+    assert link.flows
+    abandon.fail(RuntimeError("consumer died"))
+    abandon.defused = True
+    env.run()
+    assert not link.flows
+    assert not done.triggered
+    assert fabric.bytes_moved == pytest.approx(100.0)  # 1 s of the flow
+
+
+def test_transfer_after_flow_failing_without_abandon_raises():
+    env, fabric = make_fabric()
+    link = fabric.link("l", 100.0)
+    done = fabric.transfer_after(0.0, 1000.0, [link], abandon=env.event())
+    env.run(until=1.0)
+    (flow,) = link.flows
+    flow.cancel("lost")
+    with pytest.raises(FlowCancelled):
+        env.run()
+    assert not done.triggered
+
+
 @pytest.mark.parametrize("rate_cap", [0.0, -5.0])
 def test_non_positive_rate_cap_rejected(rate_cap):
     env, fabric = make_fabric()

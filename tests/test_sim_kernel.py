@@ -1,6 +1,7 @@
 """Unit tests for the discrete-event simulation kernel."""
 
 import itertools
+from collections import deque
 from heapq import heappop, heappush
 
 import pytest
@@ -11,6 +12,7 @@ from repro.sim import (
     EmptySchedule,
     Environment,
     Event,
+    Fifo,
     RngRegistry,
 )
 from repro.sim.events import PROCESSED
@@ -345,6 +347,7 @@ _OPS = st.one_of(
     st.tuples(st.just("wait"), _DELAYS),
     st.tuples(st.just("chain"), _DELAYS, _DELAYS),
     st.tuples(st.just("join"), _DELAYS),
+    st.tuples(st.just("queue"), st.one_of(st.none(), _DELAYS), _DELAYS),
     st.tuples(st.just("zero")),
 )
 _CONTROLS = st.one_of(
@@ -354,6 +357,31 @@ _CONTROLS = st.one_of(
 _PROGRAMS = st.lists(
     st.tuples(st.lists(_OPS, max_size=5), _CONTROLS), min_size=1, max_size=6
 )
+
+
+class _StoreOracle:
+    """The FIFO store the simulator's queues were written with: a get
+    succeeds at once on a non-empty store, else at the put that fills it,
+    and the getting process resumes when the get event is processed."""
+
+    def __init__(self, env):
+        self.env = env
+        self.items = deque()
+        self.getters = deque()
+
+    def put(self, item):
+        self.items.append(item)
+        self._dispatch()
+
+    def get(self):
+        event = self.env.event()
+        self.getters.append(event)
+        self._dispatch()
+        return event
+
+    def _dispatch(self):
+        while self.getters and self.items:
+            self.getters.popleft().succeed(self.items.popleft())
 
 
 class _OneHeapEnvironment(Environment):
@@ -408,6 +436,12 @@ def _run_program(program, form, env_class=Environment):
     child's end through an event the child succeeds, in the slot of the
     child process's completion.
 
+    A "queue" puts an item on a queue shared by the whole program, either
+    at once (from outside the run loop) or after a wait.  One consumer
+    takes items in order and holds each for a delay before taking the
+    next: a process looping on a :class:`_StoreOracle` get, or callbacks
+    on a :class:`~repro.sim.Fifo` (the dispatcher's and the DLU's queues).
+
     The process form has events the callback form drops: each process's
     completion event, which nothing waits on.  They change no clock and
     log nothing, so the driver steps until the log grows rather than a
@@ -417,6 +451,7 @@ def _run_program(program, form, env_class=Environment):
     env = env_class()
     log = []
     tags = itertools.count()
+    queue = []  # the shared queue, made at the first "queue" op
 
     def wait_then(delay, act):
         if form == "callbacks":
@@ -465,10 +500,45 @@ def _run_program(program, form, env_class=Environment):
                     done.callbacks.append(joined)
 
                 env.call_soon(parent_step)
+        elif kind == "queue":
+            if not queue:
+                queue.append(start_consumer())
+            put = queue[0].put
+            if op[1] is None:
+                put((tag, op[2]))
+            else:
+                wait_then(op[1], lambda: put((tag, op[2])))
         else:
             env.timeout(0).callbacks.append(
                 lambda _e: log.append((tag, "zero", env.now))
             )
+
+    def start_consumer():
+        if form == "process":
+            store = _StoreOracle(env)
+
+            def consumer():
+                while True:
+                    tag, hold = yield store.get()
+                    log.append((tag, "got", env.now))
+                    yield env.timeout(hold)
+                    log.append((tag, "held", env.now))
+
+            env.process(consumer())
+            return store
+        fifo = Fifo(env)
+
+        def got(item):
+            tag, hold = item
+            log.append((tag, "got", env.now))
+            env.call_later(hold, lambda _e: held(tag))
+
+        def held(tag):
+            log.append((tag, "held", env.now))
+            fifo.take(got)
+
+        env.call_soon(lambda _e: fifo.take(got))
+        return fifo
 
     def step_until_logged():
         logged = len(log)

@@ -1,8 +1,8 @@
-"""Unit tests for the Resource primitive."""
+"""Unit tests for the Resource and Fifo primitives."""
 
 import pytest
 
-from repro.sim import Environment, Resource
+from repro.sim import Environment, Fifo, Resource
 
 
 def test_resource_grants_up_to_capacity():
@@ -87,3 +87,62 @@ def test_resource_cancel_queued_request():
     env.run()
     # The cancelled request must not block the patient one.
     assert granted == [10]
+
+
+def test_fifo_hands_items_in_put_order():
+    env = Environment()
+    fifo = Fifo(env)
+    got = []
+
+    def consume(item):
+        got.append(item)
+        fifo.take(consume)
+
+    fifo.take(consume)
+    for item in [1, 2, 3]:
+        fifo.put(item)
+    env.run()
+    assert got == [1, 2, 3]
+    assert not fifo
+
+
+def test_fifo_take_parks_until_put():
+    env = Environment()
+    fifo = Fifo(env)
+    got = []
+    fifo.take(lambda item: got.append((item, env.now)))
+    env.call_later(4.0, lambda _e: fifo.put("late"))
+    env.run()
+    assert got == [("late", 4.0)]
+
+
+def test_fifo_wakes_its_consumer_one_slot_after_the_match():
+    """A parked consumer wakes in the zero-delay slot the put takes,
+    where a store get's event woke its waiter; a waiting item is handed
+    over in the slot the take takes."""
+    env = Environment()
+    fifo = Fifo(env)
+    log = []
+
+    def mark(label):
+        env.call_later(0.0, lambda _e: log.append(label))
+
+    def put_between(_event):
+        mark("before put")
+        fifo.put("x")
+        mark("after put")
+
+    fifo.take(lambda item: log.append(("parked consumer", item)))
+    env.call_later(1.0, put_between)
+    env.run()
+    assert log == ["before put", ("parked consumer", "x"), "after put"]
+
+    def take_between(_event):
+        mark("before take")
+        fifo.take(lambda item: log.append(("taker", item)))
+        mark("after take")
+
+    fifo.put("y")
+    env.call_later(1.0, take_between)
+    env.run()
+    assert log[3:] == ["before take", ("taker", "y"), "after take"]
