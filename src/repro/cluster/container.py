@@ -90,12 +90,12 @@ class Container:
         env = self.env
         done = env.event()
 
-        def start(_event: "Event") -> None:
+        def start() -> None:
             self._interval_seq += 1
             key = (label, self._interval_seq)
             self.intervals.begin(key, "cpu")
 
-            def finish(_event: "Event") -> None:
+            def finish() -> None:
                 if self.alive:
                     self.intervals.end(key)
                     done.succeed()
@@ -180,7 +180,7 @@ class ContainerPool:
         env = self.env
         ready = env.event()
 
-        def booted(_event: "Event") -> None:
+        def booted() -> None:
             if container.state == COLD_STARTING:
                 container.mark_idle()
                 self._arm_keep_alive(container)
@@ -189,7 +189,7 @@ class ContainerPool:
         # Sandbox boot, then user-environment setup.
         env.defer(
             self.cold_start_s,
-            lambda _event: env.call_later(self.env_setup_s, booted),
+            lambda: env.call_later(self.env_setup_s, booted),
         )
         return ready
 
@@ -213,7 +213,7 @@ class ContainerPool:
             return
         idle_stamp = container.idle_since
 
-        def reap(_event: "Event") -> None:
+        def reap() -> None:
             still_idle = (
                 container.state == IDLE and container.idle_since == idle_stamp
             )

@@ -21,17 +21,20 @@ pass.
 
 Every rebalance re-arms the completion timer of each flow it re-rates.
 A flow keeps a *live slot*, the queue slot (:meth:`Environment.reserve`)
-its latest arm took, and at most one heap *entry*, never later than the
-live slot.  An entry that comes due before the live slot moves itself
-there; one superseded by an earlier slot, or by a stall, cancel or
-completion, is emptied of its callback.  So the completion runs in
-exactly the slot a fresh timer per arm would have run in, without a dead
-timer per re-arm.
+its latest arm took, and at most one live heap *entry*, at
+``_entry_slot``, never later than the live slot.  Each entry is pushed
+with the slot it was armed for, and does nothing when it comes due if
+that is no longer the flow's ``_entry_slot``: it was superseded by an
+earlier slot, or by a stall, cancel or completion.  A live entry that
+comes due before the live slot moves itself there.  So the completion
+runs in exactly the slot a fresh timer per arm would have run in, with
+no timer per re-arm.
 """
 
 from __future__ import annotations
 
 import math
+from functools import partial
 from operator import attrgetter
 from typing import TYPE_CHECKING, Callable, Iterable, List, Optional, Set, Tuple
 
@@ -94,7 +97,7 @@ class Flow:
     __slots__ = (
         "fabric", "env", "index", "nbytes", "remaining", "links", "rate_cap",
         "label", "rate", "started_at", "finished_at", "done", "_last_update",
-        "_active", "_slot", "_entry", "_entry_slot",
+        "_active", "_slot", "_entry_slot",
     )
 
     def __init__(
@@ -125,8 +128,8 @@ class Flow:
         #: The live slot: the queue slot the latest arm reserved (None
         #: while unarmed).
         self._slot: Optional[Tuple[float, int]] = None
-        #: The one heap entry and its slot, never later than ``_slot``.
-        self._entry: Optional[Event] = None
+        #: The slot of the one live heap entry (None while there is
+        #: none), never later than ``_slot``.
         self._entry_slot: Optional[Tuple[float, int]] = None
 
     @property
@@ -155,9 +158,6 @@ class Flow:
         fabric._detach(self)
         self._active = False
         self.done.fail(FlowCancelled(self, reason))
-
-    def _on_entry(self, _event: Event) -> None:
-        self.fabric._fire(self)
 
     def __repr__(self) -> str:
         return (
@@ -260,7 +260,7 @@ class NetworkFabric:
                 on_moved()
             done.succeed(nbytes)
 
-        def start(_event: Event) -> None:
+        def start() -> None:
             if abandoned():
                 return
             flow = self.transfer(nbytes, link_list, rate_cap=rate_cap, label=label)
@@ -338,29 +338,29 @@ class NetworkFabric:
                 self._complete(flow)
                 continue
             slot = flow._slot = env.reserve(eta)
-            entry = flow._entry
-            if entry is None or slot < flow._entry_slot:
-                if entry is not None:
-                    entry.callbacks.clear()
-                flow._entry = env.call_at(slot, flow._on_entry)
+            entry_slot = flow._entry_slot
+            if entry_slot is None or slot < entry_slot:
+                # Any entry already pushed goes stale.
                 flow._entry_slot = slot
+                env.call_at(slot, partial(self._fire, flow, slot))
 
     def _disarm(self, flow: Flow) -> None:
-        """Drop the live slot and empty the heap entry."""
+        """Drop the live slot; the pushed entry, if any, goes stale."""
         flow._slot = None
-        if flow._entry is not None:
-            flow._entry.callbacks.clear()
-            flow._entry = None
+        flow._entry_slot = None
 
-    def _fire(self, flow: Flow) -> None:
-        """The flow's heap entry came due."""
-        flow._entry = None
-        if flow._entry_slot < flow._slot:
+    def _fire(self, flow: Flow, slot: Tuple[float, int]) -> None:
+        """A heap entry of ``flow``, pushed at ``slot``, came due."""
+        if slot is not flow._entry_slot:
+            return  # stale: superseded or disarmed since it was pushed
+        live = flow._slot
+        if slot < live:
             # Re-armed later since this entry was pushed: move to the
             # live slot.
-            flow._entry = self.env.call_at(flow._slot, flow._on_entry)
-            flow._entry_slot = flow._slot
+            flow._entry_slot = live
+            self.env.call_at(live, partial(self._fire, flow, live))
             return
+        flow._entry_slot = None
         # No link of the flow changed membership since its last pass
         # (that would have re-rated it), so this re-rates it to its
         # current rate.

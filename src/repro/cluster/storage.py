@@ -112,13 +112,11 @@ class MemoryChannel:
         self.fabric = fabric
         self.membus = membus
         self.op_latency_s = op_latency_s
-        self.bytes_moved = 0.0
 
     def copy(self, nbytes: float, label: str = "memcopy",
              abandon: Optional["Event"] = None) -> "Event":
         """Move ``nbytes`` across the local memory bus; see
         :meth:`NetworkFabric.transfer_after` for ``abandon``."""
-        self.bytes_moved += nbytes
         return self.fabric.transfer_after(
             self.op_latency_s, nbytes, [self.membus], label=label,
             abandon=abandon,

@@ -19,7 +19,7 @@ The DLU also:
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, List, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
 from ..cluster.container import Container
 from ..cluster.node import Node
@@ -45,7 +45,7 @@ class DLU:
         #: Queued pushes, each a call that starts it.
         self._queue = Fifo(env)
         container.dlu = self
-        env.call_soon(lambda _event: self._next())
+        env.call_soon(self._next)
 
     @property
     def idle(self) -> bool:
@@ -59,21 +59,24 @@ class DLU:
         nbytes: float,
         compute_done: "Event",
         label: str,
-        cancel_token: List[bool],
+        abandon: "Event",
         on_delivered: Callable[[], None],
         on_abandoned: Optional[Callable[[], None]] = None,
     ) -> None:
-        """Enqueue an asynchronous push; callbacks fire on the outcome."""
+        """Enqueue an asynchronous push of a datum ``compute_done`` gates;
+        callbacks fire on the outcome.  Once ``abandon`` (the producing
+        FLU attempt's ``compute_done``) has failed, a push not yet started
+        is dropped and one in flight stops retrying."""
         self.pending += 1
         self.push_count += 1
 
         def send() -> None:
-            if cancel_token[0]:
+            if abandon._exception is not None:
                 settle(None, None)
                 return
             self.router.push(
                 self.container, src_node, dst_node, nbytes, compute_done,
-                label=label, cancel_token=cancel_token, then=settle,
+                label=label, abandon=abandon, then=settle,
             )
 
         def settle(outcome, _error) -> None:

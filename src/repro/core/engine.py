@@ -36,7 +36,7 @@ class NodeEngine:
         #: Data-availability checks serialize through the engine, but at
         #: ~2 ms each this never becomes the bottleneck the centralized
         #: orchestrator is (Figure 2(c) vs Figure 13).
-        self._slot = Resource(env, capacity=1)
+        self._slot = Resource(env)
         self.triggers = 0
 
     def trigger(self, dispatch: Callable[[], None],

@@ -44,7 +44,7 @@ class FailureInjector:
     def crash_container_at(self, container: Container, at_time: float) -> None:
         """Kill ``container`` at the given simulated time."""
 
-        def crash(_event) -> None:
+        def crash() -> None:
             if container.alive:
                 self.log.crashes.append((self.env.now, container.container_id))
                 self.system.crash_container(container)
@@ -56,7 +56,7 @@ class FailureInjector:
     ) -> None:
         """Kill whichever container of ``function`` is busy at ``at_time``."""
 
-        def crash(_event) -> None:
+        def crash() -> None:
             deployment = self.system.deployment(workflow)
             pool = deployment.dispatcher(function).pool
             victims = [c for c in pool.containers if c.state == "busy"]
@@ -80,7 +80,7 @@ class FailureInjector:
         looking every ``check_interval_s`` for ``give_up_after_s``."""
         deadline = self.env.now + give_up_after_s
 
-        def watch(_event) -> None:
+        def watch() -> None:
             if self.env.now >= deadline:
                 return
             deployment = self.system.deployment(workflow)
@@ -98,7 +98,7 @@ class FailureInjector:
     def cancel_random_flow_at(self, at_time: float, seed: int = 0) -> None:
         """Cancel one in-flight pipe stream (pure data-plane interrupt)."""
 
-        def cancel(_event) -> None:
+        def cancel() -> None:
             rng = random.Random(seed)
             candidates = [
                 flow

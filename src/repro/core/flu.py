@@ -11,7 +11,7 @@ data is still draining (Figure 3).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, List, Optional
+from typing import TYPE_CHECKING
 
 from ..cluster.container import Container
 from ..workflow.instance import Task
@@ -31,15 +31,13 @@ class FluInvocation:
     container: Container
     record: "TaskRecord"
     attempt: int
-    #: Fails with ReDoSignal if the FLU dies mid-computation, so that
-    #: streaming pushes gated on it abandon cleanly.
+    #: Fails with ReDoSignal if the FLU dies mid-computation: the one
+    #: abort signal of the attempt, which stops the FLU's next step, its
+    #: sink fetches and copies, and its pushes' checkpoint retries.
     compute_done: "Event"
     #: Where the invocation runs: what a crash needs to ReDo the task.
     deployment: "Deployment"
     state: "RequestState"
-    #: Shared flag; ``[True]`` stops the FLU's next step and checkpoint
-    #: retries of this attempt.
-    cancel_token: List[bool] = field(default_factory=lambda: [False])
     #: Per-output "datum fully produced" events; for fan-out outputs the
     #: branches complete progressively (Figure 5(b)'s pipelined FLUs), so
     #: early branches can trigger consumers before the FLU finishes.

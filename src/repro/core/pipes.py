@@ -19,7 +19,7 @@ FLU emits its first chunk, but never *completes* before the FLU does
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, List, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
 from ..cluster.container import Container
 from ..cluster.node import Node
@@ -82,7 +82,7 @@ class PipeRouter:
         nbytes: float,
         compute_done: "Event",
         label: str,
-        cancel_token: Optional[List[bool]] = None,
+        abandon: Optional["Event"] = None,
         *,
         then: Callable[[Optional[PushOutcome], Optional[Exception]], None],
     ) -> None:
@@ -94,9 +94,9 @@ class PipeRouter:
         on in that queue slot, as after ``yield from`` a generator.
 
         ``compute_done`` gates completion: the datum is only fully
-        materialized when the FLU finishes.  ``cancel_token`` is a
-        one-element list; ``[True]`` aborts retries (the source container
-        died and ReDo will repush from a new one).
+        materialized when the FLU finishes.  Once ``abandon`` has failed
+        (the source container died and ReDo will repush from a new one),
+        a cancelled stream does not retry.
         """
         self.pushes += 1
         outcome = PushOutcome(nbytes=nbytes, transport="?")
@@ -144,20 +144,20 @@ class PipeRouter:
             self.stream_pushes += 1
             outcome.transport = "stream-pipe"
             self._stream(container, src_node, dst_node, nbytes, label,
-                         outcome, cancel_token, transported)
+                         outcome, abandon, transported)
 
     # -- streaming with checkpointed retry ------------------------------------
 
     def _stream(self, container: Container, src_node: Node, dst_node: Node,
                 nbytes: float, label: str, outcome: PushOutcome,
-                cancel_token: Optional[List[bool]],
+                abandon: Optional["Event"],
                 streamed: Callable[..., None]) -> None:
         """Stream every byte across, then call ``streamed()``; once
-        ``cancel_token`` is set, a cancel ends it with ``streamed(error=...)``."""
+        ``abandon`` has failed, a cancel ends it with ``streamed(error=...)``."""
         checkpoint_bytes = max(nbytes * self.config.checkpoint_fraction, 1.0)
         sent = 0.0
 
-        def advance(_event: Optional["Event"] = None) -> None:
+        def advance() -> None:
             if sent >= nbytes:
                 streamed()
                 return
@@ -182,7 +182,7 @@ class PipeRouter:
                     streamed()
                     return
                 event.defused = True
-                if cancel_token is not None and cancel_token[0]:
+                if abandon is not None and abandon._exception is not None:
                     streamed(error=error)
                     return
                 # Resume from the last completed checkpoint (§6.2): the

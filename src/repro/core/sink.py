@@ -142,7 +142,7 @@ class WaitMatchMemory:
         def abandoned() -> bool:
             return abandon is not None and abandon._exception is not None
 
-        def start(_event: "Event") -> None:
+        def start() -> None:
             if abandoned():
                 return
             entry = self._lookup(key)
@@ -208,7 +208,7 @@ class WaitMatchMemory:
     def _arm_ttl(self, entry: SinkEntry) -> None:
         generation = entry.generation
 
-        def expire(_event: "Event") -> None:
+        def expire() -> None:
             stale = (
                 entry.state is EntryState.IN_MEMORY
                 and entry.generation == generation

@@ -152,7 +152,7 @@ class DataFlowerSystem(WorkflowSystem):
                 deployment, state, task, plane.user_input_key(task), nbytes
             )
 
-        self.env.defer(delay_s, lambda _event: ship(tasks))
+        self.env.defer(delay_s, lambda: ship(tasks))
 
     # -- data arrival -----------------------------------------------------------------
 
@@ -195,7 +195,7 @@ class DataFlowerSystem(WorkflowSystem):
             state=state,
         )
         self.active_flus[container.container_id] = invocation
-        self.env.call_soon(lambda _event: self._run_flu(invocation))
+        self.env.call_soon(lambda: self._run_flu(invocation))
 
     def _run_flu(self, invocation: FluInvocation) -> None:
         """The FLU, as a chain of callbacks: load the inputs from the
@@ -205,7 +205,7 @@ class DataFlowerSystem(WorkflowSystem):
         event would: the kick-off in an urgent slot (``call_soon``), the
         compute step and the completion step as callbacks of the fetch
         ``AllOf`` and the compute event.  A step returns at once when
-        :meth:`_abort_flu` has set the invocation's ``cancel_token``.
+        :meth:`_abort_flu` has failed the invocation's ``compute_done``.
         """
         deployment, state = invocation.deployment, invocation.state
         task = invocation.task
@@ -215,7 +215,8 @@ class DataFlowerSystem(WorkflowSystem):
         node = plane.node_of_task(task)
         sink = self.engine_of(node).sink
         profile = deployment.workflow.functions[task.function].profile
-        cancel_token = invocation.cancel_token
+        # Failed by the abort and by nothing else.
+        died = invocation.compute_done
         record.exec_start = self.env.now
         record.cold_start = container.invocations_served == 0
 
@@ -230,7 +231,7 @@ class DataFlowerSystem(WorkflowSystem):
             self._schedule_pushes(deployment, state, invocation, duration)
 
             def computed(_event) -> None:
-                if cancel_token[0]:
+                if died._exception is not None:
                     return
                 record.compute_s = self.env.now - compute_start
                 record.exec_end = self.env.now
@@ -261,11 +262,10 @@ class DataFlowerSystem(WorkflowSystem):
 
         def fetched(event) -> None:
             # A failed fetch is left undefused, so it raises out of env.run.
-            if not cancel_token[0] and event._exception is None:
+            if died._exception is None and event._exception is None:
                 compute()
 
         # The abort fails compute_done, which abandons the fetches.
-        died = invocation.compute_done
         fetches = []
         if task.is_entry and state.graph.request.input_bytes > 0:
             fetches.append(sink.fetch(plane.user_input_key(task), died))
@@ -284,10 +284,10 @@ class DataFlowerSystem(WorkflowSystem):
         if self.active_flus.get(container.container_id) is not invocation:
             return
         del self.active_flus[container.container_id]
-        invocation.cancel_token[0] = True
-        if not invocation.compute_done.triggered:
-            invocation.compute_done.fail(ReDoSignal())
-            invocation.compute_done.defused = True
+        # Still pending: the FLU leaves ``active_flus`` in the callback
+        # that succeeds it.
+        invocation.compute_done.fail(ReDoSignal())
+        invocation.compute_done.defused = True
         for gate in invocation.edge_events.values():
             if not gate.triggered:
                 gate.fail(ReDoSignal())
@@ -323,14 +323,14 @@ class DataFlowerSystem(WorkflowSystem):
             else:
                 fraction = invocation.edge_ready_fraction(index, total, profile)
 
-            def produce(_event, gate=gate):
+            def produce(gate=gate):
                 if not gate.triggered:
                     gate.succeed()
 
             self.env.defer(duration * fraction, produce)
 
-        def start(_event) -> None:
-            if invocation.cancel_token[0]:
+        def start() -> None:
+            if invocation.compute_done._exception is not None:
                 return
             dlu = self._dlu_of(invocation.container)
             for edge in task.outputs:
@@ -390,7 +390,7 @@ class DataFlowerSystem(WorkflowSystem):
             edge.nbytes,
             produced,
             label=f"pipe:{task.task_id}:{edge.dataname}",
-            cancel_token=invocation.cancel_token,
+            abandon=invocation.compute_done,
             on_delivered=on_delivered,
             on_abandoned=abandoned,
         )
@@ -469,7 +469,7 @@ class DataFlowerSystem(WorkflowSystem):
         )
 
         if not missing_edges and not user_input_missing:
-            def resubmit(_event) -> None:
+            def resubmit() -> None:
                 dispatcher = deployment.dispatcher(task.function)
                 dispatcher.submit(
                     lambda container: self._start_flu(
@@ -513,7 +513,7 @@ class DataFlowerSystem(WorkflowSystem):
         invocation = self.active_flus.get(container.container_id)
         if invocation is not None:
             # The urgent slot, so the abort runs before the FLU's next step.
-            self.env.call_soon(lambda _event: self._abort_flu(invocation))
+            self.env.call_soon(lambda: self._abort_flu(invocation))
             return
         # No FLU running: the container may still be draining DLU data.
         self.router.cancel_container_flows(container)

@@ -110,22 +110,23 @@ def _guarded_submit(system, workflow_name, request, timeout_s):
     done = system.submit(workflow_name, request)
     record = system.records[-1]
     guard = env.event()
-    first: List[Event] = []
+    first: List[Optional[Event]] = []
 
-    def settle(event: Event) -> None:
-        # The first of completion and timeout, relayed one slot on.
+    def settle(event: Optional[Event] = None) -> None:
+        # The first of completion (``done``) and timeout (no event),
+        # relayed one slot on.
         if not first:
             first.append(event)
             env.call_later(0.0, resolve)
 
-    def resolve(_event: Event) -> None:
+    def resolve() -> None:
         if first[0] is not done and record.end_time is None:
             record.end_time = env.now
             record.failed = True
             record.error = "timeout"
         guard.succeed(record)
 
-    def start(_event: Event) -> None:
+    def start() -> None:
         env.call_later(timeout_s, settle)
         done.callbacks.append(settle)
 
@@ -145,14 +146,14 @@ def _produce(env: Environment, offsets: Sequence[float],
             delay = start + offsets[index] - env.now
             if delay > 0 and not due:
                 env.call_later(
-                    delay, lambda _event, i=index: produce(i, start, True)
+                    delay, lambda i=index: produce(i, start, True)
                 )
                 return
             due = False
             arrive(index)
         finished.succeed()
 
-    env.call_soon(lambda _event: produce(0, env.now))
+    env.call_soon(lambda: produce(0, env.now))
     return finished
 
 

@@ -8,8 +8,8 @@ callbacks when it processes the event.  Events move through three states:
     Created but not yet triggered; callbacks may still be added.
 ``TRIGGERED``
     A value (or exception) has been set and the event sits in one of the
-    environment's queues (the heap, or the urgent lane) waiting to be
-    processed.
+    environment's queues waiting to be processed: a triggered event is
+    its own queue entry, and calling it processes it.
 ``PROCESSED``
     The environment has run all callbacks.
 
@@ -50,26 +50,6 @@ class Event:
         #: Set when a failure has been handled (e.g. by an ``AllOf``);
         #: unhandled failures crash the simulation run to avoid silent loss.
         self.defused = False
-
-    @classmethod
-    def _new_triggered(cls, env: "Environment", callback) -> "Event":
-        """Kernel-internal fast path: a pre-triggered event with one
-        callback, ready to schedule.  Initializes exactly the fields
-        ``__init__`` sets (keep the two in sync) minus a dispatch.
-
-        Every :meth:`Environment.call_soon` (and so every process
-        kick-off) puts one of these on the urgent lane, and every
-        :meth:`Environment.call_later` one on the heap — the hottest
-        allocation site in a replay.
-        """
-        event = cls.__new__(cls)
-        event.env = env
-        event.callbacks = [callback]
-        event._value = None
-        event._exception = None
-        event._state = TRIGGERED
-        event.defused = False
-        return event
 
     # -- state inspection ---------------------------------------------------
 
@@ -118,6 +98,18 @@ class Event:
         self._state = TRIGGERED
         self.env.schedule(self)
         return self
+
+    def __call__(self) -> None:
+        """Process the event: run its callbacks, mark it processed, and
+        raise its failure unless a callback defused it.  A triggered
+        event queues itself, so this is what its queue entry runs."""
+        callbacks = self.callbacks
+        self.callbacks = None
+        for callback in callbacks:  # type: ignore[union-attr]
+            callback(self)
+        self._state = PROCESSED
+        if self._exception is not None and not self.defused:
+            raise self._exception
 
     def trigger(self, event: "Event") -> None:
         """Trigger this event with the state of another event (callback use)."""

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Generator
+from typing import TYPE_CHECKING, Any, Generator, Optional
 
 from .events import Event
 
@@ -37,13 +37,16 @@ class Process(Event):
 
     # -- internal -----------------------------------------------------------
 
-    def _advance(self, event: Event) -> None:
-        """Send/throw ``event``'s outcome into the generator and re-arm."""
+    def _advance(self, event: Optional[Event] = None) -> None:
+        """Send/throw ``event``'s outcome (None at the kick-off) into the
+        generator and re-arm."""
         env = self.env
         generator = self._generator
         while True:
             try:
-                if event._exception is not None:
+                if event is None:
+                    next_event = generator.send(None)
+                elif event._exception is not None:
                     event.defused = True
                     next_event = generator.throw(event._exception)
                 else:

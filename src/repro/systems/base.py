@@ -116,7 +116,7 @@ class FunctionDispatcher:
         self.dispatched = 0
         #: Invocations submitted but not yet matched with a container.
         self.unassigned = 0
-        env.call_soon(lambda _event: self.work.take(self._got_work))
+        env.call_soon(lambda: self.work.take(self._got_work))
 
     # -- client API ---------------------------------------------------------
 
@@ -141,7 +141,7 @@ class FunctionDispatcher:
             self.add_idle(container)
             return
 
-        def unblock(_event: "Event") -> None:
+        def unblock() -> None:
             if container.alive:
                 self.add_idle(container)
 

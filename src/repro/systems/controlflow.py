@@ -57,7 +57,7 @@ class ControlFlowSystem(WorkflowSystem):
         """The control-plane resource that serializes triggers: one
         per-node engine (decentralized), unless a system overrides it."""
         if node.name not in self._orchestrators:
-            self._orchestrators[node.name] = Resource(self.env, capacity=1)
+            self._orchestrators[node.name] = Resource(self.env)
         return self._orchestrators[node.name]
 
     @abc.abstractmethod
@@ -127,7 +127,7 @@ class ControlFlowSystem(WorkflowSystem):
             record.trigger_time = env.now
             deployment.dispatcher(task.function).submit(
                 lambda container: env.call_soon(
-                    lambda _event: self._run_on_container(
+                    lambda: self._run_on_container(
                         deployment, state, task, container, finish
                     )
                 )
@@ -204,11 +204,11 @@ class ControlFlowSystem(WorkflowSystem):
         def joined(_event) -> None:
             left[0] -= 1
             if left[0] == 0:
-                env.call_later(0.0, lambda _event: then())
+                env.call_later(0.0, then)
 
         for step in steps:
             env.call_soon(
-                lambda _event, step=step: step().callbacks.append(joined)
+                lambda step=step: step().callbacks.append(joined)
             )
 
     def _completion(self, event: "Event") -> "Event":

@@ -40,7 +40,7 @@ class ProductionSystem(ControlFlowSystem):
         super().__init__(env, cluster, config)
         self.config: ProductionConfig = config
         #: One state machine for the whole cluster, on the gateway node.
-        self._central = Resource(env, capacity=1)
+        self._central = Resource(env)
 
     def _orchestrator(self, node: Node) -> Resource:
         return self._central

@@ -84,7 +84,7 @@ class SonicSystem(ControlFlowSystem):
         dst_node = deployment.node_of(task.function)
         got = self.env.event()
 
-        def fetch(_event=None) -> None:
+        def fetch() -> None:
             if src_node is dst_node:
                 # Same host: read from the local VM storage.
                 moved = src_node.disk.read(
@@ -131,18 +131,18 @@ class SonicSystem(ControlFlowSystem):
             return
         env = self.env
 
-        def unhold(_event) -> None:
+        def unhold(_event=None) -> None:
             # The first of "every consumer fetched" and the cap, relayed
             # one slot on; emptying ``waiting`` makes the second a no-op.
             if waiting:
                 waiting.clear()
                 env.call_later(0.0, release)
 
-        def release(_event) -> None:
+        def release() -> None:
             if container.alive:
                 dispatcher.release(container)
 
-        def hold(_event) -> None:
+        def hold() -> None:
             env.all_of(waiting).callbacks.append(unhold)
             env.call_later(self.config.hold_cap_s, unhold)
 

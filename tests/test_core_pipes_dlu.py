@@ -5,7 +5,7 @@ import pytest
 from repro.cluster import Cluster, ClusterConfig, ContainerPool, ContainerSpec
 from repro.core.config import DataFlowerConfig
 from repro.core.dlu import DLU
-from repro.core.pipes import PipeRouter
+from repro.core.pipes import PipeRouter, ReDoSignal
 from repro.sim import Environment
 
 
@@ -123,27 +123,33 @@ def test_checkpoint_restart_resumes_not_restarts():
     assert done["at"] == pytest.approx(1.1, rel=1e-2)
 
 
+def kill(compute_done):
+    """What a crash does to the producing FLU attempt: fail its pending
+    ``compute_done`` with ReDoSignal (the abort handles that failure)."""
+    compute_done.fail(ReDoSignal())
+    compute_done.defused = True
+
+
 def test_cancelled_push_with_token_raises_to_caller():
+    """A push of a killed attempt ends on its cancel instead of retrying."""
     from repro.cluster.network import FlowCancelled
 
     env, cluster, router, container = make_env()
     compute_done = env.event()
-    compute_done.succeed()
-    token = [False]
     failures = []
 
     def pusher(env):
         try:
             yield pushed(
                 env, router, container, cluster.workers[0], cluster.workers[1],
-                20e6, compute_done, label="dead", cancel_token=token,
+                20e6, compute_done, label="dead", abandon=compute_done,
             )
         except FlowCancelled:
             failures.append(env.now)
 
     def killer(env):
         yield env.timeout(0.3)
-        token[0] = True
+        kill(compute_done)
         router.cancel_container_flows(container, "crash")
 
     env.process(pusher(env))
@@ -162,7 +168,7 @@ def test_dlu_pending_counts_and_callbacks():
 
     dlu.push(
         cluster.workers[0], cluster.workers[1], 1e6, compute_done,
-        label="d", cancel_token=[False],
+        label="d", abandon=compute_done,
         on_delivered=lambda: delivered.append(env.now),
     )
     assert dlu.pending == 1
@@ -177,20 +183,18 @@ def test_dlu_abandoned_callback_on_crash():
     env, cluster, router, container = make_env()
     dlu = DLU(env, container, router)
     compute_done = env.event()
-    compute_done.succeed()
-    token = [False]
     outcomes = []
 
     dlu.push(
         cluster.workers[0], cluster.workers[1], 20e6, compute_done,
-        label="d", cancel_token=token,
+        label="d", abandon=compute_done,
         on_delivered=lambda: outcomes.append("delivered"),
         on_abandoned=lambda: outcomes.append("abandoned"),
     )
 
     def killer(env):
         yield env.timeout(0.2)
-        token[0] = True
+        kill(compute_done)
         router.cancel_container_flows(container)
 
     env.process(killer(env))

@@ -205,7 +205,7 @@ def _once_run(env, task_record):
     """An event that fires once ``task_record`` shows a finished run."""
     fired = env.event()
 
-    def poll(_event):
+    def poll():
         if task_record.exec_end > 0:
             fired.succeed()
         else:

@@ -1,6 +1,7 @@
 """Tests for the fluid-flow network model."""
 
 import math
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -197,24 +198,48 @@ def test_cancel_fails_waiters_and_frees_link():
     assert env.now == pytest.approx(12.5)
 
 
-def _live_callbacks(env):
-    return [cb for _, _, event in env._queue for cb in event.callbacks]
+def _entries(env, flow):
+    """``flow``'s completion-timer entries in the heap, as (slot, entry).
+
+    The fabric pushes each entry at the slot it was armed for, so an
+    entry is live when its slot is the flow's ``_entry_slot``.
+    """
+    return [
+        ((at, eid), entry) for at, eid, entry in env._queue
+        if isinstance(entry, partial) and entry.args[0] is flow
+    ]
+
+
+def _live_slots(env, flow):
+    return [slot for slot, _ in _entries(env, flow) if slot == flow._entry_slot]
+
+
+def _runs_nothing(env, flow, entry):
+    """Run ``entry`` by hand: it must leave the queue and ``flow`` as they
+    were."""
+    def state():
+        return (sorted(env._queue, key=lambda item: item[:2]), flow._slot,
+                flow._entry_slot, flow.remaining, flow.rate)
+
+    before = state()
+    entry()
+    return state() == before
 
 
 def test_early_entry_moves_to_the_live_slot():
     env, fabric = make_fabric()
     link = fabric.link("l", 100.0)
     flow = fabric.transfer(1000.0, [link])  # due at t=10 alone
-    env.call_later(5.0, lambda _e: fabric.transfer(2000.0, [link]))
+    env.call_later(5.0, lambda: fabric.transfer(2000.0, [link]))
     env.run(until=7.0)
     # Re-rated to 50 B/s at t=5: due at t=15, but its entry stays at t=10.
     assert flow._slot[0] == pytest.approx(15.0)
     assert flow._entry_slot[0] == pytest.approx(10.0)
-    assert _live_callbacks(env).count(flow._on_entry) == 1
+    assert [slot for slot, _ in _entries(env, flow)] == [flow._entry_slot]
     env.run(until=12.0)
     # The entry came due early and moved itself to the live slot.
     assert flow._entry_slot == flow._slot
-    assert _live_callbacks(env).count(flow._on_entry) == 1
+    assert [slot for slot, _ in _entries(env, flow)] == [flow._slot]
     env.run(until=flow.done)
     assert env.now == pytest.approx(15.0)
 
@@ -224,13 +249,14 @@ def test_earlier_slot_replaces_the_entry():
     link = fabric.link("l", 100.0)
     other = fabric.transfer(100.0, [link])
     flow = fabric.transfer(1000.0, [link])  # due at t=20 at 50 B/s
-    old_entry = flow._entry
+    [(old_slot, old_entry)] = _entries(env, flow)
     env.run(until=other.done)
     # other left at t=2, so flow sped up: a new entry for t=11; the old
-    # one stays in the heap with no callback.
-    assert flow._entry is not old_entry
-    assert old_entry.callbacks == []
-    assert _live_callbacks(env) == [flow._on_entry]
+    # one stays in the heap, stale, and runs nothing.
+    assert flow._entry_slot != old_slot
+    assert old_slot in [slot for slot, _ in _entries(env, flow)]
+    assert _live_slots(env, flow) == [flow._entry_slot]
+    assert _runs_nothing(env, flow, old_entry)
     env.run(until=flow.done)
     assert env.now == pytest.approx(11.0)
 
@@ -241,11 +267,13 @@ def test_cancelled_flow_leaves_no_live_callback():
     victim = fabric.transfer(1000.0, [link])
     bystander = fabric.transfer(1000.0, [link])
     victim.done.defused = True
-    env.call_later(5.0, lambda _e: victim.cancel())
+    env.call_later(5.0, lambda: victim.cancel())
     env.run(until=6.0)
-    assert victim._entry is None and victim._slot is None
-    assert victim._on_entry not in _live_callbacks(env)
-    assert bystander._on_entry in _live_callbacks(env)
+    assert victim._entry_slot is None and victim._slot is None
+    # The disarmed entry is still in the heap, and runs nothing.
+    [(_, dead_entry)] = _entries(env, victim)
+    assert _runs_nothing(env, victim, dead_entry)
+    assert _live_slots(env, bystander) == [bystander._entry_slot]
 
 
 def test_transferred_tracks_partial_progress():
@@ -407,7 +435,7 @@ class _EagerFabric(NetworkFabric):
             self._complete(flow)
             return
         self.env.call_later(
-            eta, lambda _ev, f=flow, g=generation: self._on_timer(f, g)
+            eta, lambda f=flow, g=generation: self._on_timer(f, g)
         )
 
     def _on_timer(self, flow, generation):
@@ -496,7 +524,7 @@ def _run_fabric_program(fabric_class, capacities, ops):
         check_fair_shares()
 
     for at, op in ops:
-        env.call_later(at, lambda _e, op=op: act(op))
+        env.call_later(at, lambda op=op: act(op))
     env.run()
     log.append(("end", fabric.bytes_moved))
     return log

@@ -13,9 +13,9 @@ from repro.sim import (
     Environment,
     Event,
     Fifo,
+    Resource,
     RngRegistry,
 )
-from repro.sim.events import PROCESSED
 
 
 def test_timeout_advances_clock():
@@ -40,7 +40,7 @@ def test_negative_delay_rejected():
 
 @pytest.mark.parametrize("arm", [
     lambda env, delay: env.timeout(delay),
-    lambda env, delay: env.call_later(delay, lambda _e: None),
+    lambda env, delay: env.call_later(delay, lambda: None),
     lambda env, delay: env.reserve(delay),
 ], ids=["timeout", "call_later", "reserve"])
 def test_nan_delay_rejected(arm):
@@ -263,8 +263,8 @@ def test_call_soon_runs_before_normal_events_in_fifo_order():
     env = Environment()
     order = []
     env.timeout(0).callbacks.append(lambda _e: order.append("timeout"))
-    env.call_soon(lambda _e: order.append("a"))
-    env.call_soon(lambda _e: order.append("b"))
+    env.call_soon(lambda: order.append("a"))
+    env.call_soon(lambda: order.append("b"))
     assert env.peek() == 0.0
     env.run()
     assert order == ["a", "b", "timeout"]
@@ -273,14 +273,14 @@ def test_call_soon_runs_before_normal_events_in_fifo_order():
 def test_call_later_fires_after_delay():
     env = Environment()
     fired = []
-    env.call_later(1.5, lambda _e: fired.append(env.now))
+    env.call_later(1.5, lambda: fired.append(env.now))
     with pytest.raises(ValueError):
-        env.call_later(-1, lambda _e: None)
+        env.call_later(-1, lambda: None)
     env.run()
     assert fired == [1.5]
 
 
-def _noop(_event):
+def _noop():
     pass
 
 
@@ -302,13 +302,13 @@ def test_reserved_slot_orders_like_an_immediate_schedule():
         log = []
 
         def tagged(tag):
-            return lambda _e: log.append((tag, env.now))
+            return lambda: log.append((tag, env.now))
 
         env.call_later(1.0, tagged("before"))
         if late:
             slot = env.reserve(1.0)
             # Pushed from inside the run, after "after" was scheduled.
-            env.call_later(0.5, lambda _e: env.call_at(slot, tagged("slot")))
+            env.call_later(0.5, lambda: env.call_at(slot, tagged("slot")))
         else:
             env.call_later(1.0, tagged("slot"))
             env.call_later(0.5, _noop)
@@ -333,7 +333,7 @@ def test_peek_reports_now_while_urgent_events_are_pending():
     env = Environment()
     env.timeout(4.0)
     env.run(until=2.0)
-    env.call_soon(lambda _e: None)
+    env.call_soon(lambda: None)
     assert env.peek() == 2.0
     env.step()
     assert env.peek() == 4.0
@@ -348,6 +348,7 @@ _OPS = st.one_of(
     st.tuples(st.just("chain"), _DELAYS, _DELAYS),
     st.tuples(st.just("join"), _DELAYS),
     st.tuples(st.just("queue"), st.one_of(st.none(), _DELAYS), _DELAYS),
+    st.tuples(st.just("hold"), st.one_of(st.none(), _DELAYS), _DELAYS),
     st.tuples(st.just("zero")),
 )
 _CONTROLS = st.one_of(
@@ -384,19 +385,61 @@ class _StoreOracle:
             self.getters.popleft().succeed(self.items.popleft())
 
 
+class _RequestOracle(Event):
+    """A pending acquisition of one unit of a :class:`_ResourceOracle`,
+    released on leaving its ``with`` block."""
+
+    def __init__(self, resource):
+        super().__init__(resource.env)
+        self.resource = resource
+        resource.queue.append(self)
+        resource.grant_next()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self.resource.release(self)
+
+
+class _ResourceOracle:
+    """The one-unit resource the trigger slots were written with: a
+    request succeeds at once on a free, unqueued resource, else at the
+    release that hands the unit over, and the requesting process resumes
+    when the request event is processed."""
+
+    def __init__(self, env):
+        self.env = env
+        self.user = None
+        self.queue = deque()
+
+    def request(self):
+        return _RequestOracle(self)
+
+    def release(self, request):
+        assert self.user is request
+        self.user = None
+        self.grant_next()
+
+    def grant_next(self):
+        if self.user is None and self.queue:
+            self.user = self.queue.popleft()
+            self.user.succeed()
+
+
 class _OneHeapEnvironment(Environment):
     """The kernel without the urgent lane: one heap keyed on (time,
-    priority, insertion order), urgent events at priority 0."""
+    priority, insertion order), urgent entries at priority 0."""
 
     __slots__ = ()
 
-    def schedule(self, event, delay=0.0):
+    def schedule(self, entry, delay=0.0):
         self._eid += 1
-        heappush(self._queue, (self._now + delay, 1, self._eid, event))
+        heappush(self._queue, (self._now + delay, 1, self._eid, entry))
 
-    def schedule_urgent(self, event):
+    def schedule_urgent(self, entry):
         self._eid += 1
-        heappush(self._queue, (self._now, 0, self._eid, event))
+        heappush(self._queue, (self._now, 0, self._eid, entry))
 
     def peek(self):
         return self._queue[0][0] if self._queue else float("inf")
@@ -404,13 +447,8 @@ class _OneHeapEnvironment(Environment):
     def step(self):
         if not self._queue:
             raise EmptySchedule()
-        self._now, _, _, event = heappop(self._queue)
-        callbacks, event.callbacks = event.callbacks, None
-        for callback in callbacks:
-            callback(event)
-        event._state = PROCESSED
-        if event._exception is not None and not event.defused:
-            raise event._exception
+        self._now, _, _, entry = heappop(self._queue)
+        entry()
 
     def run(self, until=None):
         stop = float("inf") if until is None else float(until)
@@ -442,6 +480,12 @@ def _run_program(program, form, env_class=Environment):
     next: a process looping on a :class:`_StoreOracle` get, or callbacks
     on a :class:`~repro.sim.Fifo` (the dispatcher's and the DLU's queues).
 
+    A "hold" queues for a slot shared by the whole program, either at
+    once or after a wait, and holds it for a delay once granted: a
+    process that requests a :class:`_ResourceOracle` and releases it
+    after a timeout, or :meth:`~repro.sim.Resource.hold` (the trigger
+    slots of the orchestrators and node engines).
+
     The process form has events the callback form drops: each process's
     completion event, which nothing waits on.  They change no clock and
     log nothing, so the driver steps until the log grows rather than a
@@ -452,12 +496,13 @@ def _run_program(program, form, env_class=Environment):
     log = []
     tags = itertools.count()
     queue = []  # the shared queue, made at the first "queue" op
+    slot = []  # the shared slot, made at the first "hold" op
 
     def wait_then(delay, act):
         if form == "callbacks":
-            env.call_soon(lambda _e: env.call_later(delay, lambda _e: act()))
+            env.call_soon(lambda: env.call_later(delay, act))
         elif form == "defer":
-            env.defer(delay, lambda _e: act())
+            env.defer(delay, act)
         else:
             def waiter():
                 yield env.timeout(delay)
@@ -494,7 +539,7 @@ def _run_program(program, form, env_class=Environment):
 
                 env.process(parent())
             else:
-                def parent_step(_e):
+                def parent_step():
                     done = env.event()
                     wait_then(op[1], lambda: (child_done(), done.succeed()))
                     done.callbacks.append(joined)
@@ -508,10 +553,44 @@ def _run_program(program, form, env_class=Environment):
                 put((tag, op[2]))
             else:
                 wait_then(op[1], lambda: put((tag, op[2])))
+        elif kind == "hold":
+            if not slot:
+                slot.append(
+                    _ResourceOracle(env) if form == "process" else Resource(env)
+                )
+            if op[1] is None:
+                hold(slot[0], tag, op[2])
+            else:
+                wait_then(op[1], lambda: hold(slot[0], tag, op[2]))
         else:
             env.timeout(0).callbacks.append(
                 lambda _e: log.append((tag, "zero", env.now))
             )
+
+    def hold(resource, tag, delay):
+        def granted():
+            log.append((tag, "granted", env.now))
+            return delay
+
+        def released():
+            log.append((tag, "released", env.now))
+            # A zero-delay follow-up, as a trigger's dispatch makes: it
+            # comes after the slot's handover to the next holder.
+            env.timeout(0).callbacks.append(
+                lambda _e: log.append((tag, "after release", env.now))
+            )
+
+        if form != "process":
+            resource.hold(granted, released)
+            return
+
+        def holder():
+            with resource.request() as request:
+                yield request
+                yield env.timeout(granted())
+            released()
+
+        env.process(holder())
 
     def start_consumer():
         if form == "process":
@@ -531,13 +610,13 @@ def _run_program(program, form, env_class=Environment):
         def got(item):
             tag, hold = item
             log.append((tag, "got", env.now))
-            env.call_later(hold, lambda _e: held(tag))
+            env.call_later(hold, lambda: held(tag))
 
         def held(tag):
             log.append((tag, "held", env.now))
             fifo.take(got)
 
-        env.call_soon(lambda _e: fifo.take(got))
+        env.call_soon(lambda: fifo.take(got))
         return fifo
 
     def step_until_logged():
