@@ -486,11 +486,15 @@ def _run_program(program, form, env_class=Environment):
     after a timeout, or :meth:`~repro.sim.Resource.hold` (the trigger
     slots of the orchestrators and node engines).
 
-    The process form has events the callback form drops: each process's
-    completion event, which nothing waits on.  They change no clock and
-    log nothing, so the driver steps until the log grows rather than a
-    fixed number of events, and peeks only right after issuing ops, when
-    the next event is due now in both forms.
+    A process that nothing waits on parks on an event that never fires
+    once it has acted, rather than returning: its completion event would
+    be an entry the callback form has no counterpart for, due now, and a
+    peek after ops that queue nothing (a put onto a busy queue) would see
+    it.  The join's child does return; its completion takes the slot of
+    the callback form's relay event.  The forms may still differ in
+    entries that change no clock and log nothing, so the driver steps
+    until the log grows rather than a fixed number of events, and peeks
+    only right after issuing ops.
     """
     env = env_class()
     log = []
@@ -507,6 +511,7 @@ def _run_program(program, form, env_class=Environment):
             def waiter():
                 yield env.timeout(delay)
                 act()
+                yield env.event()
 
             env.process(waiter())
 
@@ -536,6 +541,7 @@ def _run_program(program, form, env_class=Environment):
                 def parent():
                     yield env.process(child())
                     joined()
+                    yield env.event()
 
                 env.process(parent())
             else:
@@ -589,6 +595,7 @@ def _run_program(program, form, env_class=Environment):
                 yield request
                 yield env.timeout(granted())
             released()
+            yield env.event()
 
         env.process(holder())
 
