@@ -616,8 +616,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         raise CliError(f"--port must be 0..65535, got {args.port}")
     if args.workers < 1:
         raise CliError("--workers must be >= 1")
-    if args.max_events_per_run < 1:
-        raise CliError("--max-events-per-run must be >= 1")
     if args.max_queued is not None and args.max_queued < 1:
         raise CliError("--max-queued must be >= 1")
     if args.lease_timeout_s <= 0:
@@ -639,7 +637,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
             default_tenant_config=default_config,
             journal=args.journal,
             dashboard=not args.no_dashboard,
-            max_events_per_run=args.max_events_per_run,
             max_queued=args.max_queued,
             lease_timeout_s=args.lease_timeout_s,
             heartbeat_timeout_s=args.heartbeat_timeout_s,
@@ -899,11 +896,6 @@ def build_parser() -> argparse.ArgumentParser:
                        "runs survive restarts and resume from completed "
                        "cells; restarting on the same path recovers all "
                        "journaled runs (see docs/serve.md)")
-    serve.add_argument("--max-events-per-run", type=int, default=10_000,
-                       metavar="N",
-                       help="in-RAM event-log cap per run (default "
-                       "10000); older events spill to a per-run disk "
-                       "spool that history replays come from")
     serve.add_argument("--max-queued", type=int, default=None, metavar="N",
                        help="admission control: reject new runs with "
                        "429 + Retry-After once N submissions are queued "

@@ -45,7 +45,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Optional, Tuple
 from urllib.parse import parse_qs, urlsplit
 
-from ..metrics.report import render_event, render_json
+from ..metrics.report import render_json
 from ..parallel.profiles import TenantConfig
 from .jobs import AdmissionDenied, JobStore, RecordsUnavailable, UnknownJob
 from .journal import RunJournal
@@ -337,25 +337,25 @@ class _Handler(BaseHTTPRequestHandler):
         consumers skip lines starting with ``:``).
         """
         store = self.server.store
-        follower = store.follow(job_id, keepalive_s=self.server.keepalive_s)
+        follower = store.follow_lines(
+            job_id, keepalive_s=self.server.keepalive_s
+        )
         try:
-            first = next(follower)
-        except StopIteration:  # pragma: no cover - jobs always log 'queued'
-            first = None
-        self.send_response(200)
-        self.send_header("Content-Type", "application/x-ndjson")
-        self.end_headers()
-        if first is not None:
-            self.wfile.write((render_event(first) + "\n").encode("utf-8"))
-            self.wfile.flush()
-        for envelope in follower:
-            if envelope is None:
-                self.wfile.write(b": keepalive\n")
-            else:
-                self.wfile.write(
-                    (render_event(envelope) + "\n").encode("utf-8")
-                )
-            self.wfile.flush()
+            # Resolving the run first turns an unknown id into a 404.
+            first = next(follower, None)
+            self.send_response(200)
+            self.send_header("Content-Type", "application/x-ndjson")
+            self.end_headers()
+            if first is not None:
+                self.wfile.write(first)
+                self.wfile.flush()
+            # The run's log lines go out as stored: every event is
+            # serialized once, however many followers stream it.
+            for line in follower:
+                self.wfile.write(b": keepalive\n" if line is None else line)
+                self.wfile.flush()
+        finally:
+            follower.close()  # release the log file on a dropped client
 
     # -- POST -----------------------------------------------------------------
 
@@ -632,7 +632,6 @@ def create_server(
     journal: Optional[str] = None,
     dashboard: bool = True,
     keepalive_s: Optional[float] = 15.0,
-    max_events_per_run: int = 10_000,
     max_queued: Optional[int] = None,
     lease_timeout_s: float = 30.0,
     heartbeat_timeout_s: float = 90.0,
@@ -658,11 +657,10 @@ def create_server(
     ``: keepalive`` comment lines on event streams (``None`` disables
     them).
 
-    ``max_events_per_run`` caps each run's in-RAM event log
-    (``--max-events-per-run`` on the CLI, at least 1): older
-    envelopes move to a per-run disk spool that event followers replay
-    history from, so a huge trace can stream without growing the
-    server's resident memory per event.
+    Each run's event stream is one append-only NDJSON file, next to
+    the journal or in the store's temp directory, that every event
+    follower replays, so a huge trace streams without growing the
+    server's resident memory per event (``docs/serve.md``).
 
     ``max_queued`` (``--max-queued`` on the CLI; ``None`` = unbounded)
     is the admission-control queue-depth bound: a submission arriving
@@ -683,7 +681,6 @@ def create_server(
             max_finished=max_finished,
             journal=None if journal is None else RunJournal(journal),
             default_tenant_config=default_tenant_config,
-            max_events_per_run=max_events_per_run,
             max_queued=max_queued,
             lease_timeout_s=lease_timeout_s,
             heartbeat_timeout_s=heartbeat_timeout_s,

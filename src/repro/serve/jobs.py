@@ -12,15 +12,19 @@ engine, never a second execution path.
 
 Progress streams through the engine's ``on_cell`` hook: every folded
 :class:`~repro.parallel.engine.CellResult` appends one stable event
-envelope (:func:`repro.metrics.report.event_envelope`) to the job's
+envelope (:func:`repro.metrics.report.event_envelope`) to the run's
 event log and wakes any ``GET /v1/runs/<id>/events`` subscriber waiting
-on the store's condition variable.  The in-RAM log is a bounded ring
-(``max_events_per_run``): when it fills, the oldest envelopes move to a
-per-run disk spool (:class:`EventSpool`) the store replays history from
-— a late subscriber still sees the full, gap-free, seq-ordered history,
-but a long run can no longer grow resident memory without limit.  The
-terminal event is always the newest, so it is never evicted before a
-follower sees it.
+on the store's condition variable.  The log is one append-only NDJSON
+file per run — next to the journal, or in the store's temp directory
+without one — and it is the only copy: each envelope is rendered once
+(:func:`repro.metrics.report.render_event`) and appended as one line,
+and every follower, live or late, replays the file's lines unchanged,
+history first, then live.  A follower reads only as many lines as
+:attr:`Job.events_logged` says are written and flushed, so it never
+sees a partial line, and it opens the file in the same critical section
+that resolves the job, so eviction's unlink cannot cut it off.  Each
+append opens, writes and closes the file: open descriptors scale with
+attached followers, never with retained runs.
 
 Durability: a store built with a :class:`~repro.serve.journal.RunJournal`
 persists every submission, cell completion, and terminal status to an
@@ -49,14 +53,13 @@ import shutil
 import tempfile
 import threading
 import time
-from collections import deque
+import weakref
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from itertools import islice
 from pathlib import Path
-from typing import Deque, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from ..metrics.report import event_envelope
+from ..metrics.report import event_envelope, render_event
 from ..metrics.telemetry import MetricsRegistry, validate_event
 from ..parallel.engine import CellResult, local_executor, replay
 from ..parallel.policy import get_shard_policy
@@ -68,7 +71,6 @@ from .workers import FleetCancelled, WorkerRegistry
 
 __all__ = [
     "AdmissionDenied",
-    "EventSpool",
     "Job",
     "JobStore",
     "RecordsUnavailable",
@@ -78,6 +80,9 @@ __all__ = [
 #: States a job can rest in; the last three are terminal.
 JOB_STATES = ("queued", "running", "done", "failed", "interrupted")
 _TERMINAL = ("done", "failed", "interrupted")
+
+#: How long one follower wait sleeps before re-checking its run.
+_POLL_S = 0.25
 
 
 class UnknownJob(KeyError):
@@ -104,79 +109,6 @@ class AdmissionDenied(RuntimeError):
         self.retry_after_s = retry_after_s
 
 
-class EventSpool:
-    """Disk-backed history for ring-evicted event envelopes.
-
-    When a job's in-RAM event log reaches its cap, the oldest envelopes
-    move here — one NDJSON file per run, strictly append-only, written
-    under the store lock and flushed per append so followers reading
-    outside the lock always see complete lines.  Spool line *i* is the
-    run's absolute event position *i*: events only ever leave the ring
-    from the head, in order, so the file is always the dense prefix
-    ``[0, events_dropped)`` of the run's history and a follower's
-    catch-up read is a plain line scan, no index needed.
-    """
-
-    def __init__(self, directory: str, owned: bool = False) -> None:
-        self._dir = Path(directory)
-        self._dir.mkdir(parents=True, exist_ok=True)
-        #: Whether close() should delete the directory (tempdir spools).
-        self._owned = owned
-        self._handles: Dict[str, object] = {}
-
-    def _path(self, run_id: str) -> Path:
-        return self._dir / f"{run_id}.ndjson"
-
-    def reset(self, run_id: str) -> None:
-        """Drop any stale spool for a (re)created run.
-
-        Recovery re-emits a restored run's history with fresh seqs; a
-        spool file left by the previous process would misalign line
-        numbers with the new log's absolute positions.
-        """
-        self.remove(run_id)
-
-    def append(self, run_id: str, envelope: dict) -> None:
-        handle = self._handles.get(run_id)
-        if handle is None:
-            handle = open(self._path(run_id), "a", encoding="utf-8")
-            self._handles[run_id] = handle
-        handle.write(json.dumps(envelope, separators=(",", ":")) + "\n")
-        handle.flush()
-
-    def read(self, run_id: str, start: int, stop: int) -> List[dict]:
-        """Envelopes at absolute positions ``[start, stop)``."""
-        out: List[dict] = []
-        if start >= stop:
-            return out
-        try:
-            with open(self._path(run_id), "r", encoding="utf-8") as handle:
-                for position, line in enumerate(handle):
-                    if position >= stop:
-                        break
-                    if position >= start:
-                        out.append(json.loads(line))
-        except FileNotFoundError:
-            pass
-        return out
-
-    def remove(self, run_id: str) -> None:
-        handle = self._handles.pop(run_id, None)
-        if handle is not None:
-            handle.close()
-        try:
-            os.unlink(self._path(run_id))
-        except OSError:
-            pass
-
-    def close(self) -> None:
-        for handle in self._handles.values():
-            handle.close()
-        self._handles.clear()
-        if self._owned:
-            shutil.rmtree(self._dir, ignore_errors=True)
-
-
 @dataclass
 class Job:
     """One submitted run and everything it has produced so far.
@@ -194,16 +126,12 @@ class Job:
     #: The deterministic merged report (``done`` jobs only).
     report: Optional[dict] = None
     error: Optional[str] = None
-    #: The tail of the event log still in RAM (envelopes, append order).
-    #: Bounded by the store's ``max_events_per_run``; older envelopes
-    #: live in the store's :class:`EventSpool`.
-    events: Deque[dict] = field(default_factory=deque)
-    #: How many envelopes have been evicted from the head of
-    #: :attr:`events` into the spool — i.e. the absolute position of
-    #: ``events[0]`` in the run's full history.
-    events_dropped: int = 0
-    #: Cell events appended so far (counter, not an event-log scan —
-    #: the scan would miss ring-evicted cell events).
+    #: Complete lines in the run's event log file, raised under the
+    #: store lock only after a line is written and flushed: a follower
+    #: that reads this many lines never reads a partial one.
+    events_logged: int = 0
+    #: Cell events appended so far (a counter, so snapshots never read
+    #: the event log).
     cells_done: int = 0
     #: The merged record sequence of a ``done`` run — an in-RAM list or
     #: a disk-backed :class:`~repro.parallel.sink.SpilledRecords` —
@@ -258,7 +186,6 @@ class JobStore:
         journal: Optional[RunJournal] = None,
         default_tenant_config: Optional[TenantConfig] = None,
         metrics: Optional[MetricsRegistry] = None,
-        max_events_per_run: int = 10_000,
         max_record_runs: int = 8,
         max_queued: Optional[int] = None,
         lease_timeout_s: float = 30.0,
@@ -268,8 +195,6 @@ class JobStore:
             raise ValueError("workers must be >= 1")
         if max_finished < 1:
             raise ValueError("max_finished must be >= 1")
-        if max_events_per_run < 1:
-            raise ValueError("max_events_per_run must be >= 1")
         if max_record_runs < 1:
             raise ValueError("max_record_runs must be >= 1")
         if max_queued is not None and max_queued < 1:
@@ -280,7 +205,6 @@ class JobStore:
         #: Submissions refused by admission control (process lifetime).
         self.rejected = 0
         self.max_finished = max_finished
-        self.max_events_per_run = max_events_per_run
         #: Done runs whose merged records stay pageable; older runs drop
         #: their record handles first (reports are kept for all retained
         #: runs — records are the bulky part).
@@ -294,13 +218,17 @@ class JobStore:
         self._default_tenant_config = default_tenant_config
         journal_path = getattr(journal, "path", None)
         if journal_path is not None:
-            # Journal-adjacent spool: history files sit next to the
-            # durable log they complement.
-            self._spool = EventSpool(f"{journal_path}.events")
+            # Event logs sit next to the durable log they complement.
+            self._events_dir = Path(f"{journal_path}.events")
+            self._events_dir.mkdir(parents=True, exist_ok=True)
         else:
-            self._spool = EventSpool(
-                tempfile.mkdtemp(prefix="repro-serve-events-"),
-                owned=True,
+            # Removed with the store, not at close(): a closed store
+            # still answers snapshots and follows.
+            self._events_dir = Path(
+                tempfile.mkdtemp(prefix="repro-serve-events-")
+            )
+            weakref.finalize(
+                self, shutil.rmtree, str(self._events_dir), True
             )
         #: The process-wide registry every run populates (engine cell /
         #: tenant / phase instruments, journal fsyncs, pool gauges) and
@@ -367,9 +295,6 @@ class JobStore:
                 next_seq=run.last_seq + 1,
             )
             self._jobs[run.run_id] = job
-            # Recovery re-emits history with fresh seqs; a spool file
-            # from the previous process would misalign.
-            self._spool.reset(run.run_id)
             self._append(
                 job, "queued", {"run_id": job.id, "request": job.summary}
             )
@@ -459,6 +384,7 @@ class JobStore:
                     job, "progress", self._progress_body(job, totals)
                 )
             resume.append(job.id)
+        self._evict()
         return resume
 
     # -- submission and lookup ------------------------------------------------
@@ -523,9 +449,6 @@ class JobStore:
                 cells=len(request.trace.tenants()),
             )
             self._jobs[job_id] = job
-            # A fresh journal in a reused directory can leave stale
-            # spool files whose line numbers belong to another run.
-            self._spool.reset(job_id)
             seq = self._append(job, "queued", {"run_id": job_id,
                                                "request": request.summary})
             self._evict()
@@ -540,8 +463,9 @@ class JobStore:
         """Drop the oldest terminal jobs beyond ``max_finished``, and
         the oldest *record handles* beyond ``max_record_runs`` (lock
         held; runs on every submission and terminal transition).
-        Followers mid-stream keep their Job reference — an evicted job
-        is terminal, so they drain its fixed event log and finish; only
+        Followers mid-stream keep their Job reference and their open
+        log file, which the unlink leaves readable — an evicted job is
+        terminal, so they drain its fixed event log and finish; only
         new lookups see the 404."""
         terminal = [
             job_id
@@ -549,8 +473,13 @@ class JobStore:
             if job.status in _TERMINAL
         ]
         for job_id in terminal[: max(0, len(terminal) - self.max_finished)]:
+            if not self._settled(self._jobs[job_id]):
+                continue  # lines still to append; a later pass evicts it
             self._drop_records(self._jobs[job_id])
-            self._spool.remove(job_id)
+            try:
+                os.unlink(self._log_path(job_id))
+            except OSError:
+                pass
             del self._jobs[job_id]
         # Records are the bulky part of a done run: keep only the most
         # recent handles pageable, release the rest (their reports stay).
@@ -725,89 +654,63 @@ class JobStore:
 
     # -- event streaming ------------------------------------------------------
 
-    def follow(
-        self,
-        job_id: str,
-        poll_s: float = 0.25,
-        keepalive_s: Optional[float] = None,
-    ) -> Iterator[Optional[dict]]:
-        """Yield a job's event envelopes: full history, then live.
+    def _log_path(self, job_id: str) -> Path:
+        return self._events_dir / f"{job_id}.ndjson"
+
+    def follow_lines(
+        self, job_id: str, keepalive_s: Optional[float] = None
+    ) -> Iterator[Optional[bytes]]:
+        """Yield a job's event log lines (NDJSON, newline included):
+        full history, then live.
 
         Terminates once the job is terminal and every event has been
-        yielded.  ``poll_s`` bounds how long one wait sleeps, so a
-        disconnected client is noticed promptly by the caller's write
-        failing on the next yielded event.  The job resolves once, up
-        front: eviction mid-stream cannot break an attached follower.
+        yielded.  The job resolves, and its log file opens, once, up
+        front and in one critical section: eviction's unlink mid-stream
+        cannot cut an attached follower off.  Only lines counted by
+        :attr:`Job.events_logged` are read, so none is partial, and the
+        yielded sequence is the run's complete, gap-free, seq-ordered
+        history.
 
         ``keepalive_s`` (optional) yields ``None`` whenever that many
         seconds pass with no new event — the HTTP layer writes each
         ``None`` as a ``: keepalive`` comment line, so a follower of a
         quiet run can distinguish "alive but idle" from a dead
         connection and time out cleanly.
-
-        ``index`` below is an *absolute* position in the run's event
-        history.  History that has left the in-RAM ring is replayed
-        from the disk spool (outside the lock — spool files are
-        append-only and flushed per line); the ring serves the live
-        tail.  Either way the yielded sequence is gap-free and
-        seq-ordered.
         """
         with self._cond:
             job = self._get(job_id)
-        index = 0
-        last = time.monotonic()
-        while True:
-            batch: List[dict] = []
-            spool_to = None
-            with self._cond:
-                if index >= job.events_dropped:
-                    while (
-                        job.events_dropped + len(job.events) <= index
-                        and not self._settled(job)
-                    ):
-                        self._cond.wait(poll_s)
+            log = open(self._log_path(job.id), "rb")
+        with log:
+            read = 0
+            last = time.monotonic()
+            while True:
+                with self._cond:
+                    while job.events_logged <= read and not self._settled(job):
+                        self._cond.wait(_POLL_S)
                         if (
                             keepalive_s is not None
                             and time.monotonic() - last >= keepalive_s
                         ):
                             break
-                    dropped = job.events_dropped
-                    if index >= dropped:
-                        batch = list(
-                            islice(job.events, index - dropped, None)
-                        )
-                        index += len(batch)
-                    else:
-                        # The ring advanced past us while we waited.
-                        spool_to = dropped
-                else:
-                    spool_to = job.events_dropped
-                finished = (
-                    self._settled(job)
-                    and spool_to is None
-                    and index >= job.events_dropped + len(job.events)
-                )
-            if spool_to is not None:
-                # Catch up from the spool in bounded chunks so one lap
-                # never holds a huge history list in memory.
-                stop = min(spool_to, index + 1000)
-                batch = self._spool.read(job.id, index, stop)
-                if not batch:
-                    # A vanished spool file: the history below the ring
-                    # is gone; resume at the ring start.  The
-                    # suffix stays seq-ordered, so client-side
-                    # monotonicity checks still hold.
-                    index = spool_to
-                    continue
-                index += len(batch)
-            if batch:
-                yield from batch
-                last = time.monotonic()
-            elif not finished:
-                yield None  # keepalive tick: no event for keepalive_s
-                last = time.monotonic()
-            if finished:
-                return
+                    logged = job.events_logged
+                    settled = self._settled(job)
+                if logged > read:
+                    for _ in range(logged - read):
+                        yield log.readline()
+                    read = logged
+                    last = time.monotonic()
+                elif not settled:
+                    yield None  # keepalive tick: no event for keepalive_s
+                    last = time.monotonic()
+                if settled:
+                    return
+
+    def follow(
+        self, job_id: str, keepalive_s: Optional[float] = None
+    ) -> Iterator[Optional[dict]]:
+        """:meth:`follow_lines`, each line decoded to its envelope."""
+        for line in self.follow_lines(job_id, keepalive_s):
+            yield None if line is None else json.loads(line)
 
     def _append(
         self, job: Job, kind: str, body: dict, seq: Optional[int] = None
@@ -836,17 +739,20 @@ class JobStore:
         return seq
 
     def _push(self, job: Job, envelope: dict) -> None:
-        """Put one envelope on the job's event log (lock held)."""
-        job.events.append(envelope)
+        """Append one envelope to the run's event log file and wake
+        followers (lock held).
+
+        A run's first line truncates the file: a journal directory
+        reused across processes can hold a stale log under the same
+        run id, and recovery re-emits a restored run's history anew.
+        """
+        line = (render_event(envelope) + "\n").encode("utf-8")
+        mode = "ab" if job.events_logged else "wb"
+        with open(self._log_path(job.id), mode) as log:
+            log.write(line)
+        job.events_logged += 1
         if envelope["event"] == "cell":
             job.cells_done += 1
-        # Ring eviction: move the oldest envelopes to the disk spool.
-        # The newest event — which is the terminal one on any finished
-        # run — is never evicted, so the follower termination guarantee
-        # is structural.
-        while len(job.events) > self.max_events_per_run:
-            self._spool.append(job.id, job.events.popleft())
-            job.events_dropped += 1
         self._cond.notify_all()
 
     @contextmanager
@@ -1179,4 +1085,3 @@ WorkerRegistry` and its delivered outcomes feed the same fold a local
         self._interrupt(("queued", "running"))
         if self._journal is not None:
             self._journal.close()
-        self._spool.close()

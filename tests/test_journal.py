@@ -258,7 +258,7 @@ def test_close_interrupts_queued_jobs_and_restart_resumes(tmp_path):
     for run_id in queued:
         snap = store.snapshot(run_id)
         assert snap["status"] == "interrupted"  # not 'queued' forever
-        events = [e["event"] for e in store._jobs[run_id].events]
+        events = [e["event"] for e in store.follow(run_id)]
         assert events[-1] == "interrupted"
 
     state = load_journal(str(path))
@@ -377,7 +377,7 @@ def test_degraded_resume_reexecutes_only_unjournaled_cells(tmp_path):
         assert snap["degraded"] is True
         assert snap["recovered"] is True
         assert render_json(snap["report"]) == reference
-        events = store2._jobs[run_id].events
+        events = list(store2.follow(run_id))
         assert events[-1]["event"] == "degraded"
         cell_events = [e for e in events if e["event"] == "cell"]
         # "b" folded from the journal, not re-executed; "a" replayed
@@ -398,5 +398,33 @@ def test_recovered_ids_never_collide_with_new_submissions(tmp_path):
         new_id = store.submit(parse_run_request(RUN_BODY))
         assert new_id == "run-000002"
         assert store.snapshot("run-000001")["status"] == "done"
+    finally:
+        store.close()
+
+
+def test_recovery_honours_max_finished(tmp_path):
+    path = tmp_path / "journal.jsonl"
+    store = JobStore(workers=1, journal=RunJournal(str(path)))
+    try:
+        for _ in range(4):
+            run_id = store.submit(parse_run_request(RUN_BODY))
+            assert _await_terminal(store, run_id)["status"] == "done"
+    finally:
+        store.close()
+    assert len(load_journal(str(path)).runs) == 4
+
+    # The boot itself evicts past the retention window: only the two
+    # newest restored runs stay, and only their event logs stay on disk.
+    store = JobStore(
+        workers=1, journal=RunJournal(str(path)), max_finished=2
+    )
+    try:
+        kept = ["run-000003", "run-000004"]
+        assert [row["id"] for row in store.list()] == kept
+        logs = sorted(p.stem for p in (tmp_path / "journal.jsonl.events")
+                      .iterdir())
+        assert logs == kept
+        events = list(store.follow("run-000004"))
+        assert [e["event"] for e in events][-2:] == ["recovered", "report"]
     finally:
         store.close()

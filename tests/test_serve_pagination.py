@@ -1,14 +1,14 @@
-"""Bounded-memory serve surfaces: event ring + spool, paginated
-records, and paginated run listings.
+"""Bounded-memory serve surfaces: the per-run event log file,
+paginated records, and paginated run listings.
 
-Three families, mirroring PR-level guarantees:
+Three families:
 
-- **Event log boundedness**: each run's in-RAM event log is a ring
-  capped at ``max_events_per_run``; evicted history replays from the
-  per-run disk spool, so a follower still sees the complete, gap-free,
-  seq-ordered stream (the client's strict seq validation is the
-  witness), the terminal event is never lost, and snapshot progress
-  counters survive ring eviction.
+- **Event log**: each run's events live only in its append-only NDJSON
+  file, so a follower — live, late, or attached before the run was
+  evicted — sees the complete, gap-free, seq-ordered stream with the
+  terminal event last (the client's strict seq validation is the
+  witness); snapshot progress counters are counters, not log reads;
+  and no file descriptor outlives the run that used it.
 - **Records pagination**: ``GET /v1/runs/<id>/records`` pages the
   canonical merged record sequence by absolute index without
   materializing it per request — for both the in-RAM list and the
@@ -19,6 +19,8 @@ Three families, mirroring PR-level guarantees:
 """
 
 import json
+import os
+import sys
 import threading
 import time
 import urllib.error
@@ -26,9 +28,9 @@ import urllib.request
 
 import pytest
 
-from repro.cli import main
+from repro.metrics.report import render_event
 from repro.serve import ServeClient, create_server, parse_run_request
-from repro.serve.jobs import Job, JobStore, RecordsUnavailable
+from repro.serve.jobs import Job, JobStore, RecordsUnavailable, UnknownJob
 
 TRACE = {
     "name": "t",
@@ -85,9 +87,7 @@ def _store_await_done(store, run_id, timeout_s=60.0):
 
 @pytest.fixture(scope="module")
 def server():
-    # A deliberately tiny ring: every run's history overflows into the
-    # spool, so all module tests exercise the eviction + replay path.
-    srv = create_server(port=0, workers=1, quiet=True, max_events_per_run=3)
+    srv = create_server(port=0, workers=1, quiet=True)
     thread = threading.Thread(target=srv.serve_forever, daemon=True)
     thread.start()
     yield srv
@@ -95,23 +95,30 @@ def server():
     thread.join(timeout=10)
 
 
-# -- event ring + spool -------------------------------------------------------
+# -- event log ----------------------------------------------------------------
 
 
-def test_ring_capped_history_replays_complete_and_gap_free():
-    store = JobStore(workers=1, max_events_per_run=3)
+def _assert_complete(events):
+    """Complete from seq 0, strictly consecutive, terminal last."""
+    assert [e["seq"] for e in events] == list(range(len(events)))
+    assert events[0]["event"] == "queued"
+    assert events[-1]["event"] == "report"
+
+
+def test_late_follower_replays_the_logged_history():
+    store = JobStore(workers=1)
     try:
         run_id = store.submit(parse_run_request(RUN_BODY))
         _store_await_done(store, run_id)
-        events = [e for e in store.follow(run_id) if e is not None]
-        # Complete from seq 0, strictly consecutive, terminal last.
-        assert [e["seq"] for e in events] == list(range(len(events)))
-        assert events[0]["event"] == "queued"
-        assert events[-1]["event"] == "report"
-        assert len(events) > 3  # the history genuinely overflowed
-        job = store._jobs[run_id]
-        assert len(job.events) <= 3
-        assert job.events_dropped == len(events) - len(job.events)
+        lines = [
+            line for line in store.follow_lines(run_id) if line is not None
+        ]
+        events = [json.loads(line) for line in lines]
+        _assert_complete(events)
+        # Each stored line is the envelope's one rendering.
+        assert [line.decode() for line in lines] == [
+            render_event(event) + "\n" for event in events
+        ]
         # A second (late) follower replays the same full history.
         again = [e for e in store.follow(run_id) if e is not None]
         assert again == events
@@ -119,40 +126,102 @@ def test_ring_capped_history_replays_complete_and_gap_free():
         store.close()
 
 
-def test_snapshot_progress_survives_ring_eviction():
-    store = JobStore(workers=1, max_events_per_run=1)
+def test_snapshot_progress_counts_every_cell():
+    store = JobStore(workers=1)
     try:
         run_id = store.submit(parse_run_request(RUN_BODY))
         snap = _store_await_done(store, run_id)
-        # Cell events were all evicted from the 1-slot ring; the
-        # counter must still report every cell.
         assert snap["cells_done"] == snap["cells"] == 2
         assert snap["report"] is not None
     finally:
         store.close()
 
 
-def test_vanished_spool_file_resumes_at_ring_start():
-    """History below the ring is gone with its spool file; a follower
-    then gets the ring's seq-ordered suffix, terminal event last."""
-    store = JobStore(workers=1, max_events_per_run=3)
+def test_follower_attached_before_eviction_gets_the_whole_history():
+    """The follower's open log file outlives the run's eviction."""
+    store = JobStore(workers=1, max_finished=1)
     try:
-        run_id = store.submit(parse_run_request(RUN_BODY))
-        _store_await_done(store, run_id)
-        job = store._jobs[run_id]
-        assert job.events_dropped > 0
-        store._spool.remove(run_id)
-        events = [e for e in store.follow(run_id) if e is not None]
-        assert [e["seq"] for e in events] == [e["seq"] for e in job.events]
-        assert events[-1]["event"] == "report"
+        first = store.submit(parse_run_request(RUN_BODY))
+        _store_await_done(store, first)
+        follower = store.follow(first)
+        events = [next(follower)]  # attached: the log file is open
+        log = store._log_path(first)
+        assert log.exists()
+        # A second finished run pushes the first past max_finished.
+        second = store.submit(parse_run_request(RUN_BODY))
+        _store_await_done(store, second)
+        with pytest.raises(UnknownJob):
+            store.snapshot(first)
+        assert not log.exists()
+        events.extend(e for e in follower if e is not None)
+        _assert_complete(events)
+        assert all(e["run_id"] == first for e in events)
+        assert [e["event"] for e in events].count("cell") == 2
+    finally:
+        store.close()
+
+
+def test_concurrent_followers_never_read_a_partial_line():
+    """More job workers and followers than cores, with a tiny switch
+    interval: every follower still gets each run's complete history."""
+    store = JobStore(workers=3)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        run_ids = [
+            store.submit(parse_run_request(RUN_BODY)) for _ in range(3)
+        ]
+        seen = {}
+
+        def follow(key, run_id):
+            seen[key] = [e for e in store.follow(run_id) if e is not None]
+
+        threads = [
+            threading.Thread(target=follow, args=((run_id, i), run_id))
+            for run_id in run_ids
+            for i in range(4)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+        store.close()
+    assert len(seen) == len(threads)
+    for (run_id, _), events in seen.items():
+        _assert_complete(events)
+        assert events == seen[(run_id, 0)]
+        assert all(e["run_id"] == run_id for e in events)
+
+
+@pytest.mark.skipif(
+    not sys.platform.startswith("linux"), reason="counts /proc/self/fd"
+)
+def test_open_file_descriptors_do_not_grow_with_finished_runs():
+    store = JobStore(workers=1)
+    try:
+        def run_once():
+            run_id = store.submit(parse_run_request(RUN_BODY))
+            _store_await_done(store, run_id)
+            assert list(store.follow(run_id))[-1]["event"] == "report"
+
+        run_once()  # warm-up: lazy imports and first-use handles
+        before = len(os.listdir("/proc/self/fd"))
+        for _ in range(20):
+            run_once()
+        after = len(os.listdir("/proc/self/fd"))
+        assert after - before < 5, (before, after)
     finally:
         store.close()
 
 
 def test_streaming_client_validates_spooled_history(server):
-    """End-to-end: with a 3-event ring the client still sees the whole
-    stream, schema-valid with strictly increasing seq (the client
-    raises on any gap-induced regression or missing terminal)."""
+    """End-to-end: the client sees the run's whole logged stream,
+    schema-valid with strictly increasing seq (the client raises on any
+    gap-induced regression or missing terminal), and a late follower
+    replays exactly what the live one saw."""
     client = ServeClient(server.url)
     run_id = client.submit(RUN_BODY)
     events = list(client.events(run_id))
@@ -161,6 +230,7 @@ def test_streaming_client_validates_spooled_history(server):
     assert kinds[-1] == "report"
     assert kinds.count("cell") == 2
     assert [e["seq"] for e in events] == list(range(len(events)))
+    assert list(client.events(run_id)) == events
 
 
 # -- records pagination -------------------------------------------------------
@@ -354,11 +424,3 @@ def test_client_runs_pages_transparently(server):
     assert status == 200
     assert client.runs(page_size=2) == full["runs"]
     assert client.runs() == full["runs"]
-
-
-# -- CLI wiring ---------------------------------------------------------------
-
-
-def test_cli_serve_rejects_bad_event_cap(capsys):
-    assert main(["serve", "--max-events-per-run", "0"]) == 2
-    assert "--max-events-per-run" in capsys.readouterr().err
