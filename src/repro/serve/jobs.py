@@ -28,13 +28,17 @@ attached followers, never with retained runs.
 
 Durability: a store built with a :class:`~repro.serve.journal.RunJournal`
 persists every submission, cell completion, and terminal status to an
-append-only fsync'd log.  On construction the store replays the
-journal: finished runs restore read-only, and interrupted runs *resume*
-— journaled cell residues fold back through ``StreamingMerge`` via the
-engine's ``completed_cells`` entry point and only the missing cells
-re-execute, so the resumed report is byte-identical to an uninterrupted
-run at the same seed.  Restored jobs carry ``recovered: true`` in their
-snapshots.
+append-only fsync'd log, each before the events it makes durable are
+appended.  On construction the store replays the journal: finished
+runs restore read-only, and interrupted runs *resume* — journaled cell
+residues fold back through ``StreamingMerge`` via the engine's
+``completed_cells`` entry point and only the missing cells re-execute,
+so the resumed report is byte-identical to an uninterrupted run at the
+same seed.  Restored jobs carry ``recovered: true`` in their snapshots.
+The event log, not the journal, is the run's one seq ledger: recovery
+continues each run's surviving log past its last complete line and
+appends only what the log lacks, so a follower's history before a
+restart stays a prefix of the stream after it.
 
 Determinism note: the *report* a job produces is the engine's merged
 ``to_dict`` — byte-identical to ``repro replay`` on the same spec and
@@ -54,7 +58,6 @@ import tempfile
 import threading
 import time
 import weakref
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
@@ -130,8 +133,8 @@ class Job:
     #: store lock only after a line is written and flushed: a follower
     #: that reads this many lines never reads a partial one.
     events_logged: int = 0
-    #: Cell events appended so far (a counter, so snapshots never read
-    #: the event log).
+    #: Cells folded so far — journal-recovered plus newly executed (a
+    #: counter, so snapshots never read the event log).
     cells_done: int = 0
     #: The merged record sequence of a ``done`` run — an in-RAM list or
     #: a disk-backed :class:`~repro.parallel.sink.SpilledRecords` —
@@ -150,16 +153,10 @@ class Job:
     #: (dropped once the run reaches a terminal state).
     preloaded: Optional[List[CellResult]] = None
     #: The next event ``seq`` to assign — monotonic for the lifetime of
-    #: the run *including across journal resume* (recovery seeds it
-    #: past the highest journaled seq, so post-restart events never
-    #: reuse a number a pre-crash follower already saw).
+    #: the run *including across journal resume* (recovery continues
+    #: the surviving event log past its last line, so post-restart
+    #: events never reuse a number a pre-crash follower already saw).
     next_seq: int = 0
-    #: True while a :meth:`JobStore._reserved` block is open (its seqs
-    #: claimed, its events not yet appended).
-    reserving: bool = False
-    #: Envelopes appended while :attr:`reserving`: their seqs follow
-    #: the open block's, so they land right after it does.
-    held: List[dict] = field(default_factory=list)
 
 
 class JobStore:
@@ -270,15 +267,19 @@ class JobStore:
         """Rebuild jobs from a loaded journal; returns ids to re-enqueue.
 
         Runs before the worker threads exist (constructor-only, store
-        lock held).
+        lock held).  Each run continues its surviving event log (see
+        :meth:`_reopen_log`) and appends only what the log lacks, so the
+        log stays the run's one seq ledger across restarts.
         ``done``/``failed`` runs restore read-only with their journaled
-        report or error.  Anything else — ``interrupted`` by a clean
-        shutdown or simply cut off mid-run by a crash — re-validates its
-        journaled request body and resumes: journaled cell residues
-        whose identity tokens still match the request become
-        ``preloaded`` results the engine folds without re-executing.  A
-        request that no longer validates (e.g. the registry changed)
-        becomes ``failed``, never a startup crash.
+        report or error; one whose log does not end in its terminal
+        event gets ``recovered`` plus that event.  Anything else —
+        ``interrupted`` by a clean shutdown or simply cut off mid-run by
+        a crash — re-validates its journaled request body and resumes:
+        journaled cell residues whose identity tokens still match the
+        request become ``preloaded`` results the engine folds without
+        re-executing, and each one the log has no ``cell`` line for gets
+        one.  A request that no longer validates (e.g. the registry
+        changed) becomes ``failed``, never a startup crash.
         """
         self._ids = itertools.count(state.max_run_number() + 1)
         resume: List[str] = []
@@ -288,49 +289,40 @@ class JobStore:
                 request=None,
                 summary=dict(run.summary),
                 cells=run.cells_total,
+                cells_done=len(run.cells),
                 recovered=True,
-                # Resume numbering past every journaled seq: a follower
-                # that saw seq N before the crash never sees a
-                # *different* event reuse a number <= N after it.
-                next_seq=run.last_seq + 1,
             )
             self._jobs[run.run_id] = job
-            self._append(
-                job, "queued", {"run_id": job.id, "request": job.summary}
-            )
-            if run.status == "done":
-                job.status = "done"
-                job.report = run.report
+            logged = self._reopen_log(job)
+            if not logged:
                 self._append(
-                    job, "recovered",
-                    {"run_id": job.id, "cells_journaled": len(run.cells)},
+                    job, "queued", {"run_id": job.id, "request": job.summary}
                 )
-                failed_cells = self._report_failed_cells(run.report)
-                if failed_cells:
-                    # The journaled report carries a failed_cells
-                    # section: restore with the same terminal kind the
-                    # original execution emitted.
-                    self._append(
-                        job, "degraded",
-                        {"run_id": job.id, "report": run.report,
-                         "failed_cells": failed_cells},
+            if run.finished:
+                if run.status == "done":
+                    job.status = "done"
+                    job.report = run.report
+                    failed_cells = self._report_failed_cells(run.report)
+                    # Restore with the same terminal kind the original
+                    # execution emitted.
+                    terminal = (
+                        ("degraded", {"run_id": job.id, "report": run.report,
+                                      "failed_cells": failed_cells})
+                        if failed_cells else
+                        ("report", {"run_id": job.id, "report": run.report})
                     )
                 else:
+                    job.status = "failed"
+                    job.error = run.error
+                    terminal = ("error", {"run_id": job.id,
+                                          "message": run.error})
+                last = json.loads(logged[-1])["event"] if logged else None
+                if last != terminal[0]:
                     self._append(
-                        job, "report",
-                        {"run_id": job.id, "report": run.report},
+                        job, "recovered",
+                        {"run_id": job.id, "cells_journaled": len(run.cells)},
                     )
-                continue
-            if run.status == "failed":
-                job.status = "failed"
-                job.error = run.error
-                self._append(
-                    job, "recovered",
-                    {"run_id": job.id, "cells_journaled": len(run.cells)},
-                )
-                self._append(
-                    job, "error", {"run_id": job.id, "message": run.error}
-                )
+                    self._append(job, *terminal)
                 continue
             try:
                 if run.payload is None:
@@ -344,11 +336,10 @@ class JobStore:
                     f"recovery: journaled request no longer valid: "
                     f"{type(exc).__name__}: {exc}"
                 )
-                seq = self._append(
+                self._journal.record_failed(job.id, job.error)
+                self._append(
                     job, "error", {"run_id": job.id, "message": job.error}
                 )
-                if self._journal is not None:
-                    self._journal.record_failed(job.id, job.error, seq=seq)
                 self.metrics.counter("repro_runs_total", status="failed").inc()
                 continue
             job.request = request
@@ -369,17 +360,26 @@ class JobStore:
                 except Exception:  # noqa: BLE001 - a bad residue re-runs
                     continue
             job.preloaded = preloaded
+            job.cells_done = len(preloaded)
             self._append(
                 job, "recovered",
                 {"run_id": job.id, "cells_journaled": len(preloaded)},
             )
+            logged_cells = {
+                envelope["cell"]
+                for envelope in map(json.loads, logged)
+                if envelope["event"] == "cell"
+            }
             totals = {"cells_done": 0, "offered": 0,
                       "completed": 0, "failed": 0}
+            missing = 0
             for cell in preloaded:
                 body = self._cell_event_body(job.id, cell, resumed=True)
                 self._accumulate(totals, body)
-                self._append(job, "cell", body)
-            if preloaded:
+                if cell.key not in logged_cells:
+                    self._append(job, "cell", body)
+                    missing += 1
+            if missing:
                 self._append(
                     job, "progress", self._progress_body(job, totals)
                 )
@@ -449,12 +449,12 @@ class JobStore:
                 cells=len(request.trace.tenants()),
             )
             self._jobs[job_id] = job
-            seq = self._append(job, "queued", {"run_id": job_id,
-                                               "request": request.summary})
+            self._append(job, "queued", {"run_id": job_id,
+                                         "request": request.summary})
             self._evict()
         if self._journal is not None:
             self._journal.record_submit(
-                job_id, request.payload, request.summary, job.cells, seq=seq
+                job_id, request.payload, request.summary, job.cells
             )
         self._queue.put(job_id)
         return job_id
@@ -473,8 +473,6 @@ class JobStore:
             if job.status in _TERMINAL
         ]
         for job_id in terminal[: max(0, len(terminal) - self.max_finished)]:
-            if not self._settled(self._jobs[job_id]):
-                continue  # lines still to append; a later pass evicts it
             self._drop_records(self._jobs[job_id])
             try:
                 os.unlink(self._log_path(job_id))
@@ -685,7 +683,9 @@ class JobStore:
             last = time.monotonic()
             while True:
                 with self._cond:
-                    while job.events_logged <= read and not self._settled(job):
+                    while job.events_logged <= read and (
+                        job.status not in _TERMINAL
+                    ):
                         self._cond.wait(_POLL_S)
                         if (
                             keepalive_s is not None
@@ -693,7 +693,7 @@ class JobStore:
                         ):
                             break
                     logged = job.events_logged
-                    settled = self._settled(job)
+                    settled = job.status in _TERMINAL
                 if logged > read:
                     for _ in range(logged - read):
                         yield log.readline()
@@ -712,79 +712,48 @@ class JobStore:
         for line in self.follow_lines(job_id, keepalive_s):
             yield None if line is None else json.loads(line)
 
-    def _append(
-        self, job: Job, kind: str, body: dict, seq: Optional[int] = None
-    ) -> int:
-        """Append one envelope and wake subscribers (lock held).
+    def _reopen_log(self, job: Job) -> List[bytes]:
+        """Continue a restored run's surviving event log; returns its
+        complete lines (lock held, recovery only).
 
-        ``seq`` defaults to the job's next number; passing one of a
-        :meth:`_reserved` block appends at that reserved number.  An
-        unreserved append while a block is open is held back until the
-        block lands, so the log stays in seq order.  Every envelope is
-        validated against the telemetry schema on the way in — the
-        store structurally cannot emit an invalid event.  Returns the
-        assigned seq.
+        A kill can cut the log's last write short, so a torn tail is
+        truncated away before anything is appended.  The next seq
+        follows the last complete line's — not the line count, since a
+        log can start above seq 0.
         """
-        if seq is None:
-            seq = job.next_seq
-            held = job.reserving
-        else:
-            held = False
-        job.next_seq = max(job.next_seq, seq + 1)
-        envelope = validate_event(event_envelope(kind, body, seq=seq))
-        if held:
-            job.held.append(envelope)
-        else:
-            self._push(job, envelope)
-        return seq
+        try:
+            with open(self._log_path(job.id), "r+b") as log:
+                data = log.read()
+                end = data.rfind(b"\n") + 1
+                log.truncate(end)
+        except FileNotFoundError:
+            return []
+        lines = data[:end].splitlines()
+        if lines:
+            job.events_logged = len(lines)
+            job.next_seq = json.loads(lines[-1])["seq"] + 1
+        return lines
 
-    def _push(self, job: Job, envelope: dict) -> None:
-        """Append one envelope to the run's event log file and wake
-        followers (lock held).
+    def _append(self, job: Job, kind: str, body: dict) -> None:
+        """Append one envelope, at the job's next seq, to the run's
+        event log file and wake followers (lock held).
 
-        A run's first line truncates the file: a journal directory
-        reused across processes can hold a stale log under the same
-        run id, and recovery re-emits a restored run's history anew.
+        Every envelope is validated against the telemetry schema on the
+        way in — the store structurally cannot emit an invalid event.
+        A fresh run's first line truncates the file: a journal directory
+        reused across processes can hold a stale log under the same run
+        id.
         """
+        envelope = validate_event(
+            event_envelope(kind, body, seq=job.next_seq)
+        )
         line = (render_event(envelope) + "\n").encode("utf-8")
         mode = "ab" if job.events_logged else "wb"
         with open(self._log_path(job.id), mode) as log:
             log.write(line)
+        job.next_seq += 1
         job.events_logged += 1
-        if envelope["event"] == "cell":
-            job.cells_done += 1
         self._cond.notify_all()
-
-    @contextmanager
-    def _reserved(self, job: Job, count: int) -> Iterator[int]:
-        """Claim ``count`` consecutive seqs; yields the first.
-
-        For event blocks the journal records before they become
-        visible: the seqs are claimed *before* the journal fsync (which
-        runs outside the store lock), so the journaled "last emitted
-        seq" is exact.  Until the block exits, unreserved appends — a
-        fleet lease event, the shutdown sweep — take seqs after the
-        block's and are held back; they land as the block exits, right
-        behind its events, so followers see strictly increasing seqs.
-        """
-        with self._cond:
-            first = job.next_seq
-            job.next_seq += count
-            job.reserving = True
-        try:
-            yield first
-        finally:
-            with self._cond:
-                job.reserving = False
-                held, job.held = job.held, []
-                for envelope in held:
-                    self._push(job, envelope)
-                self._cond.notify_all()
-
-    @staticmethod
-    def _settled(job: Job) -> bool:
-        """Terminal, with every event the run will emit on its log."""
-        return job.status in _TERMINAL and not job.reserving
 
     @staticmethod
     def _accumulate(totals: Dict[str, int], cell_body: dict) -> None:
@@ -852,8 +821,8 @@ class JobStore:
             self._append(job, "running", {"run_id": job.id})
 
         # Running totals for the progress / terminal-counter events;
-        # journal-recovered cells already emitted their cell events in
-        # _recover, so the resume starts from their sums.  on_cell runs
+        # journal-recovered cells already have their cell events on the
+        # log, so the resume starts from their sums.  on_cell runs
         # only on this worker thread, so the dict needs no lock.
         totals = {"cells_done": 0, "offered": 0, "completed": 0, "failed": 0}
         for cell in job.preloaded or ():
@@ -866,21 +835,20 @@ class JobStore:
             # recovered ones folded without re-running and are already
             # journaled.
             body = self._cell_event_body(job.id, cell)
-            with self._reserved(job, 2) as first:
-                if self._journal is not None:
-                    self._journal.record_cell(
-                        job.id,
-                        cell.key,
-                        request.spec.cell_identity(cell.key),
-                        cell.to_payload(),
-                        seq=first + 1,
-                    )
-                self._accumulate(totals, body)
-                progress = self._progress_body(job, totals)
-                with self._cond:
-                    if job.status == "running":
-                        self._append(job, "cell", body, seq=first)
-                        self._append(job, "progress", progress, seq=first + 1)
+            if self._journal is not None:
+                self._journal.record_cell(
+                    job.id,
+                    cell.key,
+                    request.spec.cell_identity(cell.key),
+                    cell.to_payload(),
+                )
+            self._accumulate(totals, body)
+            progress = self._progress_body(job, totals)
+            with self._cond:
+                if job.status == "running":
+                    job.cells_done = totals["cells_done"]
+                    self._append(job, "cell", body)
+                    self._append(job, "progress", progress)
 
         try:
             if request.workers == "remote":
@@ -906,8 +874,7 @@ class JobStore:
             failed_cells = len(result.failed_cells)
             # The terminal batch: the run's counter totals (matching
             # the report exactly), its phase-timing gauges, then the
-            # report itself — the journaled done record names the
-            # report event's seq.
+            # report itself.
             batch = [
                 ("counter", {"run_id": job.id, "name": name, "value": value})
                 for name, value in (
@@ -931,24 +898,22 @@ class JobStore:
                                            "failed_cells": failed_cells}))
             else:
                 batch.append(("report", {"run_id": job.id, "report": report}))
-            with self._reserved(job, len(batch)) as first:
-                if self._journal is not None:
-                    self._journal.record_done(
-                        job.id, report, seq=first + len(batch) - 1
-                    )
-                with self._cond:
-                    if job.status != "running":
-                        return  # the shutdown sweep already closed this run
-                    job.report = report
-                    job.status = "done"
-                    # Keep the merged record handle (list or disk-backed
-                    # SpilledRecords) pageable via /records until the run
-                    # leaves the record-retention window.
-                    job.records = result.records
-                    job.preloaded = None
-                    for seq, (kind, body) in enumerate(batch, first):
-                        self._append(job, kind, body, seq=seq)
-                    self._evict()
+            # Durability before visibility, as for each cell.
+            if self._journal is not None:
+                self._journal.record_done(job.id, report)
+            with self._cond:
+                if job.status != "running":
+                    return  # the shutdown sweep already closed this run
+                job.report = report
+                job.status = "done"
+                # Keep the merged record handle (list or disk-backed
+                # SpilledRecords) pageable via /records until the run
+                # leaves the record-retention window.
+                job.records = result.records
+                job.preloaded = None
+                for kind, body in batch:
+                    self._append(job, kind, body)
+                self._evict()
             self.metrics.counter(
                 "repro_runs_total",
                 status="degraded" if failed_cells else "done",
@@ -962,29 +927,26 @@ class JobStore:
                     return
                 job.status = "interrupted"
                 job.preloaded = None
-                seq = self._append(job, "interrupted", {"run_id": job.id})
+                self._append(job, "interrupted", {"run_id": job.id})
             if self._journal is not None:
-                self._journal.record_interrupted(job.id, seq=seq)
+                self._journal.record_interrupted(job.id)
             self.metrics.counter(
                 "repro_runs_total", status="interrupted"
             ).inc()
         except Exception as exc:  # noqa: BLE001 - a job must never kill its worker
             error = f"{type(exc).__name__}: {exc}"
-            with self._reserved(job, 1) as first:
-                if self._journal is not None:
-                    self._journal.record_failed(job.id, error, seq=first)
-                with self._cond:
-                    if job.status != "running":
-                        return  # the shutdown sweep already closed this run
-                    job.status = "failed"
-                    job.error = error
-                    job.preloaded = None
-                    self._append(
-                        job, "error",
-                        {"run_id": job.id, "message": job.error},
-                        seq=first,
-                    )
-                    self._evict()
+            if self._journal is not None:
+                self._journal.record_failed(job.id, error)
+            with self._cond:
+                if job.status != "running":
+                    return  # the shutdown sweep already closed this run
+                job.status = "failed"
+                job.error = error
+                job.preloaded = None
+                self._append(
+                    job, "error", {"run_id": job.id, "message": job.error}
+                )
+                self._evict()
             self.metrics.counter("repro_runs_total", status="failed").inc()
 
     def _fleet_executor(self, job: Job, request: RunRequest):
@@ -1043,16 +1005,13 @@ WorkerRegistry` and its delivered outcomes feed the same fold a local
             swept = [
                 job for job in self._jobs.values() if job.status in statuses
             ]
-            seqs = {}
             for job in swept:
                 job.status = "interrupted"
                 job.preloaded = None
-                seqs[job.id] = self._append(
-                    job, "interrupted", {"run_id": job.id}
-                )
+                self._append(job, "interrupted", {"run_id": job.id})
         for job in swept:
             if self._journal is not None:
-                self._journal.record_interrupted(job.id, seq=seqs[job.id])
+                self._journal.record_interrupted(job.id)
             self.metrics.counter(
                 "repro_runs_total", status="interrupted"
             ).inc()

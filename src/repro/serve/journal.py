@@ -28,9 +28,12 @@ most the in-flight cell, and a torn final write leaves a truncated last
 line that :func:`load_journal` detects and discards — the affected cell
 is simply "not completed" and re-runs.
 
-Recovery semantics live in :class:`~repro.serve.jobs.JobStore`:
-``done``/``failed`` runs restore read-only, anything else resumes by
-re-submitting only the cells without a journaled completion.
+Records carry no event ``seq``: each run's event log is its one seq
+ledger.  Records written by older servers may carry one; the loader
+ignores it.  Recovery semantics live in
+:class:`~repro.serve.jobs.JobStore`: ``done``/``failed`` runs restore
+read-only, anything else resumes by re-submitting only the cells
+without a journaled completion.
 """
 
 from __future__ import annotations
@@ -68,13 +71,6 @@ class JournalRun:
     status: str = "submitted"
     report: Optional[dict] = None
     error: Optional[str] = None
-    #: Highest event ``seq`` any journaled record carried (-1 if none):
-    #: the submit record journals the ``queued`` event's seq, each cell
-    #: record the seq of the last event in its batch, and terminal
-    #: records the seq of the last event of the run.  A recovering
-    #: store resumes numbering *past* this, so a follower that saw seq
-    #: N before the crash never sees a different event reuse ≤ N.
-    last_seq: int = -1
 
     @property
     def finished(self) -> bool:
@@ -159,9 +155,6 @@ def load_journal(path: str) -> JournalState:
                 summary=record.get("summary") or {},
                 cells_total=int(record.get("cells") or 0),
             )
-            seq = record.get("seq")
-            if isinstance(seq, int) and not isinstance(seq, bool):
-                run.last_seq = seq
             state.runs[run_id] = run
             continue
         run = state.runs.get(run_id)
@@ -171,9 +164,6 @@ def load_journal(path: str) -> JournalState:
                 f"{run_id}; discarded"
             )
             continue
-        seq = record.get("seq")
-        if isinstance(seq, int) and not isinstance(seq, bool):
-            run.last_seq = max(run.last_seq, seq)
         if kind == "cell":
             key = record.get("key")
             cell = record.get("cell")
@@ -251,58 +241,27 @@ class RunJournal:
             self.metrics.counter("repro_journal_fsyncs_total").inc()
 
     def record_submit(
-        self,
-        run_id: str,
-        payload: Optional[dict],
-        summary: dict,
-        cells: int,
-        seq: Optional[int] = None,
+        self, run_id: str, payload: Optional[dict], summary: dict, cells: int
     ) -> None:
-        body: Dict[str, object] = dict(
-            payload=payload, summary=summary, cells=cells
+        self.append(
+            "submit", run_id, payload=payload, summary=summary, cells=cells
         )
-        if seq is not None:
-            body["seq"] = seq
-        self.append("submit", run_id, **body)
 
     def record_cell(
-        self,
-        run_id: str,
-        key: str,
-        identity: str,
-        cell_payload: dict,
-        seq: Optional[int] = None,
+        self, run_id: str, key: str, identity: str, cell_payload: dict
     ) -> None:
-        body: Dict[str, object] = dict(
-            key=key, identity=identity, cell=cell_payload
+        self.append(
+            "cell", run_id, key=key, identity=identity, cell=cell_payload
         )
-        if seq is not None:
-            body["seq"] = seq
-        self.append("cell", run_id, **body)
 
-    def record_done(
-        self, run_id: str, report: dict, seq: Optional[int] = None
-    ) -> None:
-        body: Dict[str, object] = dict(report=report)
-        if seq is not None:
-            body["seq"] = seq
-        self.append("done", run_id, **body)
+    def record_done(self, run_id: str, report: dict) -> None:
+        self.append("done", run_id, report=report)
 
-    def record_failed(
-        self, run_id: str, error: str, seq: Optional[int] = None
-    ) -> None:
-        body: Dict[str, object] = dict(error=error)
-        if seq is not None:
-            body["seq"] = seq
-        self.append("failed", run_id, **body)
+    def record_failed(self, run_id: str, error: str) -> None:
+        self.append("failed", run_id, error=error)
 
-    def record_interrupted(
-        self, run_id: str, seq: Optional[int] = None
-    ) -> None:
-        if seq is not None:
-            self.append("interrupted", run_id, seq=seq)
-        else:
-            self.append("interrupted", run_id)
+    def record_interrupted(self, run_id: str) -> None:
+        self.append("interrupted", run_id)
 
     def close(self) -> None:
         with self._lock:

@@ -16,7 +16,7 @@ import time
 
 import pytest
 
-from repro.metrics.report import render_json
+from repro.metrics.report import event_envelope, render_event, render_json
 from repro.serve import RunJournal, load_journal, parse_run_request
 from repro.serve.jobs import JobStore
 
@@ -72,6 +72,9 @@ def test_journal_records_round_trip(tmp_path):
     journal.record_cell("run-000001", "a", "a@123", {"key": "a"})
     journal.record_done("run-000001", {"offered": 3})
     journal.record_submit("run-000002", {"app": "wc"}, {}, 1)
+    # Older servers stamped an event seq on every record: still loads.
+    journal.append("cell", "run-000002", key="b", identity="b@1",
+                   cell={"key": "b"}, seq=3)
     journal.record_interrupted("run-000002")
     journal.close()
 
@@ -85,6 +88,7 @@ def test_journal_records_round_trip(tmp_path):
     assert first.cells_total == 2
     second = state.runs["run-000002"]
     assert second.status == "interrupted"
+    assert second.cells == {"b": ("b@1", {"key": "b"})}
     assert state.max_run_number() == 2
 
 
@@ -122,6 +126,66 @@ def test_torn_final_write_is_cell_not_completed(tmp_path):
         assert store.snapshot("run-000001")["status"] == "done"
     finally:
         store.close()
+
+
+def test_torn_final_log_line_is_dropped_and_its_seq_reused(tmp_path):
+    """A kill mid-write leaves the run's event log with a torn last
+    line (here the report, the longest write): recovery cuts it off, a
+    follower never sees it, and the next event takes its seq."""
+    path = tmp_path / "journal.jsonl"
+    _run_to_completion(str(path))
+    log = tmp_path / "journal.jsonl.events" / "run-000001.ndjson"
+    lines = log.read_bytes().splitlines(keepends=True)
+    torn = json.loads(lines[-1])
+    assert torn["event"] == "report"
+    log.write_bytes(b"".join(lines[:-1]) + lines[-1][: len(lines[-1]) // 2])
+
+    store = JobStore(workers=1, journal=RunJournal(str(path)))
+    try:
+        streamed = list(store.follow_lines("run-000001"))
+        assert streamed[:-2] == lines[:-1]
+        recovered, report = (json.loads(line) for line in streamed[-2:])
+        assert recovered["event"] == "recovered"
+        assert recovered["seq"] == torn["seq"]
+        assert (report["event"], report["seq"]) == ("report", torn["seq"] + 1)
+        assert report["report"] == torn["report"]
+        assert log.read_bytes() == b"".join(streamed)
+    finally:
+        store.close()
+
+
+def test_recovery_continues_the_surviving_event_log(tmp_path):
+    """A run killed after logging ``queued@0, running@1`` resumes on
+    the same log: the old lines stay a verbatim prefix of the stream
+    and seqs rise with no gap and no reuse across the restart."""
+    path = tmp_path / "journal.jsonl"
+    request = parse_run_request(RUN_BODY)
+    journal = RunJournal(str(path))
+    journal.record_submit("run-000001", RUN_BODY, request.summary, 2)
+    journal.close()
+    before = [
+        render_event(event_envelope(kind, body, seq=seq)) + "\n"
+        for seq, (kind, body) in enumerate([
+            ("queued", {"run_id": "run-000001", "request": request.summary}),
+            ("running", {"run_id": "run-000001"}),
+        ])
+    ]
+    log = tmp_path / "journal.jsonl.events" / "run-000001.ndjson"
+    log.parent.mkdir()
+    log.write_text("".join(before))
+
+    store = JobStore(workers=1, journal=RunJournal(str(path)))
+    try:
+        assert _await_terminal(store, "run-000001")["status"] == "done"
+        streamed = [
+            line.decode("utf-8") for line in store.follow_lines("run-000001")
+        ]
+    finally:
+        store.close()
+    assert streamed[: len(before)] == before
+    events = [json.loads(line) for line in streamed]
+    assert [e["seq"] for e in events] == list(range(len(events)))
+    assert [e["event"] for e in events][2:4] == ["recovered", "running"]
 
 
 def test_corrupt_mid_file_line_is_skipped(tmp_path):
@@ -363,7 +427,9 @@ def test_degraded_resume_reexecutes_only_unjournaled_cells(tmp_path):
     assert _journaled_cell_keys(path, run_id) == ["b"]
 
     # Surgery: drop the terminal record, as a crash between the last
-    # fold and the terminal append would.
+    # fold and the terminal append would.  The run's event log stays.
+    log = tmp_path / "journal.jsonl.events" / f"{run_id}.ndjson"
+    before = [json.loads(line) for line in log.read_text().splitlines()]
     records = [json.loads(l) for l in path.read_text().splitlines()]
     kept = [r for r in records if r["rec"] != "done"]
     path.write_text(
@@ -378,11 +444,12 @@ def test_degraded_resume_reexecutes_only_unjournaled_cells(tmp_path):
         assert snap["recovered"] is True
         assert render_json(snap["report"]) == reference
         events = list(store2.follow(run_id))
+        assert events[: len(before)] == before
         assert events[-1]["event"] == "degraded"
-        cell_events = [e for e in events if e["event"] == "cell"]
-        # "b" folded from the journal, not re-executed; "a" replayed
-        # fresh (and was poisoned again).
-        assert {e["cell"] for e in cell_events if e.get("resumed")} == {"b"}
+        # "b" folded from the journal, not re-executed: its one cell
+        # event is the line the log kept from before the restart; "a"
+        # replayed fresh (and was poisoned again), so it has none.
+        assert [e["cell"] for e in events if e["event"] == "cell"] == ["b"]
     finally:
         store2.close()
 
@@ -409,6 +476,7 @@ def test_recovery_honours_max_finished(tmp_path):
         for _ in range(4):
             run_id = store.submit(parse_run_request(RUN_BODY))
             assert _await_terminal(store, run_id)["status"] == "done"
+        before = list(store.follow("run-000004"))
     finally:
         store.close()
     assert len(load_journal(str(path)).runs) == 4
@@ -424,7 +492,9 @@ def test_recovery_honours_max_finished(tmp_path):
         logs = sorted(p.stem for p in (tmp_path / "journal.jsonl.events")
                       .iterdir())
         assert logs == kept
-        events = list(store.follow("run-000004"))
-        assert [e["event"] for e in events][-2:] == ["recovered", "report"]
+        # An intact finished run restores with its history unchanged.
+        assert list(store.follow("run-000004")) == before
+        snap = store.snapshot("run-000004")
+        assert snap["cells_done"] == snap["cells"] == 2
     finally:
         store.close()

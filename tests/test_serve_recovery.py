@@ -121,18 +121,11 @@ def _journaled_cells(journal_path, run_id):
     return keys
 
 
-def _journaled_max_seq(journal_path, run_id):
-    """Highest event ``seq`` any journaled record for one run carries."""
-    max_seq = -1
-    raw = journal_path.read_text(errors="replace")
-    for line in raw.split("\n")[:-1]:  # drop the (possibly torn) tail
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError:
-            continue
-        if record.get("run") == run_id and isinstance(record.get("seq"), int):
-            max_seq = max(max_seq, record["seq"])
-    return max_seq
+def _logged_events(journal_path, run_id):
+    """The complete lines of one run's event log, decoded; a torn tail
+    (the write a kill cut short) is left out."""
+    log = Path(f"{journal_path}.events") / f"{run_id}.ndjson"
+    return [json.loads(line) for line in log.read_text().split("\n")[:-1]]
 
 
 def _events(base, run_id):
@@ -201,11 +194,10 @@ def test_sigkill_mid_run_resumes_to_byte_identical_report(tmp_path):
 
     checkpointed = len(before_kill)
     assert len(set(before_kill)) == checkpointed  # no dupes pre-kill
-    # Every journal record carries the seq of the event batch it made
-    # durable; the pre-crash high-water mark anchors the monotonicity
-    # assertion after the resume.
-    pre_crash_seq = _journaled_max_seq(journal_path, run_id)
-    assert pre_crash_seq > 0
+    # The run's event log survives the kill; the resumed stream must
+    # continue it.
+    pre_crash = _logged_events(journal_path, run_id)
+    assert len(pre_crash) > 1
 
     # -- second incarnation: same journal, resume, finish ---------------------
     proc, base = _start_server(journal_path)
@@ -227,16 +219,15 @@ def test_sigkill_mid_run_resumes_to_byte_identical_report(tmp_path):
         assert render_json(snap["report"]) == control
 
         # Event seq is monotonic across the crash-resume boundary: the
-        # recovered incarnation's stream starts exactly one past the
-        # highest seq the first incarnation journaled — it must never
-        # restart from len(job.events) and hand followers colliding or
-        # regressing seqs.
+        # recovered incarnation continues the first one's log, so every
+        # event a pre-crash follower saw keeps its seq and no later
+        # event reuses one.
         events = _events(base, run_id)
         for event in events:
             validate_event(event)
+        assert events[: len(pre_crash)] == pre_crash
         seqs = [event["seq"] for event in events]
-        assert seqs == sorted(set(seqs)), "seq regressed in resumed stream"
-        assert seqs[0] == pre_crash_seq + 1
+        assert seqs == list(range(len(events))), "seq gap or reuse"
     finally:
         proc.terminate()
         try:

@@ -408,10 +408,11 @@ def test_jobstore_remote_run_matches_local_run_byte_for_byte(tmp_path):
 def test_fleet_event_during_cell_fsync_keeps_seqs_increasing(
     tmp_path, monkeypatch
 ):
-    """A lease event that lands while a cell's journal fsync holds the
-    cell's reserved seqs is appended *after* the cell's events, never
-    ahead of them: the stream stays strictly seq-ordered and the
-    validating client accepts a remote ``--journal`` run."""
+    """A lease event that lands while a cell's journal fsync runs takes
+    the next seq at once, and the cell's events follow it: the stream
+    stays strictly seq-ordered, the validating client accepts a remote
+    ``--journal`` run, and no cell event is visible before its journal
+    record is durable."""
     from repro.serve import ServeClient, create_server
     from repro.serve.journal import RunJournal
 
@@ -424,8 +425,8 @@ def test_fleet_event_during_cell_fsync_keeps_seqs_increasing(
     injected = []
 
     def record_cell(self, run_id, key, *args, **kwargs):
-        # Between the seq reservation and the cell's append: the window
-        # a real lease grant can hit while the fsync runs.
+        # Before the cell's append: the window a real lease grant can
+        # hit while the fsync runs.
         store._fleet_event(run_id, "lease", {
             "run_id": run_id, "cell": key, "worker": "w-injected",
             "attempt": 1,
@@ -454,14 +455,15 @@ def test_fleet_event_during_cell_fsync_keeps_seqs_increasing(
     assert len(injected) == 6
     seqs = [event["seq"] for event in events]
     assert seqs == sorted(set(seqs)), seqs
-    # Each injected lease event lands behind its cell's own event.
+    # Durability before visibility: each cell's event lands behind the
+    # lease event injected during its journal fsync.
     cell_at = {
         event["cell"]: index
         for index, event in enumerate(events) if event["event"] == "cell"
     }
     for index, event in enumerate(events):
         if event["event"] == "lease" and event["worker"] == "w-injected":
-            assert cell_at[event["cell"]] < index, event
+            assert index < cell_at[event["cell"]], event
 
 
 def test_jobstore_remote_run_applies_server_default_tenant_config():

@@ -77,6 +77,7 @@ def run_kill_worker_mode(args) -> int:
     """
     import os
     import re
+    import shutil
     import signal
     import subprocess
     import tempfile
@@ -247,9 +248,12 @@ def run_kill_worker_mode(args) -> int:
     args.log.write_text(json.dumps(log, indent=2) + "\n")
     print(f"[fault log: {args.log}]")
     if failed:
+        # The work directory stays for inspection (CI uploads it).
         print("FAIL: the recovered remote run diverged from control",
               file=sys.stderr)
+        print(f"[work directory kept: {workdir}]", file=sys.stderr)
         return 1
+    shutil.rmtree(workdir, ignore_errors=True)
     print("OK: the recovered remote report is byte-identical to the control")
     return 0
 
