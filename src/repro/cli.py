@@ -892,10 +892,10 @@ def build_parser() -> argparse.ArgumentParser:
                        "runs that carry no inline tenant_config "
                        "(JSON or YAML-lite, see docs/tenancy.md)")
     serve.add_argument("--journal", default=None, metavar="PATH",
-                       help="durable run journal (append-only JSONL): "
-                       "runs survive restarts and resume from completed "
-                       "cells; restarting on the same path recovers all "
-                       "journaled runs (see docs/serve.md)")
+                       help="durable run journal: a directory with one "
+                       "append-only JSONL file per run; restarting on it "
+                       "resumes unfinished runs from their completed cells "
+                       "and restores the retained finished ones")
     serve.add_argument("--max-queued", type=int, default=None, metavar="N",
                        help="admission control: reject new runs with "
                        "429 + Retry-After once N submissions are queued "

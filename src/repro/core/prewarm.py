@@ -74,16 +74,8 @@ class PrewarmPolicy:
             self.suppressed += 1
             return
         try:
-            ready = pool.start_new()
+            dispatcher.boot()
         except InsufficientResources:
             self.suppressed += 1
             return
-        dispatcher.booting += 1
         self.prewarms += 1
-
-        def on_ready(event, dispatcher=dispatcher):
-            dispatcher.booting -= 1
-            dispatcher.add_idle(event.value)
-
-        if ready.callbacks is not None:
-            ready.callbacks.append(on_ready)

@@ -644,12 +644,11 @@ def create_server(
     (oldest evicted first) so the service's memory never grows with
     total jobs ever submitted.
 
-    ``journal`` is a path to the durable run journal (``--journal`` on
-    the CLI): the store replays it before serving — finished runs
-    restore read-only, interrupted runs resume from their journaled
-    cells — and every subsequent submission, cell completion, and
-    terminal status is fsync'd to it (``docs/serve.md``, "Durability &
-    recovery").
+    ``journal`` is the durable run journal's directory (``--journal``
+    on the CLI): the store replays it before serving — retained finished
+    runs restore read-only, interrupted runs resume from their journaled
+    cells — and every later submission, cell completion, and terminal
+    status is fsync'd to the run's file (``docs/serve.md``).
 
     ``dashboard=False`` turns ``GET /dashboard`` into a 404
     (``--no-dashboard`` on the CLI) for deployments that want the API
@@ -657,8 +656,8 @@ def create_server(
     ``: keepalive`` comment lines on event streams (``None`` disables
     them).
 
-    Each run's event stream is one append-only NDJSON file, next to
-    the journal or in the store's temp directory, that every event
+    Each run's event stream is one append-only NDJSON file, in the
+    journal directory or in the store's temp directory, that every event
     follower replays, so a huge trace streams without growing the
     server's resident memory per event (``docs/serve.md``).
 

@@ -15,26 +15,28 @@ Progress streams through the engine's ``on_cell`` hook: every folded
 envelope (:func:`repro.metrics.report.event_envelope`) to the run's
 event log and wakes any ``GET /v1/runs/<id>/events`` subscriber waiting
 on the store's condition variable.  The log is one append-only NDJSON
-file per run — next to the journal, or in the store's temp directory
-without one — and it is the only copy: each envelope is rendered once
-(:func:`repro.metrics.report.render_event`) and appended as one line,
-and every follower, live or late, replays the file's lines unchanged,
-history first, then live.  A follower reads only as many lines as
-:attr:`Job.events_logged` says are written and flushed, so it never
-sees a partial line, and it opens the file in the same critical section
-that resolves the job, so eviction's unlink cannot cut it off.  Each
-append opens, writes and closes the file: open descriptors scale with
-attached followers, never with retained runs.
+file per run — in the journal directory, or in the store's temp
+directory without one — and it is the only copy: each envelope is
+rendered once (:func:`repro.metrics.report.render_event`) and appended
+as one line, and every follower, live or late, replays the file's lines
+unchanged, history first, then live.  A follower reads only as many
+lines as :attr:`Job.events_logged` says are written and flushed, so it
+never sees a partial line, and it opens the file in the same critical
+section that resolves the job, so eviction's unlink cannot cut it off.
+Each append opens, writes and closes the file: open descriptors scale
+with attached followers, never with retained runs.
 
 Durability: a store built with a :class:`~repro.serve.journal.RunJournal`
-persists every submission, cell completion, and terminal status to an
-append-only fsync'd log, each before the events it makes durable are
-appended.  On construction the store replays the journal: finished
-runs restore read-only, and interrupted runs *resume* — journaled cell
-residues fold back through ``StreamingMerge`` via the engine's
-``completed_cells`` entry point and only the missing cells re-execute,
-so the resumed report is byte-identical to an uninterrupted run at the
-same seed.  Restored jobs carry ``recovered: true`` in their snapshots.
+persists every submission, cell completion, and terminal status to the
+run's append-only fsync'd journal file, each before the events it makes
+durable are appended.  Evicting a ``done``/``failed`` run deletes its
+journal file with its event log.  On construction the store replays
+the journal (see :meth:`JobStore._recover`): finished runs inside the
+retention window restore read-only, and unfinished runs *resume* —
+journaled cell residues fold back through ``StreamingMerge`` via the
+engine's ``completed_cells`` entry point and only the missing cells
+re-execute, so the resumed report is byte-identical to an
+uninterrupted run at the same seed (snapshots say ``recovered: true``).
 The event log, not the journal, is the run's one seq ledger: recovery
 continues each run's surviving log past its last complete line and
 appends only what the log lacks, so a follower's history before a
@@ -68,7 +70,7 @@ from ..parallel.engine import CellResult, local_executor, replay
 from ..parallel.policy import get_shard_policy
 from ..parallel.profiles import TenantConfig
 from ..parallel.sink import record_to_payload
-from .journal import JournalState, RunJournal
+from .journal import JournalState, RunJournal, run_number
 from .validation import RunRequest, parse_run_request
 from .workers import FleetCancelled, WorkerRegistry
 
@@ -213,19 +215,16 @@ class JobStore:
         self._closed = False
         self._journal = journal
         self._default_tenant_config = default_tenant_config
-        journal_path = getattr(journal, "path", None)
-        if journal_path is not None:
-            # Event logs sit next to the durable log they complement.
-            self._events_dir = Path(f"{journal_path}.events")
-            self._events_dir.mkdir(parents=True, exist_ok=True)
+        if journal is not None:
+            self._runs_dir = Path(journal.path)
         else:
             # Removed with the store, not at close(): a closed store
             # still answers snapshots and follows.
-            self._events_dir = Path(
+            self._runs_dir = Path(
                 tempfile.mkdtemp(prefix="repro-serve-events-")
             )
             weakref.finalize(
-                self, shutil.rmtree, str(self._events_dir), True
+                self, shutil.rmtree, str(self._runs_dir), True
             )
         #: The process-wide registry every run populates (engine cell /
         #: tenant / phase instruments, journal fsyncs, pool gauges) and
@@ -267,7 +266,10 @@ class JobStore:
         """Rebuild jobs from a loaded journal; returns ids to re-enqueue.
 
         Runs before the worker threads exist (constructor-only, store
-        lock held).  Each run continues its surviving event log (see
+        lock held).  It keeps every unfinished run plus the newest
+        ``max_finished`` finished ones and deletes all other runs' files
+        unrestored, so boot work stays inside the retention window.
+        Each kept run continues its surviving event log (see
         :meth:`_reopen_log`) and appends only what the log lacks, so the
         log stays the run's one seq ledger across restarts.
         ``done``/``failed`` runs restore read-only with their journaled
@@ -281,7 +283,16 @@ class JobStore:
         one.  A request that no longer validates (e.g. the registry
         changed) becomes ``failed``, never a startup crash.
         """
-        self._ids = itertools.count(state.max_run_number() + 1)
+        files = list(self._runs_dir.iterdir())
+        # New ids continue past every run with a file, deleted ones too.
+        last = max([0, *(run_number(path.stem) for path in files)])
+        self._ids = itertools.count(last + 1)
+        finished = [r.run_id for r in state.runs.values() if r.finished]
+        for run_id in finished[: -self.max_finished]:
+            del state.runs[run_id]
+        for path in files:
+            if path.suffix in (".jsonl", ".ndjson") and path.stem not in state.runs:
+                path.unlink()
         resume: List[str] = []
         for run in state.runs.values():
             job = Job(
@@ -463,28 +474,33 @@ class JobStore:
         """Drop the oldest terminal jobs beyond ``max_finished``, and
         the oldest *record handles* beyond ``max_record_runs`` (lock
         held; runs on every submission and terminal transition).
-        Followers mid-stream keep their Job reference and their open
-        log file, which the unlink leaves readable — an evicted job is
-        terminal, so they drain its fixed event log and finish; only
-        new lookups see the 404."""
+        An evicted run's event log and journal file are deleted with it,
+        except an ``interrupted`` run's under a journal: the next boot
+        resumes it from both.  Followers mid-stream keep their Job
+        reference and their open log file, which the unlink leaves
+        readable — an evicted job is terminal, so they drain its fixed
+        event log and finish; only new lookups see the 404."""
         terminal = [
             job_id
             for job_id, job in self._jobs.items()
             if job.status in _TERMINAL
         ]
-        for job_id in terminal[: max(0, len(terminal) - self.max_finished)]:
-            self._drop_records(self._jobs[job_id])
-            try:
-                os.unlink(self._log_path(job_id))
-            except OSError:
-                pass
-            del self._jobs[job_id]
+        for job_id in terminal[: -self.max_finished]:
+            job = self._jobs.pop(job_id)
+            self._drop_records(job)
+            if job.status == "interrupted" and self._journal is not None:
+                continue
+            for suffix in (".ndjson", ".jsonl"):
+                try:
+                    os.unlink(self._runs_dir / f"{job_id}{suffix}")
+                except OSError:
+                    pass
         # Records are the bulky part of a done run: keep only the most
         # recent handles pageable, release the rest (their reports stay).
         holding = [
             job for job in self._jobs.values() if job.records is not None
         ]
-        for job in holding[: max(0, len(holding) - self.max_record_runs)]:
+        for job in holding[: -self.max_record_runs]:
             self._drop_records(job)
 
     @staticmethod
@@ -538,14 +554,6 @@ class JobStore:
         page, _cursor = self.list_page()
         return page
 
-    @staticmethod
-    def _run_number(job_id: str) -> int:
-        """The monotonic submission number inside a ``run-NNNNNN`` id."""
-        try:
-            return int(job_id.rsplit("-", 1)[-1])
-        except ValueError:
-            return -1
-
     def list_page(
         self,
         cursor: Optional[str] = None,
@@ -564,7 +572,7 @@ class JobStore:
         """
         if limit is not None and limit < 1:
             raise ValueError("limit must be >= 1")
-        floor = self._run_number(cursor) if cursor is not None else -1
+        floor = run_number(cursor) if cursor is not None else -1
         with self._cond:
             rows = [
                 {
@@ -573,7 +581,7 @@ class JobStore:
                     "url": f"/v1/runs/{job.id}",
                 }
                 for job in self._jobs.values()
-                if self._run_number(job.id) > floor
+                if run_number(job.id) > floor
             ]
         if limit is None or len(rows) <= limit:
             return rows, None
@@ -653,7 +661,7 @@ class JobStore:
     # -- event streaming ------------------------------------------------------
 
     def _log_path(self, job_id: str) -> Path:
-        return self._events_dir / f"{job_id}.ndjson"
+        return self._runs_dir / f"{job_id}.ndjson"
 
     def follow_lines(
         self, job_id: str, keepalive_s: Optional[float] = None
@@ -809,7 +817,9 @@ class JobStore:
             job_id = self._queue.get()
             if job_id is None:
                 return
-            self._execute(self._jobs[job_id])
+            job = self._jobs.get(job_id)
+            if job is not None:  # close() interrupted and evicted it
+                self._execute(job)
 
     def _execute(self, job: Job) -> None:
         request = job.request
@@ -1042,5 +1052,3 @@ WorkerRegistry` and its delivered outcomes feed the same fold a local
         for thread in self._threads:
             thread.join(timeout=timeout_s)
         self._interrupt(("queued", "running"))
-        if self._journal is not None:
-            self._journal.close()

@@ -1,9 +1,11 @@
 """The durable run journal behind ``repro serve --journal``.
 
-An append-only JSONL log (stdlib only) that makes the service's job
-state survive process death — the Triggerflow move of persisting
-orchestration state so workflow progress outlives the orchestrator.
-One JSON record per line, four durable facts per run:
+The journal is a directory with one append-only JSONL file per run,
+``<run-id>.jsonl`` (stdlib only), next to that run's event log,
+``<run-id>.ndjson``.  It makes the service's job state survive process
+death — the Triggerflow move of persisting orchestration state so
+workflow progress outlives the orchestrator.  One JSON record per line,
+four durable facts per run:
 
 ==============  ============================================================
 ``rec``         meaning
@@ -21,12 +23,18 @@ to_payload` residue — enough to fold the cell back through
 ==============  ============================================================
 
 Every append is flushed **and fsync'd** before :meth:`RunJournal.append`
-returns — the well-defined durability points are: after ``submit`` (an
+returns, and the append that creates a run's file fsyncs the directory
+too — the well-defined durability points are: after ``submit`` (an
 accepted 202 survives), after each ``cell`` (completed work is never
 redone), and after each terminal record.  A crash can therefore lose at
 most the in-flight cell, and a torn final write leaves a truncated last
 line that :func:`load_journal` detects and discards — the affected cell
 is simply "not completed" and re-runs.
+
+Retention bounds the journal: :class:`~repro.serve.jobs.JobStore`
+deletes a ``done``/``failed`` run's file with its event log when it
+evicts the run, and a boot deletes the files of every finished run past
+the retention window without restoring it.
 
 Records carry no event ``seq``: each run's event log is its one seq
 ledger.  Records written by older servers may carry one; the loader
@@ -79,104 +87,57 @@ class JournalRun:
 
 @dataclass
 class JournalState:
-    """The loaded journal: runs in submission order, plus anomalies."""
+    """The loaded journal: runs in run-number order, plus anomalies."""
 
-    #: run id -> :class:`JournalRun`, insertion-ordered by submission.
+    #: run id -> :class:`JournalRun`, ordered by run number.
     runs: Dict[str, JournalRun] = field(default_factory=dict)
-    #: Human-readable notes on every record the loader discarded
-    #: (torn last line, corrupt mid-file line, orphan, duplicate cell).
+    #: Human-readable notes on every record the loader discarded (torn
+    #: last line, corrupt line, file with no submit, duplicate cell).
     anomalies: List[str] = field(default_factory=list)
 
-    def max_run_number(self) -> int:
-        """The largest ``run-NNNNNN`` numeric suffix seen (0 if none);
-        a recovering store starts its id counter past this so new ids
-        never collide with journaled ones."""
-        best = 0
-        for run_id in self.runs:
-            tail = run_id.rsplit("-", 1)[-1]
-            if tail.isdigit():
-                best = max(best, int(tail))
-        return best
 
-
-def _parse_line(index: int, line: str, last: bool) -> Tuple[Optional[dict], Optional[str]]:
-    """(record, anomaly) for one journal line — never raises."""
+def run_number(run_id: str) -> int:
+    """The submission number inside a ``run-NNNNNN`` id (-1 if none)."""
     try:
-        record = json.loads(line)
-    except json.JSONDecodeError:
-        kind = "torn final write" if last else "corrupt line"
-        return None, f"line {index + 1}: {kind} discarded"
-    if not isinstance(record, dict) or "rec" not in record or "run" not in record:
-        return None, f"line {index + 1}: not a journal record; discarded"
-    return record, None
+        return int(run_id.rsplit("-", 1)[-1])
+    except ValueError:
+        return -1
 
 
-def load_journal(path: str) -> JournalState:
-    """Replay a journal file into a :class:`JournalState`.
-
-    Tolerant by design — startup must never crash on a journal a dying
-    process left behind.  A truncated or torn last line (the one write
-    a crash can interrupt) is discarded; so is any line that is not
-    valid JSON or not a journal record, any record for a run with no
-    ``submit`` line, and any duplicate cell completion (first wins —
-    identical by determinism, so the dedupe is idempotent).  Every
-    discard is noted in :attr:`JournalState.anomalies`.
-    """
-    state = JournalState()
-    if not os.path.exists(path):
-        return state
+def _load_run(path: str, run_id: str, anomalies: List[str]) -> Optional[JournalRun]:
+    """Replay one run's journal file; ``None`` if it has no ``submit``."""
     with open(path, "r", encoding="utf-8", errors="replace") as handle:
-        raw = handle.read()
-    # A complete journal ends in a newline: anything after the final
-    # newline is a torn write.  splitlines() alone would hide that.
-    lines = raw.split("\n")
-    if lines and lines[-1] == "":
+        # A complete file ends in a newline: anything after the final
+        # newline is a torn write.  splitlines() alone would hide that.
+        lines = handle.read().split("\n")
+    if lines[-1] == "":
         lines.pop()
+    run = JournalRun(run_id=run_id)
+    submitted = False
     for index, line in enumerate(lines):
         if not line.strip():
             continue
-        record, anomaly = _parse_line(index, line, index == len(lines) - 1)
-        if record is None:
-            state.anomalies.append(anomaly)
+        where = f"{run_id}.jsonl line {index + 1}"
+        try:
+            record = json.loads(line)
+        except json.JSONDecodeError:
+            last = index == len(lines) - 1
+            kind = "torn final write" if last else "corrupt line"
+            anomalies.append(f"{where}: {kind} discarded")
             continue
-        run_id = str(record["run"])
-        kind = record["rec"]
+        kind = record.get("rec") if isinstance(record, dict) else None
         if kind == "submit":
-            run = state.runs.get(run_id)
-            if run is not None:
-                state.anomalies.append(
-                    f"line {index + 1}: duplicate submit for {run_id}; "
-                    f"discarded"
-                )
-                continue
-            run = JournalRun(
-                run_id=run_id,
-                payload=record.get("payload"),
-                summary=record.get("summary") or {},
-                cells_total=int(record.get("cells") or 0),
-            )
-            state.runs[run_id] = run
-            continue
-        run = state.runs.get(run_id)
-        if run is None:
-            state.anomalies.append(
-                f"line {index + 1}: {kind!r} record for unknown run "
-                f"{run_id}; discarded"
-            )
-            continue
-        if kind == "cell":
+            submitted = True
+            run.payload = record.get("payload")
+            run.summary = record.get("summary") or {}
+            run.cells_total = int(record.get("cells") or 0)
+        elif kind == "cell":
             key = record.get("key")
             cell = record.get("cell")
             if not isinstance(key, str) or not isinstance(cell, dict):
-                state.anomalies.append(
-                    f"line {index + 1}: malformed cell record for "
-                    f"{run_id}; discarded"
-                )
+                anomalies.append(f"{where}: malformed cell record; discarded")
             elif key in run.cells:
-                state.anomalies.append(
-                    f"line {index + 1}: duplicate cell {key!r} for "
-                    f"{run_id}; deduped"
-                )
+                anomalies.append(f"{where}: duplicate cell {key!r}; deduped")
             else:
                 run.cells[key] = (str(record.get("identity") or ""), cell)
         elif kind == "done":
@@ -188,41 +149,80 @@ def load_journal(path: str) -> JournalState:
         elif kind == "interrupted":
             if not run.finished:
                 run.status = "interrupted"
+        elif kind is None:
+            anomalies.append(f"{where}: not a journal record; discarded")
         else:
-            state.anomalies.append(
-                f"line {index + 1}: unknown record kind {kind!r}; discarded"
+            anomalies.append(
+                f"{where}: unknown record kind {kind!r}; discarded"
             )
+    if not submitted:
+        anomalies.append(f"{run_id}.jsonl: no submit record; run discarded")
+        return None
+    return run
+
+
+def load_journal(path: str) -> JournalState:
+    """Replay a journal directory into a :class:`JournalState`.
+
+    Tolerant by design — startup must never crash on a journal a dying
+    process left behind.  In each run's file, a truncated or torn last
+    line (the one write a crash can interrupt) is discarded; so is any
+    line that is not valid JSON or not a journal record, and any
+    duplicate cell completion (first wins — identical by determinism,
+    so the dedupe is idempotent).  A file with no ``submit`` record (a
+    crash tore the run's first append) is discarded whole.  Every
+    discard is noted in :attr:`JournalState.anomalies`.
+    """
+    state = JournalState()
+    if not os.path.isdir(path):
+        return state
+    run_ids = sorted(
+        (name[:-6] for name in os.listdir(path) if name.endswith(".jsonl")),
+        key=lambda run_id: (run_number(run_id), run_id),
+    )
+    for run_id in run_ids:
+        run = _load_run(
+            os.path.join(path, f"{run_id}.jsonl"), run_id, state.anomalies
+        )
+        if run is not None:
+            state.runs[run_id] = run
     return state
 
 
 class RunJournal:
-    """Append-only, fsync'd writer for one journal file.
+    """Fsync'd writer for a journal directory: one append-only
+    ``<run-id>.jsonl`` file per run.
 
     Thread-safe: job-worker threads journal cell completions while HTTP
     threads journal submissions; one lock serializes appends so records
-    never interleave mid-line.  The file opens lazily on first append
-    (loading state never creates the file).
+    never interleave mid-line.  No file stays open between appends.
+
+    A regular file at ``path`` is a single-file journal from an older
+    server: construction refuses it, and leaves it untouched.
     """
 
     def __init__(self, path: str) -> None:
         self.path = str(path)
+        if os.path.isfile(self.path):
+            raise ValueError(
+                f"journal {self.path} is a single-file journal of an older "
+                f"server; pass a directory instead (the file is left as is)"
+            )
+        os.makedirs(self.path, exist_ok=True)
         self._lock = threading.Lock()
-        self._file = None
         #: Optional :class:`~repro.metrics.telemetry.MetricsRegistry`;
         #: when set (the JobStore wires its own), every durable append
         #: bumps ``repro_journal_fsyncs_total``.
         self.metrics = None
 
-    # -- reading --------------------------------------------------------------
-
     def load_state(self) -> JournalState:
         """Replay the journal from disk (see :func:`load_journal`)."""
         return load_journal(self.path)
 
-    # -- writing --------------------------------------------------------------
-
     def append(self, rec: str, run_id: str, **body: object) -> None:
-        """Durably append one record: write, flush, fsync."""
+        """Durably append one record to the run's file: open, write,
+        flush, fsync, close.  The append that creates the file also
+        fsyncs the directory, so the new file's entry is durable too."""
         record = {"rec": rec, "run": run_id, "v": JOURNAL_VERSION}
         record.update(body)
         # Insertion order, not sort_keys: a journaled report must come
@@ -230,13 +230,18 @@ class RunJournal:
         # byte-identical to the one served before the restart.
         line = json.dumps(record, separators=(",", ":"))
         with self._lock:
-            if self._file is None:
-                directory = os.path.dirname(os.path.abspath(self.path))
-                os.makedirs(directory, exist_ok=True)
-                self._file = open(self.path, "a", encoding="utf-8")
-            self._file.write(line + "\n")
-            self._file.flush()
-            os.fsync(self._file.fileno())
+            path = os.path.join(self.path, f"{run_id}.jsonl")
+            with open(path, "a", encoding="utf-8") as handle:
+                created = handle.tell() == 0
+                handle.write(line + "\n")
+                handle.flush()
+                os.fsync(handle.fileno())
+            if created:
+                directory = os.open(self.path, os.O_RDONLY)
+                try:
+                    os.fsync(directory)
+                finally:
+                    os.close(directory)
         if self.metrics is not None:
             self.metrics.counter("repro_journal_fsyncs_total").inc()
 
@@ -262,9 +267,3 @@ class RunJournal:
 
     def record_interrupted(self, run_id: str) -> None:
         self.append("interrupted", run_id)
-
-    def close(self) -> None:
-        with self._lock:
-            if self._file is not None:
-                self._file.close()
-                self._file = None

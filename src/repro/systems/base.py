@@ -161,16 +161,17 @@ class FunctionDispatcher:
                 )
                 if not fits:
                     break
-            self.booting += 1
-            ready = self.pool.start_new()
-
-            def on_ready(event, self=self):
-                self.booting -= 1
-                self.add_idle(event.value)
-
-            if ready.callbacks is not None:
-                ready.callbacks.append(on_ready)
+            self.boot()
             supply += 1
+
+    def boot(self) -> None:
+        """Cold-start one container; it joins the idle queue once ready."""
+        self.pool.start_new().callbacks.append(self._booted)
+        self.booting += 1
+
+    def _booted(self, event) -> None:
+        self.booting -= 1
+        self.add_idle(event.value)
 
     # -- internal -----------------------------------------------------------
 

@@ -1,24 +1,27 @@
 """Fault-injection tests for the durable run journal.
 
 The journal is the crash-safety spine of ``repro serve --journal``, so
-these tests attack the file itself: torn final writes, corrupt lines,
-duplicate and orphan records must all be absorbed at load time (the
-affected work simply re-runs — startup never crashes on a journal a
-dying process left behind).  The :class:`JobStore` lifecycle tests pin
-the recovery semantics: finished runs restore read-only, ``close()``
-marks still-queued runs ``interrupted`` instead of abandoning them
-silently, and a restart on the same journal resumes them to a report
-byte-identical to an uninterrupted run.
+these tests attack its per-run files themselves: torn final writes,
+corrupt lines, duplicate records and a file with no submission must all
+be absorbed at load time (the affected work simply re-runs — startup
+never crashes on a journal a dying process left behind).  The
+:class:`JobStore` lifecycle tests pin the recovery semantics: finished
+runs restore read-only, ``close()`` marks still-queued runs
+``interrupted`` instead of abandoning them silently, a restart on the
+same journal resumes them to a report byte-identical to an
+uninterrupted run, and retention bounds the journal directory.
 """
 
 import json
+import threading
 import time
 
 import pytest
 
+from repro.cli import main
 from repro.metrics.report import event_envelope, render_event, render_json
 from repro.serve import RunJournal, load_journal, parse_run_request
-from repro.serve.jobs import JobStore
+from repro.serve.jobs import JobStore, UnknownJob
 
 TRACE = {
     "name": "t",
@@ -38,6 +41,10 @@ SLOW_BODY = {
     "seed": 7,
     "synth": {"tenants": 6, "duration_s": 60, "mean_rpm": 120, "seed": 5},
 }
+
+
+def _run_files(path):
+    return sorted(p.name for p in path.iterdir())
 
 
 def _await_terminal(store, run_id, timeout_s=120.0):
@@ -66,7 +73,7 @@ def _run_to_completion(journal_path):
 
 
 def test_journal_records_round_trip(tmp_path):
-    path = tmp_path / "journal.jsonl"
+    path = tmp_path / "journal"
     journal = RunJournal(str(path))
     journal.record_submit("run-000001", {"app": "wc"}, {"app": "wc"}, 2)
     journal.record_cell("run-000001", "a", "a@123", {"key": "a"})
@@ -76,8 +83,8 @@ def test_journal_records_round_trip(tmp_path):
     journal.append("cell", "run-000002", key="b", identity="b@1",
                    cell={"key": "b"}, seq=3)
     journal.record_interrupted("run-000002")
-    journal.close()
 
+    assert _run_files(path) == ["run-000001.jsonl", "run-000002.jsonl"]
     state = load_journal(str(path))
     assert state.anomalies == []
     assert list(state.runs) == ["run-000001", "run-000002"]
@@ -89,12 +96,24 @@ def test_journal_records_round_trip(tmp_path):
     second = state.runs["run-000002"]
     assert second.status == "interrupted"
     assert second.cells == {"b": ("b@1", {"key": "b"})}
-    assert state.max_run_number() == 2
 
 
 def test_missing_journal_loads_empty(tmp_path):
-    state = load_journal(str(tmp_path / "never-written.jsonl"))
+    state = load_journal(str(tmp_path / "never-written"))
     assert state.runs == {} and state.anomalies == []
+
+
+def test_single_file_journal_fails_boot_untouched(tmp_path, capsys):
+    """A regular file at the journal path is an older server's
+    single-file journal: boot refuses it and leaves it as it was."""
+    legacy = tmp_path / "journal.jsonl"
+    legacy.write_text('{"rec":"submit","run":"run-000001","v":1}\n')
+    before = legacy.read_bytes()
+    with pytest.raises(ValueError, match="single-file journal"):
+        RunJournal(str(legacy))
+    assert main(["serve", "--port", "0", "--journal", str(legacy)]) == 2
+    assert "single-file journal" in capsys.readouterr().err
+    assert legacy.read_bytes() == before
 
 
 # -- fault injection: the file under attack ----------------------------------
@@ -104,15 +123,16 @@ def test_torn_final_write_is_cell_not_completed(tmp_path):
     """A crash mid-append leaves a truncated last line: the cell it was
     persisting is treated as not completed — discarded with an anomaly,
     never a startup crash."""
-    path = tmp_path / "journal.jsonl"
+    path = tmp_path / "journal"
     _run_to_completion(str(path))
-    whole = path.read_text()
+    run_file = path / "run-000001.jsonl"
+    whole = run_file.read_text()
     cell_line = next(
         line for line in whole.splitlines()
         if json.loads(line)["rec"] == "cell"
     )
     # Re-append the cell record, torn mid-way and unterminated.
-    path.write_text(whole + cell_line[: len(cell_line) // 2])
+    run_file.write_text(whole + cell_line[: len(cell_line) // 2])
 
     state = load_journal(str(path))
     assert len(state.anomalies) == 1
@@ -132,9 +152,9 @@ def test_torn_final_log_line_is_dropped_and_its_seq_reused(tmp_path):
     """A kill mid-write leaves the run's event log with a torn last
     line (here the report, the longest write): recovery cuts it off, a
     follower never sees it, and the next event takes its seq."""
-    path = tmp_path / "journal.jsonl"
+    path = tmp_path / "journal"
     _run_to_completion(str(path))
-    log = tmp_path / "journal.jsonl.events" / "run-000001.ndjson"
+    log = path / "run-000001.ndjson"
     lines = log.read_bytes().splitlines(keepends=True)
     torn = json.loads(lines[-1])
     assert torn["event"] == "report"
@@ -158,11 +178,10 @@ def test_recovery_continues_the_surviving_event_log(tmp_path):
     """A run killed after logging ``queued@0, running@1`` resumes on
     the same log: the old lines stay a verbatim prefix of the stream
     and seqs rise with no gap and no reuse across the restart."""
-    path = tmp_path / "journal.jsonl"
+    path = tmp_path / "journal"
     request = parse_run_request(RUN_BODY)
     journal = RunJournal(str(path))
     journal.record_submit("run-000001", RUN_BODY, request.summary, 2)
-    journal.close()
     before = [
         render_event(event_envelope(kind, body, seq=seq)) + "\n"
         for seq, (kind, body) in enumerate([
@@ -170,8 +189,7 @@ def test_recovery_continues_the_surviving_event_log(tmp_path):
             ("running", {"run_id": "run-000001"}),
         ])
     ]
-    log = tmp_path / "journal.jsonl.events" / "run-000001.ndjson"
-    log.parent.mkdir()
+    log = path / "run-000001.ndjson"
     log.write_text("".join(before))
 
     store = JobStore(workers=1, journal=RunJournal(str(path)))
@@ -189,12 +207,13 @@ def test_recovery_continues_the_surviving_event_log(tmp_path):
 
 
 def test_corrupt_mid_file_line_is_skipped(tmp_path):
-    path = tmp_path / "journal.jsonl"
+    path = tmp_path / "journal"
     _run_to_completion(str(path))
-    lines = path.read_text().splitlines()
+    run_file = path / "run-000001.jsonl"
+    lines = run_file.read_text().splitlines()
     lines.insert(1, "\x00garbage not json\x00")
     lines.insert(3, '{"valid": "json", "but": "not a journal record"}')
-    path.write_text("\n".join(lines) + "\n")
+    run_file.write_text("\n".join(lines) + "\n")
 
     state = load_journal(str(path))
     kinds = sorted(a.split(":")[1].strip() for a in state.anomalies)
@@ -206,13 +225,14 @@ def test_corrupt_mid_file_line_is_skipped(tmp_path):
 
 
 def test_duplicate_cell_records_dedupe_first_wins(tmp_path):
-    path = tmp_path / "journal.jsonl"
+    path = tmp_path / "journal"
     _run_to_completion(str(path))
-    lines = path.read_text().splitlines()
+    run_file = path / "run-000001.jsonl"
+    lines = run_file.read_text().splitlines()
     cell_lines = [l for l in lines if json.loads(l)["rec"] == "cell"]
     # Replay every cell record once more, as a crashed-then-restarted
     # writer might after losing its in-memory dedup state.
-    path.write_text("\n".join(lines + cell_lines) + "\n")
+    run_file.write_text("\n".join(lines + cell_lines) + "\n")
 
     state = load_journal(str(path))
     run = state.runs["run-000001"]
@@ -222,24 +242,37 @@ def test_duplicate_cell_records_dedupe_first_wins(tmp_path):
 
 
 def test_orphan_records_are_discarded(tmp_path):
-    path = tmp_path / "journal.jsonl"
+    """A run file with no ``submit`` record (a crash tore the run's
+    first append) is discarded with an anomaly."""
+    path = tmp_path / "journal"
     journal = RunJournal(str(path))
     journal.record_cell("run-000099", "a", "a@1", {"key": "a"})
     journal.record_done("run-000099", {})
-    journal.close()
+    (path / "run-000099.ndjson").write_text("")
     state = load_journal(str(path))
     assert state.runs == {}
-    assert len(state.anomalies) == 2
-    assert all("unknown run" in a for a in state.anomalies)
+    assert state.anomalies == [
+        "run-000099.jsonl: no submit record; run discarded"
+    ]
+
+    # The boot deletes the discarded run's files; new ids continue
+    # past it all the same.
+    store = JobStore(workers=1, journal=RunJournal(str(path)))
+    try:
+        assert store.list() == [] and _run_files(path) == []
+        assert store.submit(parse_run_request(RUN_BODY)) == "run-000100"
+    finally:
+        store.close()
 
 
 def test_stale_checkpoint_identity_is_rerun_not_merged(tmp_path):
     """A journal whose cell identities no longer match the request (the
     seed changed between runs of the same id) re-runs those cells; the
     resumed report reflects the *request*, never the stale residue."""
-    path = tmp_path / "journal.jsonl"
+    path = tmp_path / "journal"
     _run_to_completion(str(path))
-    lines = [json.loads(l) for l in path.read_text().splitlines()]
+    run_file = path / "run-000001.jsonl"
+    lines = [json.loads(l) for l in run_file.read_text().splitlines()]
     # Tamper: change the journaled submission's seed but keep the old
     # cell residues (their identity tokens embed the old seed).
     doctored = []
@@ -249,7 +282,7 @@ def test_stale_checkpoint_identity_is_rerun_not_merged(tmp_path):
         if record["rec"] == "done":
             continue  # force a resume
         doctored.append(json.dumps(record, separators=(",", ":")))
-    path.write_text("\n".join(doctored) + "\n")
+    run_file.write_text("\n".join(doctored) + "\n")
 
     store = JobStore(workers=1, journal=RunJournal(str(path)))
     try:
@@ -270,10 +303,9 @@ def test_stale_checkpoint_identity_is_rerun_not_merged(tmp_path):
 
 
 def test_unparseable_journaled_request_fails_cleanly(tmp_path):
-    path = tmp_path / "journal.jsonl"
+    path = tmp_path / "journal"
     journal = RunJournal(str(path))
     journal.record_submit("run-000001", {"app": "no-such-app"}, {}, 0)
-    journal.close()
     store = JobStore(workers=1, journal=RunJournal(str(path)))
     try:
         snap = store.snapshot("run-000001")
@@ -289,12 +321,11 @@ def test_unparseable_journaled_request_fails_cleanly(tmp_path):
 def test_journaled_record_sink_key_restores_as_failed(tmp_path):
     """An older server accepted a ``"record_sink"`` key; a run it
     journaled restores as failed with the unknown-key message."""
-    path = tmp_path / "journal.jsonl"
+    path = tmp_path / "journal"
     journal = RunJournal(str(path))
     journal.record_submit(
         "run-000001", dict(RUN_BODY, record_sink="spill"), {}, 0
     )
-    journal.close()
     store = JobStore(workers=1, journal=RunJournal(str(path)))
     try:
         snap = store.snapshot("run-000001")
@@ -308,7 +339,7 @@ def test_journaled_record_sink_key_restores_as_failed(tmp_path):
 
 
 def test_close_interrupts_queued_jobs_and_restart_resumes(tmp_path):
-    path = tmp_path / "journal.jsonl"
+    path = tmp_path / "journal"
     store = JobStore(workers=1, journal=RunJournal(str(path)))
     slow_id = store.submit(parse_run_request(SLOW_BODY))
     deadline = time.monotonic() + 30
@@ -343,22 +374,22 @@ def test_close_interrupts_queued_jobs_and_restart_resumes(tmp_path):
 
 
 def test_submit_after_close_still_raises(tmp_path):
-    store = JobStore(workers=1, journal=RunJournal(str(tmp_path / "j.jsonl")))
+    store = JobStore(workers=1, journal=RunJournal(str(tmp_path / "j")))
     store.close()
     with pytest.raises(RuntimeError):
         store.submit(parse_run_request(RUN_BODY))
 
 
 def _journaled_cell_keys(path, run_id):
-    """Raw scan of the journal file, keeping duplicates — load_journal
-    dedupes, which would hide a double-journaled cell."""
+    """Raw scan of the run's journal file, keeping duplicates —
+    load_journal dedupes, which would hide a double-journaled cell."""
     keys = []
-    for line in path.read_text().splitlines():
+    for line in (path / f"{run_id}.jsonl").read_text().splitlines():
         try:
             record = json.loads(line)
         except json.JSONDecodeError:
             continue
-        if record.get("rec") == "cell" and record.get("run") == run_id:
+        if record.get("rec") == "cell":
             keys.append(record["key"])
     return keys
 
@@ -367,9 +398,9 @@ def test_cell_retried_to_success_is_journaled_exactly_once(tmp_path):
     """A cell that fails its first attempt and succeeds on retry folds —
     and journals — exactly once, and the report is identical to the
     fault-free run's (retries are invisible to the replay semantics)."""
-    control = _run_to_completion(str(tmp_path / "control.jsonl"))
+    control = _run_to_completion(str(tmp_path / "control"))
 
-    path = tmp_path / "journal.jsonl"
+    path = tmp_path / "journal"
     body = dict(
         RUN_BODY,
         retry={"max_attempts": 2},
@@ -406,7 +437,7 @@ def test_degraded_resume_reexecutes_only_unjournaled_cells(tmp_path):
     folds back from its residue, only the unjournaled (poisoned) cell
     re-executes — and fails again, reproducing the identical degraded
     report."""
-    path = tmp_path / "journal.jsonl"
+    path = tmp_path / "journal"
     body = dict(
         RUN_BODY,
         retry={"max_attempts": 1},
@@ -428,11 +459,12 @@ def test_degraded_resume_reexecutes_only_unjournaled_cells(tmp_path):
 
     # Surgery: drop the terminal record, as a crash between the last
     # fold and the terminal append would.  The run's event log stays.
-    log = tmp_path / "journal.jsonl.events" / f"{run_id}.ndjson"
+    log = path / f"{run_id}.ndjson"
     before = [json.loads(line) for line in log.read_text().splitlines()]
-    records = [json.loads(l) for l in path.read_text().splitlines()]
+    run_file = path / f"{run_id}.jsonl"
+    records = [json.loads(l) for l in run_file.read_text().splitlines()]
     kept = [r for r in records if r["rec"] != "done"]
-    path.write_text(
+    run_file.write_text(
         "\n".join(json.dumps(r, separators=(",", ":")) for r in kept) + "\n"
     )
 
@@ -458,7 +490,7 @@ def test_degraded_resume_reexecutes_only_unjournaled_cells(tmp_path):
 
 
 def test_recovered_ids_never_collide_with_new_submissions(tmp_path):
-    path = tmp_path / "journal.jsonl"
+    path = tmp_path / "journal"
     _run_to_completion(str(path))
     store = JobStore(workers=1, journal=RunJournal(str(path)))
     try:
@@ -469,8 +501,8 @@ def test_recovered_ids_never_collide_with_new_submissions(tmp_path):
         store.close()
 
 
-def test_recovery_honours_max_finished(tmp_path):
-    path = tmp_path / "journal.jsonl"
+def test_recovery_honours_max_finished(tmp_path, monkeypatch):
+    path = tmp_path / "journal"
     store = JobStore(workers=1, journal=RunJournal(str(path)))
     try:
         for _ in range(4):
@@ -481,20 +513,110 @@ def test_recovery_honours_max_finished(tmp_path):
         store.close()
     assert len(load_journal(str(path)).runs) == 4
 
-    # The boot itself evicts past the retention window: only the two
-    # newest restored runs stay, and only their event logs stay on disk.
-    store = JobStore(
-        workers=1, journal=RunJournal(str(path)), max_finished=2
-    )
+    appended = []
+    real_append = JobStore._append
+
+    def spy(self, job, kind, body):
+        appended.append(job.id)
+        real_append(self, job, kind, body)
+
+    monkeypatch.setattr(JobStore, "_append", spy)
+    kept = ["run-000003", "run-000004"]
+    # Two boots: the first selects the retention window, the second
+    # boots over what the first left.  Neither touches an evicted run,
+    # so boot work stays inside the window, and only the two newest
+    # runs' journal files and event logs stay on disk.
+    for _ in range(2):
+        store = JobStore(
+            workers=1, journal=RunJournal(str(path)), max_finished=2
+        )
+        try:
+            assert [row["id"] for row in store.list()] == kept
+            assert _run_files(path) == [
+                f"{run_id}.{ext}" for run_id in kept
+                for ext in ("jsonl", "ndjson")
+            ]
+            # An intact finished run restores with its history unchanged.
+            assert list(store.follow("run-000004")) == before
+            snap = store.snapshot("run-000004")
+            assert snap["cells_done"] == snap["cells"] == 2
+        finally:
+            store.close()
+    assert appended == []
+
+
+def test_journal_directory_stays_flat_across_many_runs(tmp_path):
+    """Soak: once the retention window is full, the journal
+    directory's file count and size, and the thread count, stay flat
+    however many runs pass through; a restart restores the window."""
+    path = tmp_path / "journal"
+    store = JobStore(workers=1, journal=RunJournal(str(path)), max_finished=3)
+    samples = []
     try:
-        kept = ["run-000003", "run-000004"]
-        assert [row["id"] for row in store.list()] == kept
-        logs = sorted(p.stem for p in (tmp_path / "journal.jsonl.events")
-                      .iterdir())
-        assert logs == kept
-        # An intact finished run restores with its history unchanged.
-        assert list(store.follow("run-000004")) == before
-        snap = store.snapshot("run-000004")
-        assert snap["cells_done"] == snap["cells"] == 2
+        for index in range(30):
+            run_id = store.submit(parse_run_request(RUN_BODY))
+            assert _await_terminal(store, run_id)["status"] == "done"
+            if index >= 3:
+                files = list(path.iterdir())
+                samples.append((
+                    len(files),
+                    sum(p.stat().st_size for p in files),
+                    threading.active_count(),
+                ))
     finally:
         store.close()
+    counts, sizes, threads = zip(*samples)
+    assert set(counts) == {6}
+    # Runs differ only in wall-clock digits, so the bytes stay level.
+    assert max(sizes) - min(sizes) < 0.01 * min(sizes)
+    assert len(set(threads)) == 1
+
+    restarted = JobStore(
+        workers=1, journal=RunJournal(str(path)), max_finished=3
+    )
+    try:
+        assert [row["id"] for row in restarted.list()] == [
+            "run-000028", "run-000029", "run-000030",
+        ]
+    finally:
+        restarted.close()
+
+
+def test_interrupted_runs_survive_eviction(tmp_path):
+    """``close()`` interrupts more queued runs than ``max_finished``
+    while a running one finishes.  That finish evicts the oldest
+    interrupted runs from memory, but never their journal files or
+    event logs: a restart resumes every one to the uninterrupted
+    report."""
+    reference = render_json(
+        _run_to_completion(str(tmp_path / "control"))["report"]
+    )
+    path = tmp_path / "journal"
+    store = JobStore(workers=1, journal=RunJournal(str(path)), max_finished=2)
+    slow_id = store.submit(parse_run_request(SLOW_BODY))
+    deadline = time.monotonic() + 30
+    while store.snapshot(slow_id)["status"] == "queued":
+        assert time.monotonic() < deadline
+        time.sleep(0.01)
+    queued = [store.submit(parse_run_request(RUN_BODY)) for _ in range(4)]
+    store.close(timeout_s=120)
+
+    # The slow run finished, and that evicted it and the two oldest
+    # interrupted runs; only the finished run's files went with it.
+    assert [row["id"] for row in store.list()] == queued[2:]
+    for run_id in [slow_id] + queued[:2]:
+        with pytest.raises(UnknownJob):
+            store.snapshot(run_id)
+    assert _run_files(path) == [
+        f"{run_id}.{ext}" for run_id in queued for ext in ("jsonl", "ndjson")
+    ]
+
+    restarted = JobStore(workers=1, journal=RunJournal(str(path)))
+    try:
+        for run_id in queued:
+            snap = _await_terminal(restarted, run_id)
+            assert snap["status"] == "done", snap.get("error")
+            assert snap["recovered"] is True
+            assert render_json(snap["report"]) == reference
+    finally:
+        restarted.close()

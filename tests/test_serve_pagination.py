@@ -309,7 +309,7 @@ def test_records_unavailable_before_done_and_after_drop():
 def test_journal_restored_runs_answer_409_for_records(tmp_path):
     from repro.serve.journal import RunJournal
 
-    journal = tmp_path / "journal.jsonl"
+    journal = tmp_path / "journal"
     store = JobStore(workers=1, journal=RunJournal(str(journal)))
     try:
         run_id = store.submit(parse_run_request(RUN_BODY))

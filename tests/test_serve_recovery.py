@@ -103,20 +103,22 @@ def _await(predicate, timeout_s, what):
 def _journaled_cells(journal_path, run_id):
     """Cell keys journaled for one run, in append order, duplicates kept.
 
-    Reads the raw file rather than :func:`load_journal` so duplicate
-    records (= re-executed cells) stay visible to the assertions.
+    Reads the run's raw journal file rather than :func:`load_journal`
+    so duplicate records (= re-executed cells) stay visible to the
+    assertions.
     """
     keys = []
-    if not journal_path.exists():
+    run_file = journal_path / f"{run_id}.jsonl"
+    if not run_file.exists():
         return keys
-    raw = journal_path.read_text(errors="replace")
+    raw = run_file.read_text(errors="replace")
     lines = raw.split("\n")[:-1]  # drop the (possibly torn) tail
     for line in lines:
         try:
             record = json.loads(line)
         except json.JSONDecodeError:
             continue
-        if record.get("rec") == "cell" and record.get("run") == run_id:
+        if record.get("rec") == "cell":
             keys.append(record["key"])
     return keys
 
@@ -124,7 +126,7 @@ def _journaled_cells(journal_path, run_id):
 def _logged_events(journal_path, run_id):
     """The complete lines of one run's event log, decoded; a torn tail
     (the write a kill cut short) is left out."""
-    log = Path(f"{journal_path}.events") / f"{run_id}.ndjson"
+    log = journal_path / f"{run_id}.ndjson"
     return [json.loads(line) for line in log.read_text().split("\n")[:-1]]
 
 
@@ -159,7 +161,7 @@ def _control_report(body=RUN_BODY):
 
 
 def test_sigkill_mid_run_resumes_to_byte_identical_report(tmp_path):
-    journal_path = tmp_path / "journal.jsonl"
+    journal_path = tmp_path / "journal"
     control = _control_report()
 
     # -- first incarnation: submit, then die mid-run --------------------------
@@ -258,7 +260,7 @@ def test_sigkill_mid_degraded_run_resumes_only_unjournaled_cells(tmp_path):
     replays only the unjournaled ones — the poisoned cell fails again,
     deterministically — and lands on a degraded report byte-identical
     to an uninterrupted degraded run's."""
-    journal_path = tmp_path / "journal.jsonl"
+    journal_path = tmp_path / "journal"
     body = dict(
         RUN_BODY,
         retry={"max_attempts": 1},
@@ -332,7 +334,7 @@ def test_sigkill_mid_degraded_run_resumes_only_unjournaled_cells(tmp_path):
 def test_restart_restores_finished_run_read_only(tmp_path):
     """No crash at all: a completed run survives a clean restart with
     its report byte-identical, served from the journal alone."""
-    journal_path = tmp_path / "journal.jsonl"
+    journal_path = tmp_path / "journal"
     body = {"app": "wc", "seed": 3, "synth": {
         "tenants": 3, "duration_s": 20, "mean_rpm": 60, "seed": 1,
     }}

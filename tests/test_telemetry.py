@@ -210,7 +210,7 @@ def test_all_event_kinds_emitted_across_run_shapes(tmp_path, monkeypatch):
 
     # 1. A fresh journaled run: queued/running/cell/progress/counter/
     #    gauge/report.
-    journal_path = tmp_path / "journal.jsonl"
+    journal_path = tmp_path / "journal"
     store = JobStore(workers=1, journal=RunJournal(str(journal_path)))
     try:
         run_id = store.submit(parse_run_request(BODY))
@@ -240,12 +240,14 @@ def test_all_event_kinds_emitted_across_run_shapes(tmp_path, monkeypatch):
     #    one cell): recovered + resumed cells + a fresh re-executed cell,
     #    seq strictly increasing across the splice.
     records = [
-        json.loads(line) for line in journal_path.read_text().splitlines()
+        json.loads(line)
+        for line in (journal_path / f"{run_id}.jsonl").read_text().splitlines()
     ]
     kept = [r for r in records if r["rec"] in ("submit", "cell")]
     kept.pop(max(i for i, r in enumerate(kept) if r["rec"] == "cell"))
-    resume_path = tmp_path / "resume.jsonl"
-    resume_path.write_text(
+    resume_path = tmp_path / "resume"
+    resume_path.mkdir()
+    (resume_path / f"{run_id}.jsonl").write_text(
         "".join(json.dumps(r, separators=(",", ":")) + "\n" for r in kept)
     )
     store = JobStore(workers=1, journal=RunJournal(str(resume_path)))

@@ -354,7 +354,7 @@ def test_jobstore_remote_run_matches_local_run_byte_for_byte(tmp_path):
     reports a retried failure."""
     from repro.serve.journal import RunJournal
 
-    journal_path = tmp_path / "journal.jsonl"
+    journal_path = tmp_path / "journal"
     local_store = JobStore(workers=1)
     try:
         local_id = local_store.submit(
@@ -396,7 +396,7 @@ def test_jobstore_remote_run_matches_local_run_byte_for_byte(tmp_path):
 
     journaled = [
         json.loads(line)["key"]
-        for line in journal_path.read_text().splitlines()
+        for line in (journal_path / f"{run_id}.jsonl").read_text().splitlines()
         if line and json.loads(line).get("rec") == "cell"
     ]
     assert sorted(journaled) == sorted(set(journaled)), (
@@ -418,7 +418,7 @@ def test_fleet_event_during_cell_fsync_keeps_seqs_increasing(
 
     srv = create_server(
         port=0, workers=1, quiet=True,
-        journal=str(tmp_path / "journal.jsonl"),
+        journal=str(tmp_path / "journal"),
     )
     store = srv.store
     real_record_cell = RunJournal.record_cell
@@ -681,14 +681,15 @@ def _metric_total(base, name):
 
 def _journaled_cells(journal_path, run_id):
     keys = []
-    if not journal_path.exists():
+    run_file = journal_path / f"{run_id}.jsonl"
+    if not run_file.exists():
         return keys
-    for line in journal_path.read_text(errors="replace").split("\n")[:-1]:
+    for line in run_file.read_text(errors="replace").split("\n")[:-1]:
         try:
             record = json.loads(line)
         except json.JSONDecodeError:
             continue
-        if record.get("rec") == "cell" and record.get("run") == run_id:
+        if record.get("rec") == "cell":
             keys.append(record["key"])
     return keys
 
@@ -731,7 +732,7 @@ def test_sigkilled_worker_lease_expires_and_report_stays_identical(tmp_path):
         ).to_dict()
     )
 
-    journal_path = tmp_path / "journal.jsonl"
+    journal_path = tmp_path / "journal"
     serve = _spawn([
         "serve", "--port", "0", "--workers", "1",
         "--journal", str(journal_path),

@@ -133,7 +133,7 @@ def run_kill_worker_mode(args) -> int:
         )
 
     workdir = Path(tempfile.mkdtemp(prefix="chaos-kill-worker-"))
-    journal_path = workdir / "journal.jsonl"
+    journal_path = workdir / "journal"
     serve = spawn([
         "serve", "--port", "0", "--workers", "1",
         "--journal", str(journal_path),
@@ -159,19 +159,16 @@ def run_kill_worker_mode(args) -> int:
         run_id = request(f"{base}/v1/runs", body)["id"]
 
         def journaled_cells():
-            if not journal_path.exists():
+            run_file = journal_path / f"{run_id}.jsonl"
+            if not run_file.exists():
                 return []
             keys = []
-            for line in journal_path.read_text(
-                errors="replace"
-            ).split("\n")[:-1]:
+            for line in run_file.read_text(errors="replace").split("\n")[:-1]:
                 try:
                     record = json.loads(line)
                 except json.JSONDecodeError:
                     continue
-                if record.get("rec") == "cell" and record.get(
-                    "run"
-                ) == run_id:
+                if record.get("rec") == "cell":
                     keys.append(record["key"])
             return keys
 
