@@ -884,9 +884,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="bind port; 0 picks an ephemeral port "
                        "(default: 8080)")
     serve.add_argument("--workers", type=int, default=2,
-                       help="concurrent job worker threads; each run may "
-                       "additionally request its own replay process pool "
-                       "(default: 2)")
+                       help="concurrent job worker threads; each keeps "
+                       "its own pool of cell processes, sized to the "
+                       "current run's \"workers\" (default: 2)")
     serve.add_argument("--tenant-config", default=None,
                        help="default per-tenant profile file applied to "
                        "runs that carry no inline tenant_config "

@@ -8,14 +8,16 @@ The pipeline:
 2. An **executor** runs the cells and yields one outcome per cell — a
    :class:`CellResult`, or the :class:`~repro.parallel.resilience.\
 CellFailure` of a cell whose retry budget ran out — in completion
-   order.  There are three: the in-process serial executor (one
-   worker), the local work-stealing pool (:func:`local_executor` with
-   ``workers > 1``), and the remote fleet behind ``repro serve
-   --workers remote``.  The pool submits cells individually to a
-   ``ProcessPoolExecutor``, costliest cell first, through a sliding
-   window of ``2 * workers`` outstanding tasks: workers pull the next
-   cell the moment they finish one, so fast workers steal the
-   remaining queue instead of idling behind a skewed tenant.
+   order.  There are three: the in-process serial executor (``repro
+   replay`` at one worker), the local work-stealing pool
+   (:func:`local_executor` with ``workers > 1``, or at any size on a
+   ``repro serve`` job thread's persistent :class:`CellPool`), and the
+   remote fleet behind ``"workers": "remote"``.  The pool submits
+   cells individually to a ``ProcessPoolExecutor``, costliest cell
+   first, through a sliding window of ``2 * workers`` outstanding
+   tasks: workers pull the next cell the moment they finish one, so
+   fast workers steal the remaining queue instead of idling behind a
+   skewed tenant.
 3. One fold, :func:`replay`, consumes any executor's outcomes: each
    result folds into an online :class:`StreamingMerge` as it arrives
    and is then dropped, so peak memory is bounded by the final merged
@@ -61,12 +63,16 @@ harness.
 from __future__ import annotations
 
 import gc
+import multiprocessing
 import os
+import signal
+import sys
+import threading
 import time
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import (
@@ -103,6 +109,7 @@ from .sink import (
 from .spec import ReplaySpec
 
 __all__ = [
+    "CellPool",
     "CellResult",
     "Executor",
     "Outcome",
@@ -302,7 +309,6 @@ def max_rss_mb() -> float:
         import resource
     except ImportError:  # pragma: no cover - non-POSIX
         return 0.0
-    import sys
 
     peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     scale = 1024.0 * 1024.0 if sys.platform == "darwin" else 1024.0
@@ -570,8 +576,8 @@ Outcome = Union[CellResult, CellFailure]
 #: An executor: given the cells still to run, yield exactly one
 #: :data:`Outcome` per cell, in completion order.  The in-process
 #: serial fold, the local work-stealing pool, and the remote fleet
-#: (``repro serve --workers remote``) are the three executors; all of
-#: them feed the one fold in :func:`replay`.
+#: (``"workers": "remote"`` on ``repro serve``) are the three
+#: executors; all of them feed the one fold in :func:`replay`.
 Executor = Callable[[List[Cell]], Generator[Outcome, None, None]]
 
 #: One pooled task: ``(cell key, sub-trace, attempt number)``.
@@ -588,6 +594,118 @@ def _exhausted(key: str, attempt: int, exc: BaseException) -> CellFailure:
     )
 
 
+#: ``prctl`` option: the signal the kernel sends when the parent dies.
+_PR_SET_PDEATHSIG = 1
+
+#: Cell processes fork on Linux, where :func:`_cell_process_init` ties
+#: each to its parent; elsewhere the platform's default start method.
+_FORK = (
+    multiprocessing.get_context("fork")
+    if sys.platform.startswith("linux") else None
+)
+
+
+def _cell_process_init(parent_pid: int) -> None:
+    """The first thing every cell process runs: exit with its parent.
+
+    A forked worker inherits the parent's signal handlers and a copy of
+    its call queue's write end, so after the parent dies it would never
+    read EOF, and SIGTERM would run the parent's handler.  SIGTERM gets
+    its default action back, and on Linux the kernel SIGKILLs the worker
+    when its parent dies (``PR_SET_PDEATHSIG``).  The kernel counts the
+    *thread* that forked as the parent, so a pool must not outlive the
+    thread that started it.  Spawn-start platforms need neither: their
+    workers hold no inherited write end, so they read EOF.
+    """
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    if _FORK is not None:
+        import ctypes
+
+        ctypes.CDLL(None).prctl(_PR_SET_PDEATHSIG, signal.SIGKILL, 0, 0, 0)
+        if os.getppid() != parent_pid:  # the parent died before the prctl
+            os._exit(1)
+
+
+class CellPool:
+    """The cell processes one thread replays its local cells on.
+
+    A thin owner around one ``ProcessPoolExecutor``, whose processes run
+    :func:`_cell_process_init` first.  :func:`_stream_cells` gets the
+    executor from :meth:`get` and swaps a broken one through
+    :meth:`replace`.  A per-run pool (``repro replay --workers N``) is
+    built and shut down by each fold.  A *persistent* pool — one per
+    ``repro serve`` job thread — outlives its runs: :meth:`get` keeps
+    the executor while runs ask for the same size, and its fork happens
+    with the GC frozen (see :func:`_frozen_gc`), right at the start.
+    :meth:`close` stops the processes for good, killing any mid-cell,
+    and makes every later :meth:`get` or :meth:`replace` raise, so a
+    fold still running at shutdown cannot start a new pool.
+    """
+
+    def __init__(self, persistent: bool = False) -> None:
+        self._persistent = persistent
+        self._lock = threading.Lock()
+        self._executor: Optional[ProcessPoolExecutor] = None
+        self._workers = 0
+        self._closed = False
+
+    def get(self, workers: int) -> ProcessPoolExecutor:
+        """The executor with ``workers`` processes, started if needed."""
+        with self._lock:
+            if self._executor is None or self._workers != workers:
+                self._start(workers)
+            return self._executor
+
+    def replace(self) -> ProcessPoolExecutor:
+        """A fresh executor of the same size in place of a broken one."""
+        with self._lock:
+            self._start(self._workers)
+            return self._executor
+
+    def _start(self, workers: int) -> None:
+        if self._closed:
+            raise RuntimeError("cell pool is closed")
+        self._stop(self._executor)
+        self._executor = ProcessPoolExecutor(
+            max_workers=workers,
+            mp_context=_FORK,
+            initializer=_cell_process_init,
+            initargs=(os.getpid(),),
+        )
+        self._workers = workers
+        if self._persistent:
+            # With the fork start method the first submit forks every
+            # process: freeze the heap for that moment only.
+            with _frozen_gc():
+                self._executor.submit(os.getpid)
+
+    @staticmethod
+    def _stop(executor: Optional[ProcessPoolExecutor]) -> None:
+        if executor is not None:
+            # wait=True joins the processes; it is cheap on a broken
+            # pool (its processes are gone) and retires the management
+            # thread, so no dead executor machinery lingers.
+            executor.shutdown(wait=True, cancel_futures=True)
+
+    def shutdown(self) -> None:
+        """Stop the processes once their running cells finish; the next
+        :meth:`get` starts new ones."""
+        with self._lock:
+            executor, self._executor = self._executor, None
+        self._stop(executor)
+
+    def close(self) -> None:
+        """Shut down for good, SIGKILLing any process still mid-cell."""
+        with self._lock:
+            self._closed = True
+            executor, self._executor = self._executor, None
+        if executor is not None:
+            # ProcessPoolExecutor gains a public kill only in 3.14.
+            for process in list((executor._processes or {}).values()):
+                process.kill()
+        self._stop(executor)
+
+
 def _stream_cells(
     cells: List[Cell],
     spec: ReplaySpec,
@@ -596,6 +714,7 @@ def _stream_cells(
     retry: RetryPolicy,
     fault_plan: Optional[HostFaultPlan],
     metrics: Optional[MetricsRegistry] = None,
+    pool: Optional[CellPool] = None,
 ) -> Generator[Outcome, None, None]:
     """Work-stealing fan-out: one task per cell, yielded as completed.
 
@@ -618,19 +737,30 @@ def _stream_cells(
     retries per ``retry`` until its budget runs out and then yields its
     :class:`CellFailure`.
 
-    Closing the generator (the fold aborting) shuts the pool down with
-    its queued cells cancelled and its worker processes joined.
+    Without ``pool`` the fold builds its own pool of at most ``workers``
+    processes and shuts it down at the end, with the parent heap frozen
+    throughout.  A persistent ``pool`` (a ``repro serve`` job thread's)
+    is sized to ``workers`` and stays up for the next run — unless the
+    fold ends abnormally: closing the generator early, or an exception,
+    shuts the pool down with its queued cells cancelled and its worker
+    processes joined, so no busy process passes to the next run.
     """
     ordered = sorted(
         cells, key=lambda cell: (-policy.cell_cost(cell[1]), cell[0])
     )
+    if not ordered:
+        return
     todo: "deque[_CellTask]" = deque(
         (key, cell_trace, 1) for key, cell_trace in ordered
     )
     window = 2 * workers
     initial_fill = min(window, len(ordered))
     submitted = 0
-    max_workers = min(workers, len(ordered))
+    if pool is None:
+        pool, keep, frozen = CellPool(), False, _frozen_gc()
+        workers = min(workers, len(ordered))
+    else:
+        keep, frozen = True, nullcontext()
 
     def handle_failure(
         task: _CellTask, exc: BaseException
@@ -643,16 +773,17 @@ def _stream_cells(
             return None
         return _exhausted(key, attempt, exc)
 
-    with _frozen_gc():
-        pool = ProcessPoolExecutor(max_workers=max_workers)
+    with frozen:
+        executor = pool.get(workers)
         inflight: Dict[object, _CellTask] = {}
+        finished = False
         try:
             while todo or inflight:
                 while todo and len(inflight) < window:
                     task = todo.popleft()
                     key, cell_trace, attempt = task
                     try:
-                        future = pool.submit(
+                        future = executor.submit(
                             _replay_cell_task,
                             spec, key, cell_trace, attempt, retry, fault_plan,
                         )
@@ -664,12 +795,7 @@ def _stream_cells(
                         todo.appendleft(task)
                         if inflight:
                             break
-                        # wait=True is cheap on a broken pool (its
-                        # workers are gone) and retires the management
-                        # thread, so no dead executor machinery lingers
-                        # to fire at interpreter exit.
-                        pool.shutdown(wait=True)
-                        pool = ProcessPoolExecutor(max_workers=max_workers)
+                        executor = pool.replace()
                         continue
                     inflight[future] = task
                     submitted += 1
@@ -704,14 +830,15 @@ def _stream_cells(
                     inflight.clear()
                     if metrics is not None:
                         metrics.counter("repro_worker_crashes_total").inc()
-                    pool.shutdown(wait=True)
-                    pool = ProcessPoolExecutor(max_workers=max_workers)
+                    executor = pool.replace()
                     for task in crashed:
                         failure = handle_failure(task, broken)
                         if failure is not None:
                             yield failure
+            finished = True
         finally:
-            pool.shutdown(wait=True, cancel_futures=True)
+            if not (keep and finished):
+                pool.shutdown()
 
 
 def _serial_stream(
@@ -721,7 +848,8 @@ def _serial_stream(
     fault_plan: Optional[HostFaultPlan],
     metrics: Optional[MetricsRegistry] = None,
 ) -> Generator[Outcome, None, None]:
-    """The in-process serial executor, with full retry/failure semantics.
+    """The in-process serial executor, with full retry/failure semantics
+    (``repro replay`` at one worker; ``repro serve`` never uses it).
 
     Kill faults raise :class:`~repro.parallel.resilience.\
 WorkerCrashError` here instead of SIGKILLing (the plan's parent-pid
@@ -758,11 +886,15 @@ def local_executor(
     retry: Optional[RetryPolicy] = None,
     fault_plan: Optional[HostFaultPlan] = None,
     metrics: Optional[MetricsRegistry] = None,
+    pool: Optional[CellPool] = None,
 ) -> Executor:
     """The executor for ``workers`` local processes.
 
-    One worker (or at most one pending cell) runs the in-process serial
-    executor; more run the work-stealing process pool.  ``retry``
+    Given a persistent ``pool`` (``repro serve``'s job threads), every
+    run streams its cells through that pool, resized to ``workers``.
+    Without one, one worker (or at most one pending cell) runs the
+    in-process serial executor; more run a per-run work-stealing
+    process pool.  ``retry``
     (default :class:`RetryPolicy()
     <repro.parallel.resilience.RetryPolicy>`) governs per-cell attempt
     budgets, backoff, and deadlines; ``fault_plan`` deterministically
@@ -781,10 +913,10 @@ def local_executor(
         fault_plan.validate()
 
     def execute(cells: List[Cell]) -> Generator[Outcome, None, None]:
-        if workers == 1 or len(cells) <= 1:
+        if pool is None and (workers == 1 or len(cells) <= 1):
             return _serial_stream(cells, spec, retry, fault_plan, metrics)
         return _stream_cells(
-            cells, spec, workers, policy, retry, fault_plan, metrics
+            cells, spec, workers, policy, retry, fault_plan, metrics, pool
         )
 
     return execute

@@ -5,10 +5,19 @@ running → done | failed`` (or ``queued → interrupted`` when a clean
 shutdown abandons it).  A fixed pool of daemon *job-worker threads*
 pulls jobs off a FIFO queue and executes each through the engine's one
 fold, :func:`repro.parallel.engine.replay`, picking only the executor —
-the in-process serial executor when the request asked for one worker,
-the work-stealing process pool for more, the remote fleet for
-``"workers": "remote"`` — so the service adds scheduling around the
+the remote fleet for ``"workers": "remote"``, otherwise the
+work-stealing process pool — so the service adds scheduling around the
 engine, never a second execution path.
+
+Local cells never simulate in the server process.  Each job thread owns
+one persistent :class:`~repro.parallel.engine.CellPool`: it starts at
+the thread's first local run, sized to that run's ``workers`` (1 unless
+the body asks for more), later runs of the same size reuse it, and a
+run of another size, a broken pool, or a fold that ends abnormally
+replaces it.  The server itself only folds, journals and streams, so
+HTTP handlers and remote leases never wait behind a simulation for the
+GIL.  :meth:`JobStore.close` shuts every thread's pool down, and each
+cell process exits with the server however it dies.
 
 Progress streams through the engine's ``on_cell`` hook: every folded
 :class:`~repro.parallel.engine.CellResult` appends one stable event
@@ -66,7 +75,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..metrics.report import event_envelope, render_event
 from ..metrics.telemetry import MetricsRegistry, validate_event
-from ..parallel.engine import CellResult, local_executor, replay
+from ..parallel.engine import CellPool, CellResult, local_executor, replay
 from ..parallel.policy import get_shard_policy
 from ..parallel.profiles import TenantConfig
 from ..parallel.sink import record_to_payload
@@ -124,8 +133,10 @@ class Job:
     """
 
     id: str
-    #: ``None`` only for journal-restored terminal jobs, which never
-    #: execute again and serve snapshots from :attr:`summary` instead.
+    #: The validated request, read once when execution starts; ``None``
+    #: once the job is terminal (restored terminal jobs never had one):
+    #: snapshots answer from :attr:`summary`, and a journal resume
+    #: re-validates the journaled body.
     request: Optional[RunRequest]
     status: str = "queued"
     #: The deterministic merged report (``done`` jobs only).
@@ -251,11 +262,14 @@ class JobStore:
             for job_id in resumed:
                 self._queue.put(job_id)
         self.workers = workers
+        #: One persistent cell-process pool per job thread.
+        self._cell_pools = [CellPool(persistent=True) for _ in range(workers)]
         self._threads = [
             threading.Thread(
-                target=self._drain, name=f"repro-serve-job-{i}", daemon=True
+                target=self._drain, args=(pool,),
+                name=f"repro-serve-job-{i}", daemon=True,
             )
-            for i in range(workers)
+            for i, pool in enumerate(self._cell_pools)
         ]
         for thread in self._threads:
             thread.start()
@@ -812,21 +826,29 @@ class JobStore:
 
     # -- execution ------------------------------------------------------------
 
-    def _drain(self) -> None:
+    def _drain(self, pool: CellPool) -> None:
         while True:
             job_id = self._queue.get()
             if job_id is None:
                 return
             job = self._jobs.get(job_id)
             if job is not None:  # close() interrupted and evicted it
-                self._execute(job)
+                self._execute(job, pool)
 
-    def _execute(self, job: Job) -> None:
-        request = job.request
+    @staticmethod
+    def _finish(job: Job, status: str) -> None:
+        """Move a job to a terminal ``status`` (lock held): it drops the
+        request and any journal-preloaded cells it no longer needs."""
+        job.status = status
+        job.request = None
+        job.preloaded = None
+
+    def _execute(self, job: Job, pool: CellPool) -> None:
         with self._cond:
             if job.status != "queued":
                 # close() interrupted the job before a worker got it.
                 return
+            request = job.request
             job.status = "running"
             self._append(job, "running", {"run_id": job.id})
 
@@ -870,6 +892,7 @@ class JobStore:
                     retry=request.retry,
                     fault_plan=request.faults,
                     metrics=self.metrics,
+                    pool=pool,
                 )
             result = replay(
                 request.trace,
@@ -915,12 +938,11 @@ class JobStore:
                 if job.status != "running":
                     return  # the shutdown sweep already closed this run
                 job.report = report
-                job.status = "done"
+                self._finish(job, "done")
                 # Keep the merged record handle (list or disk-backed
                 # SpilledRecords) pageable via /records until the run
                 # leaves the record-retention window.
                 job.records = result.records
-                job.preloaded = None
                 for kind, body in batch:
                     self._append(job, kind, body)
                 self._evict()
@@ -932,27 +954,21 @@ class JobStore:
             # Shutdown (or cancellation) cut a remote run off mid-fold:
             # interrupted, not failed — the journal resumes it from its
             # checkpointed cells on the next boot.
-            with self._cond:
-                if job.status != "running":
-                    return
-                job.status = "interrupted"
-                job.preloaded = None
-                self._append(job, "interrupted", {"run_id": job.id})
-            if self._journal is not None:
-                self._journal.record_interrupted(job.id)
-            self.metrics.counter(
-                "repro_runs_total", status="interrupted"
-            ).inc()
+            self._interrupt(("running",), job)
         except Exception as exc:  # noqa: BLE001 - a job must never kill its worker
+            if job.status != "running":
+                # The shutdown sweep interrupted this run before close()
+                # killed its cell processes: journal no failure, so the
+                # next boot resumes it.
+                return
             error = f"{type(exc).__name__}: {exc}"
             if self._journal is not None:
                 self._journal.record_failed(job.id, error)
             with self._cond:
                 if job.status != "running":
                     return  # the shutdown sweep already closed this run
-                job.status = "failed"
+                self._finish(job, "failed")
                 job.error = error
-                job.preloaded = None
                 self._append(
                     job, "error", {"run_id": job.id, "message": job.error}
                 )
@@ -1004,20 +1020,19 @@ WorkerRegistry` and its delivered outcomes feed the same fold a local
             if job is not None and job.status == "running":
                 self._append(job, kind, body)
 
-    def _interrupt(self, statuses: tuple) -> None:
-        """Mark every job in ``statuses`` interrupted (event + journal).
+    def _interrupt(self, statuses: tuple, only: Optional[Job] = None) -> None:
+        """Mark every job in ``statuses`` — or just ``only``, if it is in
+        one — interrupted (event + journal).
 
         The terminal event is what lets an attached follower finish:
         without it, a ``GET /v1/runs/<id>/events`` stream on an
         abandoned run would wait forever.
         """
         with self._cond:
-            swept = [
-                job for job in self._jobs.values() if job.status in statuses
-            ]
+            candidates = list(self._jobs.values()) if only is None else [only]
+            swept = [job for job in candidates if job.status in statuses]
             for job in swept:
-                job.status = "interrupted"
-                job.preloaded = None
+                self._finish(job, "interrupted")
                 self._append(job, "interrupted", {"run_id": job.id})
         for job in swept:
             if self._journal is not None:
@@ -1035,7 +1050,9 @@ WorkerRegistry` and its delivered outcomes feed the same fold a local
         the same journal resumes it).  Running jobs get ``timeout_s``
         to finish; one still running after that is swept ``interrupted``
         too, so every run ends in a terminal event and no follower
-        hangs on a run nobody is executing anymore.
+        hangs on a run nobody is executing anymore.  Then every job
+        thread's cell pool shuts down, a cell still running killed
+        mid-cell, so no cell process outlives the store.
         """
         with self._cond:
             if self._closed:
@@ -1052,3 +1069,5 @@ WorkerRegistry` and its delivered outcomes feed the same fold a local
         for thread in self._threads:
             thread.join(timeout=timeout_s)
         self._interrupt(("queued", "running"))
+        for pool in self._cell_pools:
+            pool.close()

@@ -78,7 +78,7 @@ class RunRequest:
 
     trace: InvocationTrace
     spec: ReplaySpec
-    #: Replay-engine worker processes (1 = in-process serial fold), or
+    #: Size of the job thread's cell-process pool, or
     #: the string ``"remote"``: cells execute on the registered
     #: ``repro worker`` fleet via the lease queue (``docs/workers.md``).
     workers: Union[int, str] = 1

@@ -78,8 +78,12 @@ class _Client:
     def post(
         self, path: str, payload: dict, timeout_s: float = 60.0
     ) -> tuple:
-        """(status, parsed body or None) for one POST."""
-        body = render_json(payload).encode("utf-8")
+        """(status, parsed body or None) for one POST.
+
+        The body is compact JSON: ``indent=None`` lets ``json`` use its
+        C encoder, which matters for cell results, the largest bodies.
+        """
+        body = render_json(payload, indent=None).encode("utf-8")
         request = urllib.request.Request(
             self.base_url + path,
             data=body,
