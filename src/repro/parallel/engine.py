@@ -66,6 +66,7 @@ import gc
 import multiprocessing
 import os
 import signal
+import stat
 import sys
 import threading
 import time
@@ -616,6 +617,11 @@ def _cell_process_init(parent_pid: int) -> None:
     *thread* that forked as the parent, so a pool must not outlive the
     thread that started it.  Spawn-start platforms need neither: their
     workers hold no inherited write end, so they read EOF.
+
+    A forked worker also holds a copy of every file and socket the
+    parent had open, and a persistent pool keeps them for the server's
+    lifetime: an event log the server later unlinks would keep its disk
+    space.  :func:`_drop_inherited_files` lets them go.
     """
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
     if _FORK is not None:
@@ -624,6 +630,32 @@ def _cell_process_init(parent_pid: int) -> None:
         ctypes.CDLL(None).prctl(_PR_SET_PDEATHSIG, signal.SIGKILL, 0, 0, 0)
         if os.getppid() != parent_pid:  # the parent died before the prctl
             os._exit(1)
+        _drop_inherited_files()
+
+
+def _drop_inherited_files() -> None:
+    """Point every inherited regular file and socket at ``/dev/null``.
+
+    The worker's own channels are pipes (its call and result queues,
+    its sentinel), so they stay.  ``dup2`` rather than ``close`` keeps
+    each descriptor number taken: a parent file object the worker still
+    holds then writes to ``/dev/null`` instead of to whatever file the
+    worker might later open under the same number.
+    """
+    devnull = os.open(os.devnull, os.O_RDWR)
+    try:
+        for name in os.listdir("/proc/self/fd"):
+            fd = int(name)
+            if fd < 3 or fd == devnull:
+                continue
+            try:
+                mode = os.fstat(fd).st_mode
+            except OSError:  # the listing's own, now closed, descriptor
+                continue
+            if stat.S_ISREG(mode) or stat.S_ISSOCK(mode):
+                os.dup2(devnull, fd)
+    finally:
+        os.close(devnull)
 
 
 class CellPool:
@@ -637,15 +669,18 @@ class CellPool:
     ``repro serve`` job thread — outlives its runs: :meth:`get` keeps
     the executor while runs ask for the same size, and its fork happens
     with the GC frozen (see :func:`_frozen_gc`), right at the start.
-    :meth:`close` stops the processes for good, killing any mid-cell,
-    and makes every later :meth:`get` or :meth:`replace` raise, so a
-    fold still running at shutdown cannot start a new pool.
+    :meth:`close` stops the processes for good, killing any mid-cell —
+    also those of a :meth:`shutdown` still waiting for its cells — and
+    makes every later :meth:`get` or :meth:`replace` raise, so a fold
+    still running at shutdown cannot start a new pool.
     """
 
     def __init__(self, persistent: bool = False) -> None:
         self._persistent = persistent
-        self._lock = threading.Lock()
+        self._lock = threading.Condition()
         self._executor: Optional[ProcessPoolExecutor] = None
+        #: Executors a :meth:`shutdown` is waiting on, outside the lock.
+        self._stopping: List[ProcessPoolExecutor] = []
         self._workers = 0
         self._closed = False
 
@@ -692,18 +727,32 @@ class CellPool:
         :meth:`get` starts new ones."""
         with self._lock:
             executor, self._executor = self._executor, None
-        self._stop(executor)
+            if executor is None:
+                return
+            self._stopping.append(executor)
+        try:
+            self._stop(executor)
+        finally:
+            with self._lock:
+                self._stopping.remove(executor)
+                self._lock.notify_all()
 
     def close(self) -> None:
-        """Shut down for good, SIGKILLing any process still mid-cell."""
+        """Shut down for good, SIGKILLing any process still mid-cell, and
+        return once every process is joined."""
         with self._lock:
             self._closed = True
             executor, self._executor = self._executor, None
-        if executor is not None:
-            # ProcessPoolExecutor gains a public kill only in 3.14.
-            for process in list((executor._processes or {}).values()):
-                process.kill()
+            for each in [executor, *self._stopping]:
+                if each is not None:
+                    # ProcessPoolExecutor gains a public kill only in 3.14.
+                    for process in list((each._processes or {}).values()):
+                        process.kill()
         self._stop(executor)
+        with self._lock:
+            # A killed pool's shutdown returns as soon as it sees the
+            # processes gone.
+            self._lock.wait_for(lambda: not self._stopping)
 
 
 def _stream_cells(
@@ -737,10 +786,10 @@ def _stream_cells(
     retries per ``retry`` until its budget runs out and then yields its
     :class:`CellFailure`.
 
-    Without ``pool`` the fold builds its own pool of at most ``workers``
-    processes and shuts it down at the end, with the parent heap frozen
-    throughout.  A persistent ``pool`` (a ``repro serve`` job thread's)
-    is sized to ``workers`` and stays up for the next run — unless the
+    The pool has ``workers`` processes, but never more than there are
+    cells.  Without ``pool`` the fold builds its own and shuts it down
+    at the end, with the parent heap frozen throughout.  A persistent
+    ``pool`` (a ``repro serve`` job thread's) stays up for the next run — unless the
     fold ends abnormally: closing the generator early, or an exception,
     shuts the pool down with its queued cells cancelled and its worker
     processes joined, so no busy process passes to the next run.
@@ -756,9 +805,9 @@ def _stream_cells(
     window = 2 * workers
     initial_fill = min(window, len(ordered))
     submitted = 0
+    workers = min(workers, len(ordered))
     if pool is None:
         pool, keep, frozen = CellPool(), False, _frozen_gc()
-        workers = min(workers, len(ordered))
     else:
         keep, frozen = True, nullcontext()
 

@@ -12,7 +12,7 @@ engine, never a second execution path.
 Local cells never simulate in the server process.  Each job thread owns
 one persistent :class:`~repro.parallel.engine.CellPool`: it starts at
 the thread's first local run, sized to that run's ``workers`` (1 unless
-the body asks for more), later runs of the same size reuse it, and a
+the body asks for more, never more than the run's cells), later runs of the same size reuse it, and a
 run of another size, a broken pool, or a fold that ends abnormally
 replaces it.  The server itself only folds, journals and streams, so
 HTTP handlers and remote leases never wait behind a simulation for the
@@ -956,17 +956,18 @@ class JobStore:
             # checkpointed cells on the next boot.
             self._interrupt(("running",), job)
         except Exception as exc:  # noqa: BLE001 - a job must never kill its worker
-            if job.status != "running":
-                # The shutdown sweep interrupted this run before close()
-                # killed its cell processes: journal no failure, so the
-                # next boot resumes it.
-                return
             error = f"{type(exc).__name__}: {exc}"
-            if self._journal is not None:
-                self._journal.record_failed(job.id, error)
             with self._cond:
                 if job.status != "running":
-                    return  # the shutdown sweep already closed this run
+                    # The shutdown sweep interrupted this run before
+                    # close() killed its cell processes: journal no
+                    # failure, so the next boot resumes it.
+                    return
+                # Durability before visibility; journaling under the
+                # lock keeps the sweep from interrupting the run between
+                # the check and the record.
+                if self._journal is not None:
+                    self._journal.record_failed(job.id, error)
                 self._finish(job, "failed")
                 job.error = error
                 self._append(

@@ -91,6 +91,21 @@ def test_one_job_thread_reuses_its_cell_process_across_runs():
     assert multiprocessing.active_children() == []
 
 
+def test_a_pool_never_has_more_processes_than_the_run_has_cells():
+    """A body's ``workers`` has no upper bound; the pool is capped at the
+    run's cell count, so a large value forks no more processes."""
+    store = JobStore(workers=1)
+    try:
+        _, snap = _run(store, dict(BODY, workers=64))
+        assert snap["status"] == "done", snap.get("error")
+        assert render_json(snap["report"]) == _control()
+        # The pool forks all its processes at once and keeps them.
+        assert len(_children()) == 3
+    finally:
+        store.close()
+    assert multiprocessing.active_children() == []
+
+
 def test_a_failed_fold_does_not_hand_its_pool_to_the_next_run():
     store = JobStore(workers=1)
     try:
@@ -197,6 +212,68 @@ def test_close_kills_a_cell_still_running_past_the_timeout():
     store.close(timeout_s=0.2)
     assert time.monotonic() - started < 5
     assert store.snapshot(run_id)["status"] == "interrupted"
+    assert multiprocessing.active_children() == []
+
+
+def test_close_kills_the_cells_an_aborted_fold_is_still_waiting_for():
+    """A fold aborted under ``on_cell_failure: "fail"`` shuts its pool
+    down, waiting for a sibling cell still running; a ``close()`` that
+    arrives meanwhile kills that cell too."""
+    store = JobStore(workers=1)
+    run_id = store.submit(parse_run_request(dict(
+        BODY, workers=3, retry={"max_attempts": 1},
+        faults=[
+            {"kind": "delay", "cell": "tenant0", "attempt": 0,
+             "delay_s": 30.0},
+            {"kind": "poison", "cell": "tenant1", "attempt": 0},
+        ],
+    )))
+    pool = store._cell_pools[0]
+    deadline = time.monotonic() + 30
+    while not pool._stopping:
+        assert time.monotonic() < deadline, "the fold never aborted"
+        time.sleep(0.01)
+    started = time.monotonic()
+    store.close(timeout_s=0.2)
+    assert time.monotonic() - started < 5
+    assert store.snapshot(run_id)["status"] == "interrupted"
+    assert multiprocessing.active_children() == []
+
+
+def _open_paths(pid):
+    paths = []
+    for fd in os.listdir(f"/proc/{pid}/fd"):
+        try:
+            paths.append(os.readlink(f"/proc/{pid}/fd/{fd}"))
+        except FileNotFoundError:
+            pass
+    return paths
+
+
+@pytest.mark.skipif(
+    not sys.platform.startswith("linux"), reason="reads /proc/<pid>/fd"
+)
+def test_cell_processes_do_not_pin_an_evicted_event_log():
+    """A cell process forked while a follower holds a run's event log
+    open keeps no copy of it, so evicting the run frees the file."""
+    store = JobStore(workers=1, max_finished=1)
+    try:
+        first_id, _ = _run(store)
+        log = store._log_path(first_id)
+        follower = store.follow_lines(first_id)
+        next(follower)  # the follower now holds the log open
+        # Another size replaces the pool: it forks with the log open,
+        # and finishing evicts the first run (max_finished=1).
+        _, wide = _run(store, dict(BODY, workers=2))
+        assert wide["status"] == "done", wide.get("error")
+        assert not log.exists()
+        follower.close()
+        pids = _children()
+        assert len(pids) == 2
+        for pid in pids:
+            assert not any(str(log) in path for path in _open_paths(pid))
+    finally:
+        store.close()
     assert multiprocessing.active_children() == []
 
 
