@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .stats import mean, percentile_sorted, stddev
 
@@ -76,6 +76,51 @@ class RequestRecord:
             if record.task_id == task_id:
                 return record
         raise KeyError(task_id)
+
+    def row(self) -> "RequestRow":
+        """This request without its task timeline."""
+        return RequestRow(
+            self.submit_time,
+            self.request_id,
+            self.workflow,
+            self.end_time,
+            self.failed,
+            self.error,
+        )
+
+
+class RequestRow(NamedTuple):
+    """What a report reads of one request: the form a replay cell
+    returns, and that the journal, spill files and ``/records`` pages
+    carry.
+
+    The leading ``(submit_time, request_id)`` pair is the canonical
+    merge key and is unique (request ids are cell-qualified), so rows
+    sort and merge as plain tuples.  The JSON form is ``row._asdict()``.
+    """
+
+    submit_time: float
+    request_id: str
+    workflow: str
+    end_time: Optional[float]
+    failed: bool
+    error: Optional[str]
+
+    @property
+    def completed(self) -> bool:
+        return self.end_time is not None and not self.failed
+
+    @property
+    def latency(self) -> float:
+        if self.end_time is None:
+            raise ValueError(f"request {self.request_id} has not completed")
+        return self.end_time - self.submit_time
+
+    @classmethod
+    def from_payload(cls, payload: dict) -> "RequestRow":
+        """Rebuild a row from its JSON form; other keys (the ``tasks``
+        timeline of older payloads) are ignored."""
+        return cls(*[payload[name] for name in cls._fields])
 
 
 class LatencySummary:

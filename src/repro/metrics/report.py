@@ -14,12 +14,14 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Optional, Sequence
+from typing import (
+    TYPE_CHECKING, Any, Dict, Iterable, List, Optional, Sequence, Union,
+)
 
 from .latency import LatencySummary
 
 if TYPE_CHECKING:  # pragma: no cover
-    from .latency import RequestRecord
+    from .latency import RequestRecord, RequestRow
     from .usage import UsageSummary
 
 
@@ -145,55 +147,31 @@ class RecordAggregate:
             aggregate.observe_record(record, tenant_of)
         return aggregate
 
-    def observe(
+    def observe_record(
         self,
-        request_id: str,
-        workflow: str,
-        submit_time: float,
-        end_time: Optional[float],
-        failed: bool,
-        tenant: str,
+        record: Union["RequestRecord", "RequestRow"],
+        tenant_of: Dict[str, str],
     ) -> None:
+        """Count one request, read by attribute, under its tenant
+        (``"default"`` when ``tenant_of`` lacks it) and workflow."""
         self.total += 1
+        tenant = tenant_of.get(record.request_id, "default")
         tenant_group = self.tenants.get(tenant)
         if tenant_group is None:
             tenant_group = self.tenants[tenant] = _Group()
-        workflow_group = self.workflows.get(workflow)
+        workflow_group = self.workflows.get(record.workflow)
         if workflow_group is None:
-            workflow_group = self.workflows[workflow] = _Group()
+            workflow_group = self.workflows[record.workflow] = _Group()
         tenant_group.offered += 1
         workflow_group.offered += 1
-        if end_time is not None and not failed:
+        end_time = record.end_time
+        if end_time is not None and not record.failed:
             self.completed += 1
-            latency = end_time - submit_time
+            latency = end_time - record.submit_time
             tenant_group.latencies.append(latency)
             workflow_group.latencies.append(latency)
-        elif failed:
+        elif record.failed:
             self.failed += 1
-
-    def observe_record(
-        self, record: "RequestRecord", tenant_of: Dict[str, str]
-    ) -> None:
-        self.observe(
-            record.request_id,
-            record.workflow,
-            record.submit_time,
-            record.end_time,
-            record.failed,
-            tenant_of.get(record.request_id, "default"),
-        )
-
-    def observe_payload(
-        self, payload: dict, tenant_of: Dict[str, str]
-    ) -> None:
-        self.observe(
-            payload["request_id"],
-            payload["workflow"],
-            payload["submit_time"],
-            payload["end_time"],
-            payload["failed"],
-            tenant_of.get(payload["request_id"], "default"),
-        )
 
     def workflow_names(self) -> List[str]:
         return sorted(self.workflows)

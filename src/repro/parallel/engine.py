@@ -88,7 +88,7 @@ from typing import (
 )
 
 from ..loadgen.trace import InvocationTrace, TraceRunResult, run_trace
-from ..metrics.latency import LatencySummary, RequestRecord
+from ..metrics.latency import LatencySummary, RequestRow
 from ..metrics.report import RecordAggregate, tag_tenant_profiles
 from ..metrics.telemetry import MetricsRegistry
 from ..metrics.usage import UsageSummary
@@ -101,12 +101,7 @@ from .resilience import (
     cell_deadline,
     classify_failure,
 )
-from .sink import (
-    RecordSink,
-    RecordSinkSpec,
-    record_from_payload,
-    record_to_payload,
-)
+from .sink import RecordSink, RecordSinkSpec
 from .spec import ReplaySpec
 
 __all__ = [
@@ -132,12 +127,14 @@ Cell = Tuple[str, InvocationTrace]
 
 @dataclass
 class CellResult:
-    """The replay of one cell, ready to cross a process boundary."""
+    """The replay of one cell, ready to cross a process boundary: its
+    requests travel as :class:`~repro.metrics.latency.RequestRow`\\ s,
+    without their task timelines."""
 
     key: str
     offered: int
     duration_s: float
-    records: List[RequestRecord]
+    records: List[RequestRow]
     tenant_of: Dict[str, str]
     usage: Optional[UsageSummary]
     wall_s: float
@@ -148,8 +145,8 @@ class CellResult:
     @cached_property
     def latency(self) -> Optional[LatencySummary]:
         """Latencies of the cell's completed requests, in record order
-        (``None`` when nothing completed) — derived from the records,
-        so the samples never travel twice.  Derived once, on first use
+        (``None`` when nothing completed) — derived from the rows, so
+        the samples never travel twice.  Derived once, on first use
         in the parent (the serve cell event, then the merge)."""
         latencies = [r.latency for r in self.records if r.completed]
         return LatencySummary.from_latencies(latencies) if latencies else None
@@ -161,9 +158,9 @@ class CellResult:
         payload per completed cell; :meth:`from_payload` rebuilds a
         :class:`CellResult` whose fold through :class:`StreamingMerge`
         is byte-identical to folding the original — Python floats
-        round-trip exactly through JSON (shortest-repr), and records
-        keep their order and task timelines, from which the cell's
-        latency summary is derived.
+        round-trip exactly through JSON (shortest-repr), and the request
+        rows (``row._asdict()`` each) keep their order, from which the
+        cell's latency summary is derived.
         """
         return {
             "key": self.key,
@@ -177,18 +174,16 @@ class CellResult:
                 "cache_mbs": self.usage.cache_mbs,
                 "completed_requests": self.usage.completed_requests,
             },
-            "records": [
-                record_to_payload(record) for record in self.records
-            ],
+            "records": [row._asdict() for row in self.records],
         }
 
     @classmethod
     def from_payload(cls, payload: dict) -> "CellResult":
         """Rebuild a :class:`CellResult` from :meth:`to_payload` output.
 
-        Payloads written before the latency summary was derived from
-        the records also carry a ``"latency"`` sample list; it is
-        ignored, since the records hold the same samples.
+        Older payloads may carry a ``"latency"`` sample list (the rows
+        hold the same samples) or a ``"tasks"`` timeline per row; both
+        are ignored.
         """
         usage = payload.get("usage")
         return cls(
@@ -200,7 +195,7 @@ class CellResult:
             profile=dict(payload.get("profile") or {}),
             usage=None if usage is None else UsageSummary(**usage),
             records=[
-                record_from_payload(record) for record in payload["records"]
+                RequestRow.from_payload(row) for row in payload["records"]
             ],
         )
 
@@ -208,6 +203,10 @@ class CellResult:
 @dataclass
 class ParallelReplayResult(TraceRunResult):
     """A merged :class:`TraceRunResult` plus replay-engine bookkeeping.
+
+    Its :attr:`records` are the merged
+    :class:`~repro.metrics.latency.RequestRow`\\ s: a ``list``, or a
+    disk-backed :class:`~repro.parallel.sink.SpilledRecords`.
 
     ``to_dict`` stays deterministic — it reports the policy and cell
     count (functions of trace + policy alone) but *not* worker counts,
@@ -341,7 +340,7 @@ def replay_cell(spec: ReplaySpec, key: str, cell_trace: InvocationTrace) -> Cell
         key=key,
         offered=result.offered,
         duration_s=result.duration_s,
-        records=result.records,
+        records=[record.row() for record in result.records],
         tenant_of=result.tenant_of,
         usage=result.usage,
         wall_s=time.perf_counter() - start,
@@ -789,10 +788,13 @@ def _stream_cells(
     The pool has ``workers`` processes, but never more than there are
     cells.  Without ``pool`` the fold builds its own and shuts it down
     at the end, with the parent heap frozen throughout.  A persistent
-    ``pool`` (a ``repro serve`` job thread's) stays up for the next run — unless the
-    fold ends abnormally: closing the generator early, or an exception,
-    shuts the pool down with its queued cells cancelled and its worker
-    processes joined, so no busy process passes to the next run.
+    ``pool`` (a ``repro serve`` job thread's) also never has more
+    processes than the host has CPUs, since they outlive the run and the
+    report does not depend on their number.  It stays up for the next
+    run — unless the fold ends abnormally: closing the generator early,
+    or an exception, shuts the pool down with its queued cells cancelled
+    and its worker processes joined, so no busy process passes to the
+    next run.
     """
     ordered = sorted(
         cells, key=lambda cell: (-policy.cell_cost(cell[1]), cell[0])
@@ -809,6 +811,7 @@ def _stream_cells(
     if pool is None:
         pool, keep, frozen = CellPool(), False, _frozen_gc()
     else:
+        workers = min(workers, os.cpu_count() or 1)
         keep, frozen = True, nullcontext()
 
     def handle_failure(

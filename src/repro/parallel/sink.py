@@ -1,37 +1,38 @@
-"""The record sink: where a merged replay keeps its request records.
+"""The record sink: where a merged replay keeps its request rows.
 
 The paper's thesis is that intermediate data should live where it is
 produced instead of materializing centrally; the replay pipeline's own
 record stream is the same problem in miniature.  Every cell hands the
-parent a list of :class:`~repro.metrics.latency.RequestRecord`\\ s and
-the merge must present them in one canonical order — but nothing forces
-the canonical sequence to *live in parent RAM*.  A
+parent a list of :class:`~repro.metrics.latency.RequestRow`\\ s — what
+a report reads of each request, without its task timeline — and the
+merge must present them in one canonical order, but nothing forces the
+canonical sequence to *live in parent RAM*.  A
 :class:`StreamingMerge <repro.parallel.engine.StreamingMerge>` therefore
-writes records through one :class:`RecordSink`, bounded by default:
+writes rows through one :class:`RecordSink`, bounded by default:
 
-* Each cell's records are buffered as a sorted in-memory run.  While
-  the buffer stays at or below ``max_records_in_memory`` (default
+* Each cell's rows are buffered as a sorted in-memory run.  While the
+  buffer stays at or below ``max_records_in_memory`` (default
   :data:`DEFAULT_MAX_RECORDS_IN_MEMORY`), ``finalize`` k-way merges the
   runs in RAM (``heapq.merge``) and returns a plain ``list``; no
   scratch directory is ever created.
 * Once the buffer crosses the threshold, every buffered cell flushes to
-  its own **sorted run file** (NDJSON of :func:`record_to_payload`
-  lines) and later cells buffer afresh.  ``finalize`` then k-way merges
-  the disk runs with the still-buffered cells, streams the result into
-  one merged file, and returns a :class:`SpilledRecords` sequence that
-  reads records lazily from it.  Parent peak RSS is bounded by the
+  its own **sorted run file** (NDJSON of ``row._asdict()`` lines) and
+  later cells buffer afresh.  ``finalize`` then k-way merges the disk
+  runs with the still-buffered cells, streams the result into one
+  merged file, and returns a :class:`SpilledRecords` sequence that
+  reads rows lazily from it.  Parent peak RSS is bounded by the
   threshold plus one in-flight cell — not by the trace size.
 
-Both branches produce the merged stream in the identical canonical
-order (the ``(submit_time, request_id)`` key is globally unique:
-request ids are cell-qualified), and both fold a
-:class:`~repro.metrics.report.RecordAggregate` over it in that order —
-the same aggregate every other run report is rendered from, so the
-merged report needs no second scan of the records.  Reports are
-therefore byte-identical at every threshold, worker count and executor;
-Python floats round-trip JSON exactly (shortest repr), so a record that
-passed through a spill file aggregates to the same bits as one that
-never left RAM.
+A row's leading fields are the canonical ``(submit_time, request_id)``
+key, which is globally unique (request ids are cell-qualified), so rows
+sort and merge as plain tuples.  Both branches produce the merged
+stream in that order and fold one
+:class:`~repro.metrics.report.RecordAggregate` over it — the same
+aggregate every other run report is rendered from, so the merged report
+needs no second scan of the rows.  Reports are therefore byte-identical
+at every threshold, worker count and executor; Python floats round-trip
+JSON exactly (shortest repr), so a row that passed through a spill file
+aggregates to the same bits as one that never left RAM.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from ..metrics.latency import RequestRecord, TaskRecord
+from ..metrics.latency import RequestRow
 from ..metrics.report import RecordAggregate
 
 __all__ = [
@@ -55,8 +56,6 @@ __all__ = [
     "RecordSinkSpec",
     "SpillError",
     "SpilledRecords",
-    "record_from_payload",
-    "record_to_payload",
 ]
 
 #: Default spill threshold: records buffered in parent RAM before cells
@@ -70,62 +69,9 @@ class SpillError(RuntimeError):
     """A spill file failed integrity checks (torn write, truncation)."""
 
 
-# -- record (de)serialization -------------------------------------------------
-
-
-def record_to_payload(record: RequestRecord) -> dict:
-    """One record as a JSON-ready dict that round-trips exactly.
-
-    The shared record schema: cell payloads in the durable run journal
-    (:meth:`~repro.parallel.engine.CellResult.to_payload`), spill run
-    files, and the ``GET /v1/runs/<id>/records`` pages all speak it.
-    """
-    return {
-        "request_id": record.request_id,
-        "workflow": record.workflow,
-        "submit_time": record.submit_time,
-        "end_time": record.end_time,
-        "failed": record.failed,
-        "error": record.error,
-        "tasks": [
-            {
-                "task_id": task.task_id,
-                "function": task.function,
-                "node": task.node,
-                "ready_time": task.ready_time,
-                "trigger_time": task.trigger_time,
-                "exec_start": task.exec_start,
-                "exec_end": task.exec_end,
-                "get_s": task.get_s,
-                "compute_s": task.compute_s,
-                "put_s": task.put_s,
-                "cold_start": task.cold_start,
-                "retries": task.retries,
-            }
-            for task in record.tasks
-        ],
-    }
-
-
-def record_from_payload(payload: dict) -> RequestRecord:
-    """Rebuild a :class:`RequestRecord` from :func:`record_to_payload`."""
-    return RequestRecord(
-        request_id=payload["request_id"],
-        workflow=payload["workflow"],
-        submit_time=payload["submit_time"],
-        end_time=payload["end_time"],
-        failed=payload["failed"],
-        error=payload["error"],
-        tasks=[TaskRecord(**task) for task in payload.get("tasks", ())],
-    )
-
-
-def _record_key(record: RequestRecord) -> Tuple[float, str]:
-    return (record.submit_time, record.request_id)
-
-
-def _payload_key(payload: dict) -> Tuple[float, str]:
-    return (payload["submit_time"], payload["request_id"])
+def _line(row: RequestRow) -> str:
+    """One spill-file line: the row's JSON form, compact."""
+    return json.dumps(row._asdict(), separators=(",", ":")) + "\n"
 
 
 # -- sink configuration -------------------------------------------------------
@@ -168,15 +114,12 @@ class _SpillRun:
 
 
 class SpilledRecords(Sequence):
-    """A lazily-read record sequence backed by the merged spill file.
+    """A lazily-read row sequence backed by the merged spill file.
 
-    Supports ``len``/iteration/indexing like the in-memory list (records
-    rebuild via :func:`record_from_payload` on access) plus
-    :meth:`iter_payloads` for consumers — the records pagination
-    endpoint — that want the raw JSON payloads without object
-    construction.  Holds a byte offset per record, so random access is
-    one seek.  The backing directory is removed on :meth:`close` or
-    garbage collection.
+    Supports ``len``/iteration/indexing/slicing like the in-memory list
+    (rows rebuild on access).  Holds a byte offset per row, so random
+    access is one seek and a slice reads its span once.  The backing
+    directory is removed on :meth:`close` or garbage collection.
     """
 
     def __init__(
@@ -199,17 +142,11 @@ class SpilledRecords(Sequence):
     def __len__(self) -> int:
         return len(self._offsets)
 
-    def __iter__(self) -> Iterator[RequestRecord]:
-        for payload in self.iter_payloads():
-            yield record_from_payload(payload)
+    def __iter__(self) -> Iterator[RequestRow]:
+        return self._read(0, len(self._offsets))
 
-    def iter_payloads(
-        self, start: int = 0, stop: Optional[int] = None
-    ) -> Iterator[dict]:
-        """Yield record payload dicts for ``[start, stop)``."""
-        total = len(self._offsets)
-        start = max(0, start)
-        stop = total if stop is None else min(stop, total)
+    def _read(self, start: int, stop: int) -> Iterator[RequestRow]:
+        """Yield the rows ``[start, stop)`` (``0 <= start <= stop <= len``)."""
         if start >= stop:
             return
         with open(self._path, "r", encoding="utf-8") as handle:
@@ -217,11 +154,12 @@ class SpilledRecords(Sequence):
             for _ in range(stop - start):
                 line = handle.readline()
                 try:
-                    yield json.loads(line)
+                    payload = json.loads(line)
                 except ValueError as exc:
                     raise SpillError(
                         f"merged spill file {self._path} is corrupt: {exc}"
                     ) from None
+                yield RequestRow.from_payload(payload)
 
     def __getitem__(self, index):
         if isinstance(index, slice):
@@ -231,15 +169,13 @@ class SpilledRecords(Sequence):
             if not picks:
                 return []
             low = min(picks)
-            span = list(self.iter_payloads(low, max(picks) + 1))
-            return [record_from_payload(span[i - low]) for i in picks]
+            span = list(self._read(low, max(picks) + 1))
+            return [span[i - low] for i in picks]
         if index < 0:
             index += len(self._offsets)
         if not 0 <= index < len(self._offsets):
             raise IndexError(index)
-        for payload in self.iter_payloads(index, index + 1):
-            return record_from_payload(payload)
-        raise IndexError(index)  # pragma: no cover - range-checked above
+        return next(self._read(index, index + 1))
 
     def close(self) -> None:
         if self._finalizer is not None:
@@ -248,20 +184,19 @@ class SpilledRecords(Sequence):
 
 class RecordSink:
     """The one record sink: per-cell sorted runs in RAM, spilled to
-    sorted run files once more than ``max_records_in_memory`` records
-    are buffered.
+    sorted run files once more than ``max_records_in_memory`` rows are
+    buffered.
 
-    Each cell's records are sorted by the canonical ``(submit_time,
-    request_id)`` key on arrival (cells emit records in submission
-    order, so this is a near-no-op Timsort pass).  Below the threshold
-    ``finalize`` drains the runs through ``heapq.merge`` into a plain
-    list — O(n log k), each run released as it exhausts.  Past it, the
-    spill format is one NDJSON line per record
-    (:func:`record_to_payload`, compact separators), one file per
-    spilled cell, so every file is a sorted run and the merge never
-    re-sorts.  Each run file's expected record count is kept in memory;
-    a truncated or torn file raises :class:`SpillError` at finalize
-    instead of yielding a silently short report.
+    Each cell's rows are sorted on arrival (cells emit them in
+    submission order, so this is a near-no-op Timsort pass).  Below the
+    threshold ``finalize`` drains the runs through ``heapq.merge`` into
+    a plain list — O(n log k), each run released as it exhausts.  Past
+    it, the spill format is one NDJSON line per row (``row._asdict()``,
+    compact separators), one file per spilled cell, so every file is a
+    sorted run and the merge never re-sorts.  Each run file's expected
+    row count is kept in memory; a truncated or torn file raises
+    :class:`SpillError` at finalize instead of yielding a silently
+    short report.
     """
 
     def __init__(
@@ -274,7 +209,7 @@ class RecordSink:
         self._threshold = max_records_in_memory
         self._parent_dir = spill_dir
         self._dir: Optional[Path] = None
-        self._buffers: Dict[str, List[RequestRecord]] = {}
+        self._buffers: Dict[str, List[RequestRow]] = {}
         self._buffered = 0
         self._runs: List[_SpillRun] = []
         self._run_seq = 0
@@ -295,25 +230,20 @@ class RecordSink:
     def _flush_buffers(self) -> None:
         """Write every buffered cell to its own sorted run file."""
         for key in sorted(self._buffers):
-            records = self._buffers.pop(key)
-            if not records:
+            rows = self._buffers.pop(key)
+            if not rows:
                 continue
             path = self._scratch_dir() / f"run-{self._run_seq:06d}.ndjson"
             self._run_seq += 1
             with open(path, "w", encoding="utf-8") as handle:
-                for record in records:
-                    handle.write(
-                        json.dumps(
-                            record_to_payload(record), separators=(",", ":")
-                        )
-                    )
-                    handle.write("\n")
-            self._runs.append(_SpillRun(path=path, count=len(records)))
-            self.spilled_records += len(records)
+                for row in rows:
+                    handle.write(_line(row))
+            self._runs.append(_SpillRun(path=path, count=len(rows)))
+            self.spilled_records += len(rows)
         self._buffered = 0
 
     @staticmethod
-    def _iter_run(run: _SpillRun) -> Iterator[dict]:
+    def _iter_run(run: _SpillRun) -> Iterator[RequestRow]:
         """Stream one run file, verifying integrity as it goes."""
         read = 0
         with open(run.path, "r", encoding="utf-8") as handle:
@@ -326,64 +256,55 @@ class RecordSink:
                         f"{read}: torn or truncated write"
                     ) from None
                 read += 1
-                yield payload
+                yield RequestRow.from_payload(payload)
         if read != run.count:
             raise SpillError(
                 f"spill run file {run.path} is truncated: expected "
                 f"{run.count} records, read {read}"
             )
 
-    @staticmethod
-    def _iter_buffer(records: List[RequestRecord]) -> Iterator[dict]:
-        for record in records:
-            yield record_to_payload(record)
-
     # -- the sink surface -----------------------------------------------------
 
-    def add(self, key: str, records: Sequence[RequestRecord]) -> None:
-        self._buffers[key] = sorted(records, key=_record_key)
-        self._buffered += len(records)
+    def add(self, key: str, rows: Sequence[RequestRow]) -> None:
+        self._buffers[key] = sorted(rows)
+        self._buffered += len(rows)
         if self._buffered > self._threshold:
             self._flush_buffers()
 
     def finalize(
         self, tenant_of: Dict[str, str]
-    ) -> Tuple[Sequence[RequestRecord], RecordAggregate]:
+    ) -> Tuple[Sequence[RequestRow], RecordAggregate]:
         if self._finalized:
             raise RuntimeError("record sink already finalized")
         self._finalized = True
         aggregate = RecordAggregate()
-        if not self._runs:
-            # Nothing spilled: merge in RAM.  pop() drops the dict's
-            # reference; heapq.merge drops each run as it exhausts.
-            keys = sorted(self._buffers)
-            runs = [iter(self._buffers.pop(key)) for key in keys]
-            self._buffered = 0
-            observe_record = aggregate.observe_record
-            merged: List[RequestRecord] = []
-            append = merged.append
-            for record in heapq.merge(*runs, key=_record_key):
-                append(record)
-                observe_record(record, tenant_of)
-            return merged, aggregate
+        observe = aggregate.observe_record
+        # pop() drops the dict's references; heapq.merge drops each run
+        # as it exhausts.
         streams = [self._iter_run(run) for run in self._runs]
         for key in sorted(self._buffers):
-            streams.append(self._iter_buffer(self._buffers.pop(key)))
+            streams.append(iter(self._buffers.pop(key)))
+        self._buffered = 0
+        if not self._runs:
+            # Nothing spilled: merge in RAM.
+            merged: List[RequestRow] = []
+            append = merged.append
+            for row in heapq.merge(*streams):
+                append(row)
+                observe(row, tenant_of)
+            return merged, aggregate
         scratch = self._scratch_dir()
         merged_path = scratch / "merged.ndjson"
         offsets: List[int] = []
-        observe = aggregate.observe_payload
         try:
             with open(merged_path, "wb") as out:
                 offset = 0
-                for payload in heapq.merge(*streams, key=_payload_key):
-                    line = (
-                        json.dumps(payload, separators=(",", ":")) + "\n"
-                    ).encode("utf-8")
+                for row in heapq.merge(*streams):
+                    line = _line(row).encode("utf-8")
                     offsets.append(offset)
                     out.write(line)
                     offset += len(line)
-                    observe(payload, tenant_of)
+                    observe(row, tenant_of)
         except SpillError:
             self.close()
             raise

@@ -78,7 +78,6 @@ from ..metrics.telemetry import MetricsRegistry, validate_event
 from ..parallel.engine import CellPool, CellResult, local_executor, replay
 from ..parallel.policy import get_shard_policy
 from ..parallel.profiles import TenantConfig
-from ..parallel.sink import record_to_payload
 from .journal import JournalState, RunJournal, run_number
 from .validation import RunRequest, parse_run_request
 from .workers import FleetCancelled, WorkerRegistry
@@ -149,11 +148,11 @@ class Job:
     #: Cells folded so far — journal-recovered plus newly executed (a
     #: counter, so snapshots never read the event log).
     cells_done: int = 0
-    #: The merged record sequence of a ``done`` run — an in-RAM list or
-    #: a disk-backed :class:`~repro.parallel.sink.SpilledRecords` —
-    #: paged by ``GET /v1/runs/<id>/records``.  ``None`` once the run
-    #: leaves the record-retention window or for journal-restored runs
-    #: (the journal persists reports, not merged record streams).
+    #: The merged request rows of a ``done`` run — an in-RAM list or a
+    #: disk-backed :class:`~repro.parallel.sink.SpilledRecords` — paged
+    #: by ``GET /v1/runs/<id>/records``.  ``None`` once the run leaves
+    #: the record-retention window or for journal-restored runs (the
+    #: journal persists reports, not merged row streams).
     records: Optional[Sequence] = None
     #: The validated request echo (kept off ``request`` so restored
     #: jobs can answer snapshots without re-validating).
@@ -605,13 +604,13 @@ class JobStore:
     def records_page(
         self, job_id: str, cursor: int = 0, limit: int = 1000
     ) -> dict:
-        """One page of a done run's merged records
-        (``GET /v1/runs/<id>/records``).
+        """One page of a done run's merged request rows
+        (``GET /v1/runs/<id>/records``), each as ``row._asdict()``.
 
-        ``cursor`` is the absolute record index the page starts at (the
+        ``cursor`` is the absolute row index the page starts at (the
         canonical merge order is deterministic, so indexes are stable);
         the response's ``next_cursor`` is ``None`` on the last page.
-        Only ``limit`` records are serialized per request — the backing
+        Only ``limit`` rows are serialized per request — the backing
         store is sliced (in-RAM list) or seeked (disk spill file), never
         materialized whole.
         """
@@ -637,18 +636,11 @@ class JobStore:
         total = len(records)
         start = min(cursor, total)
         stop = min(start + limit, total)
-        iter_payloads = getattr(records, "iter_payloads", None)
-        if iter_payloads is not None:
-            page = list(iter_payloads(start, stop))
-        else:
-            page = [
-                record_to_payload(record) for record in records[start:stop]
-            ]
         return {
             "run": job_id,
             "total": total,
             "cursor": start,
-            "records": page,
+            "records": [row._asdict() for row in records[start:stop]],
             "next_cursor": stop if stop < total else None,
         }
 

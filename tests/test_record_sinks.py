@@ -18,12 +18,14 @@ Three guarantee families, mirroring ``src/repro/parallel/sink.py``:
 """
 
 import json
+import pickle
 import sys
 import tracemalloc
 
 import pytest
 
 from repro.loadgen.trace import InvocationTrace, TraceEvent
+from repro.metrics.latency import RequestRow
 from repro.metrics.report import render_json
 from repro.parallel import (
     ReplaySpec,
@@ -38,8 +40,6 @@ from repro.parallel.sink import (
     RecordSinkSpec,
     SpillError,
     SpilledRecords,
-    record_from_payload,
-    record_to_payload,
 )
 
 from fleet_harness import fleet_replay
@@ -91,19 +91,32 @@ def test_default_sink_is_bounded():
     assert merge.sink._threshold == DEFAULT_MAX_RECORDS_IN_MEMORY
 
 
-# -- record payload round-trip ------------------------------------------------
+# -- request rows -------------------------------------------------------------
 
 
 def test_record_payload_round_trips_exactly():
     result = run_parallel_replay(
         _trace(), ReplaySpec(default_app="wc", seed=3), workers=1
     )
-    for record in result.records:
+    for row in result.records:
         payload = json.loads(
-            json.dumps(record_to_payload(record), separators=(",", ":"))
+            json.dumps(row._asdict(), separators=(",", ":"))
         )
-        rebuilt = record_from_payload(payload)
-        assert rebuilt == record
+        rebuilt = RequestRow.from_payload(payload)
+        assert rebuilt == row
+
+
+def test_cells_carry_request_rows_without_task_timelines():
+    """What crosses the cell boundary is the six-field row: no task
+    timeline is pickled to the pool parent or written to a payload."""
+    (key, cell_trace), = get_shard_policy("tenant").split(
+        _trace(tenants=["t0"])
+    )
+    cell = replay_cell(ReplaySpec(default_app="wc", seed=3), key, cell_trace)
+    assert cell.records
+    assert b"TaskRecord" not in pickle.dumps(cell)
+    for row in cell.to_payload()["records"]:
+        assert tuple(row) == RequestRow._fields
 
 
 # -- engine-level identity across thresholds ----------------------------------
@@ -351,7 +364,7 @@ def test_spilling_finalize_streams_without_materializing(tmp_path):
         ReplaySpec(default_app="wc", seed=5),
         workers=1,
     )
-    template = record_to_payload(result.records[0])
+    template = result.records[0]._asdict()
     # Synthesize ~6000 records across 6 cells from the template.
     for cell in range(6):
         records = []
@@ -359,7 +372,7 @@ def test_spilling_finalize_streams_without_materializing(tmp_path):
             payload = dict(template)
             payload["request_id"] = f"c{cell}/req-{i:05d}"
             payload["submit_time"] = float(i)
-            records.append(record_from_payload(payload))
+            records.append(RequestRow.from_payload(payload))
         sink.add(f"c{cell}", records)
     assert sink.spilled_records > 0
     tracemalloc.start()
@@ -367,8 +380,8 @@ def test_spilling_finalize_streams_without_materializing(tmp_path):
     _, peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()
     assert aggregate.total == len(records) == 6000
-    # Offsets (one int per record) plus bounded merge state; far below
-    # the ~2 MB the materialized record objects would cost.
+    # Offsets (one int per row) plus bounded merge state, ~0.6 MB;
+    # materializing the 6000 rows would cost ~1.6 MB.
     assert peak < 1_000_000, peak
     records.close()
 
@@ -397,9 +410,9 @@ def test_spilled_records_sequence_semantics(tmp_path):
         slice(-100, 100, 2),
     ):
         assert records[window] == listed[window], window
-    pages = list(records.iter_payloads(2, 5))
-    assert [record_from_payload(p) for p in pages] == listed[2:5]
-    assert list(records.iter_payloads(n, None)) == []
+    # The /records pages slice the sequence: a span, and past the end.
+    assert records[2:5] == listed[2:5]
+    assert records[n:] == []
     records.close()
 
 

@@ -120,21 +120,34 @@ def test_full_checkpoint_executes_nothing(events, seed):
 
 
 def _parent_format(payload):
-    """A cell payload as journals written before the cell's latency
-    summary was derived from its records store it: the same payload
-    plus a ``"latency"`` list of the completed requests' latencies in
-    record order (``None`` when nothing completed)."""
+    """A cell payload as older journals store it: the same payload plus
+    a ``"latency"`` list of the completed requests' latencies in record
+    order (``None`` when nothing completed), and a ``"tasks"`` timeline
+    on every record."""
     latencies = [
         record["end_time"] - record["submit_time"]
         for record in payload["records"]
         if record["end_time"] is not None and not record["failed"]
     ]
-    return dict(payload, latency=latencies or None)
+    records = [
+        dict(record, tasks=[{
+            "task_id": "t0", "function": "wordcount_start", "node": "w0",
+            "ready_time": record["submit_time"],
+            "trigger_time": record["submit_time"],
+            "exec_start": record["submit_time"],
+            "exec_end": record["end_time"] or record["submit_time"],
+            "get_s": 0.0, "compute_s": 0.01, "put_s": 0.0,
+            "cold_start": True, "retries": 0,
+        }])
+        for record in payload["records"]
+    ]
+    return dict(payload, latency=latencies or None, records=records)
 
 
 def test_parent_format_payloads_resume_byte_identically():
-    """Old journals still resume: their extra ``"latency"`` key is
-    ignored, and the cells fold to the uninterrupted report."""
+    """Old journals still resume: their extra ``"latency"`` and
+    ``"tasks"`` keys are ignored, and the cells fold to the
+    uninterrupted report."""
     trace = InvocationTrace(
         events=[
             TraceEvent(at_s=0.0, tenant="t0", fanout=3),

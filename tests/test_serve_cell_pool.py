@@ -69,7 +69,14 @@ def _control(body=BODY):
     )
 
 
-def test_one_job_thread_reuses_its_cell_process_across_runs():
+def _pin_cpus(monkeypatch, count=8):
+    """Pin the host CPU count a persistent pool is capped at, so the
+    process counts these tests expect hold on any host."""
+    monkeypatch.setattr(os, "cpu_count", lambda: count)
+
+
+def test_one_job_thread_reuses_its_cell_process_across_runs(monkeypatch):
+    _pin_cpus(monkeypatch)
     store = JobStore(workers=1)
     try:
         assert _children() == []  # the pool starts at the first run
@@ -91,9 +98,10 @@ def test_one_job_thread_reuses_its_cell_process_across_runs():
     assert multiprocessing.active_children() == []
 
 
-def test_a_pool_never_has_more_processes_than_the_run_has_cells():
+def test_a_pool_never_has_more_processes_than_the_run_has_cells(monkeypatch):
     """A body's ``workers`` has no upper bound; the pool is capped at the
     run's cell count, so a large value forks no more processes."""
+    _pin_cpus(monkeypatch)
     store = JobStore(workers=1)
     try:
         _, snap = _run(store, dict(BODY, workers=64))
@@ -101,6 +109,22 @@ def test_a_pool_never_has_more_processes_than_the_run_has_cells():
         assert render_json(snap["report"]) == _control()
         # The pool forks all its processes at once and keeps them.
         assert len(_children()) == 3
+    finally:
+        store.close()
+    assert multiprocessing.active_children() == []
+
+
+def test_a_pool_never_has_more_processes_than_the_host_has_cpus(monkeypatch):
+    """The pool is also capped at the host's CPU count: a body with as
+    many ``workers`` as tenants forks no more processes than that."""
+    _pin_cpus(monkeypatch, 2)
+    body = dict(BODY, workers=4, synth=dict(BODY["synth"], tenants=4))
+    store = JobStore(workers=1)
+    try:
+        _, snap = _run(store, body)
+        assert snap["status"] == "done", snap.get("error")
+        assert render_json(snap["report"]) == _control(body)
+        assert len(_children()) == 2
     finally:
         store.close()
     assert multiprocessing.active_children() == []
@@ -215,10 +239,13 @@ def test_close_kills_a_cell_still_running_past_the_timeout():
     assert multiprocessing.active_children() == []
 
 
-def test_close_kills_the_cells_an_aborted_fold_is_still_waiting_for():
+def test_close_kills_the_cells_an_aborted_fold_is_still_waiting_for(
+    monkeypatch,
+):
     """A fold aborted under ``on_cell_failure: "fail"`` shuts its pool
     down, waiting for a sibling cell still running; a ``close()`` that
     arrives meanwhile kills that cell too."""
+    _pin_cpus(monkeypatch)
     store = JobStore(workers=1)
     run_id = store.submit(parse_run_request(dict(
         BODY, workers=3, retry={"max_attempts": 1},
@@ -253,9 +280,10 @@ def _open_paths(pid):
 @pytest.mark.skipif(
     not sys.platform.startswith("linux"), reason="reads /proc/<pid>/fd"
 )
-def test_cell_processes_do_not_pin_an_evicted_event_log():
+def test_cell_processes_do_not_pin_an_evicted_event_log(monkeypatch):
     """A cell process forked while a follower holds a run's event log
     open keeps no copy of it, so evicting the run frees the file."""
+    _pin_cpus(monkeypatch)
     store = JobStore(workers=1, max_finished=1)
     try:
         first_id, _ = _run(store)
