@@ -657,6 +657,8 @@ def cmd_serve(args: argparse.Namespace) -> int:
         signal.signal(signal.SIGTERM, _terminate)
     except ValueError:  # pragma: no cover - non-main-thread embedding
         pass
+    for note in server.store.anomalies:
+        print(f"journal: {note}", file=sys.stderr)
     durability = f"journal: {args.journal}" if args.journal else "no journal"
     dash = "dashboard off" if args.no_dashboard else \
         f"dashboard: {server.url}/dashboard"
@@ -893,7 +895,7 @@ def build_parser() -> argparse.ArgumentParser:
                        "(JSON or YAML-lite, see docs/tenancy.md)")
     serve.add_argument("--journal", default=None, metavar="PATH",
                        help="durable run journal: a directory with one "
-                       "append-only JSONL file per run; restarting on it "
+                       "append-only event log per run; restarting on it "
                        "resumes unfinished runs from their completed cells "
                        "and restores the retained finished ones")
     serve.add_argument("--max-queued", type=int, default=None, metavar="N",

@@ -16,7 +16,7 @@ documented in ``docs/observability.md``.
 
 **Metrics.**  :class:`MetricsRegistry` is a lightweight in-process
 registry — :class:`Counter`, :class:`Gauge`, :class:`Histogram` — that
-the replay engine, job store, and run journal populate and ``GET
+the replay engine and job store populate and ``GET
 /metrics`` exposes in Prometheus text format.  Histograms retain exact
 samples and report interpolated quantiles through the single
 :func:`~repro.metrics.stats.percentile_sorted` implementation (exposed
@@ -61,8 +61,12 @@ __all__ = [
 #: non-empty ``failed_cells`` section under ``on_cell_failure=skip``);
 #: 4 = the remote worker fleet: ``lease`` and ``lease_expired`` kinds
 #: (cell leases granted to / reclaimed from ``repro worker`` processes
-#: under ``workers="remote"``).
-SCHEMA_VERSION = 4
+#: under ``workers="remote"``);
+#: 5 = the event log is the run's journal: ``queued`` carries the
+#: submitted body (``payload``) and ``cells``, each ``cell`` carries its
+#: ``identity`` token and ``result`` residue, and ``cell`` loses
+#: ``resumed`` (recovery no longer re-appends cells).
+SCHEMA_VERSION = 5
 
 
 class SchemaError(ValueError):
@@ -111,7 +115,12 @@ def _check_type(value: object, spec: Tuple[str, ...]) -> bool:
 #: field must be declared here (undeclared extras fail validation).
 EVENT_SCHEMAS: Dict[str, Dict[str, Tuple[Tuple[str, ...], bool]]] = {
     # lifecycle
-    "queued": {"run_id": (_STR, True), "request": (_DICT, True)},
+    "queued": {
+        "run_id": (_STR, True),
+        "request": (_DICT, True),
+        "cells": (_INT, True),
+        "payload": (_DICT, False),
+    },
     "running": {"run_id": (_STR, True)},
     "recovered": {"run_id": (_STR, True), "cells_journaled": (_INT, True)},
     "interrupted": {"run_id": (_STR, True)},
@@ -123,8 +132,9 @@ EVENT_SCHEMAS: Dict[str, Dict[str, Tuple[Tuple[str, ...], bool]]] = {
         "completed": (_INT, True),
         "failed": (_INT, True),
         "wall_s": (_NUM, True),
-        "resumed": (("bool",), False),
         "latency": (_DICT, False),
+        "identity": (_STR, True),
+        "result": (_DICT, True),
     },
     # run-level progress after every cell event
     "progress": {
@@ -355,7 +365,8 @@ METRICS: Dict[str, Tuple[str, str]] = {
     "repro_job_workers": (
         "gauge", "Job worker threads serving the run queue"),
     "repro_journal_fsyncs_total": (
-        "counter", "Durable appends (write+flush+fsync) to the run journal"),
+        "counter",
+        "Durable event-log appends (write+flush+fsync) under a journal"),
     "repro_workers_registered": (
         "gauge", "Remote workers currently registered with the control "
         "plane (heartbeats fresh)"),

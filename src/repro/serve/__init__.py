@@ -16,7 +16,6 @@ Stdlib only (:mod:`http.server`); the REST surface is specified in
 from .app import ROUTES, ReproServer, create_server
 from .client import ServeClient, ServeError
 from .jobs import Job, JobStore, UnknownJob
-from .journal import JournalRun, JournalState, RunJournal, load_journal
 from .validation import BadRequest, RunRequest, parse_run_request
 from .workers import (
     FleetCancelled,
@@ -30,11 +29,8 @@ __all__ = [
     "FleetCancelled",
     "Job",
     "JobStore",
-    "JournalRun",
-    "JournalState",
     "ROUTES",
     "ReproServer",
-    "RunJournal",
     "RunRequest",
     "ServeClient",
     "ServeError",
@@ -43,6 +39,5 @@ __all__ = [
     "UnknownWorker",
     "WorkerRegistry",
     "create_server",
-    "load_journal",
     "parse_run_request",
 ]

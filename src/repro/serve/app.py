@@ -29,9 +29,9 @@ POST     /v1/cells/<lease>/result    deliver a leased cell's outcome
 Dependency-free by design: :mod:`http.server` handles the transport,
 one daemon thread per connection, and the shared
 :class:`~repro.serve.jobs.JobStore` owns all cross-request state —
-optionally backed by a durable run journal
-(:mod:`repro.serve.journal`, ``repro serve --journal``) so runs survive
-restarts and resume from completed cells.
+optionally backed by a journal directory (``repro serve --journal``)
+whose per-run event logs let runs survive restarts and resume from
+completed cells.
 ``tools/check_docs.py`` asserts every route in :data:`ROUTES` appears
 in ``docs/serve.md``, so the table above cannot drift from the docs.
 """
@@ -48,7 +48,6 @@ from urllib.parse import parse_qs, urlsplit
 from ..metrics.report import render_json
 from ..parallel.profiles import TenantConfig
 from .jobs import AdmissionDenied, JobStore, RecordsUnavailable, UnknownJob
-from .journal import RunJournal
 from .validation import BadRequest, parse_run_request
 from .workers import (
     FleetCancelled,
@@ -644,11 +643,12 @@ def create_server(
     (oldest evicted first) so the service's memory never grows with
     total jobs ever submitted.
 
-    ``journal`` is the durable run journal's directory (``--journal``
-    on the CLI): the store replays it before serving — retained finished
-    runs restore read-only, interrupted runs resume from their journaled
-    cells — and every later submission, cell completion, and terminal
-    status is fsync'd to the run's file (``docs/serve.md``).
+    ``journal`` is the journal directory (``--journal`` on the CLI),
+    where each run's event log is its journal: the store replays it
+    before serving — retained finished runs restore read-only,
+    unfinished runs resume from their logged cells — and every later
+    submission, cell completion, and terminal status is fsync'd to the
+    run's log (``docs/serve.md``).
 
     ``dashboard=False`` turns ``GET /dashboard`` into a 404
     (``--no-dashboard`` on the CLI) for deployments that want the API
@@ -678,7 +678,7 @@ def create_server(
         JobStore(
             workers=workers,
             max_finished=max_finished,
-            journal=None if journal is None else RunJournal(journal),
+            journal=journal,
             default_tenant_config=default_tenant_config,
             max_queued=max_queued,
             lease_timeout_s=lease_timeout_s,

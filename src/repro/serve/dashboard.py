@@ -509,8 +509,7 @@ function renderDag() {
 function detailOf(e) {
   switch (e.event) {
     case "cell":
-      return `${e.cell}: ${e.completed}/${e.offered} in ${fmtS(e.wall_s)}`
-        + (e.resumed ? " (resumed)" : "");
+      return `${e.cell}: ${e.completed}/${e.offered} in ${fmtS(e.wall_s)}`;
     case "progress":
       return `${e.cells_done}/${e.cells_total} cells`;
     case "counter": return `${e.name} = ${e.value}`;

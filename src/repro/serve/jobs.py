@@ -12,48 +12,55 @@ engine, never a second execution path.
 Local cells never simulate in the server process.  Each job thread owns
 one persistent :class:`~repro.parallel.engine.CellPool`: it starts at
 the thread's first local run, sized to that run's ``workers`` (1 unless
-the body asks for more, never more than the run's cells), later runs of the same size reuse it, and a
-run of another size, a broken pool, or a fold that ends abnormally
-replaces it.  The server itself only folds, journals and streams, so
-HTTP handlers and remote leases never wait behind a simulation for the
-GIL.  :meth:`JobStore.close` shuts every thread's pool down, and each
-cell process exits with the server however it dies.
+the body asks for more, never more than the run's cells or the host's
+CPUs), later runs of the same size reuse it, and a run of another
+size, a broken pool, or a fold that ends abnormally replaces it.  The
+server itself only folds, logs and streams, so HTTP handlers and remote
+leases never wait behind a simulation for the GIL.
+:meth:`JobStore.close` shuts every thread's pool down, and each cell
+process exits with the server however it dies.
 
-Progress streams through the engine's ``on_cell`` hook: every folded
-:class:`~repro.parallel.engine.CellResult` appends one stable event
-envelope (:func:`repro.metrics.report.event_envelope`) to the run's
-event log and wakes any ``GET /v1/runs/<id>/events`` subscriber waiting
-on the store's condition variable.  The log is one append-only NDJSON
-file per run — in the journal directory, or in the store's temp
-directory without one — and it is the only copy: each envelope is
-rendered once (:func:`repro.metrics.report.render_event`) and appended
-as one line, and every follower, live or late, replays the file's lines
-unchanged, history first, then live.  A follower reads only as many
-lines as :attr:`Job.events_logged` says are written and flushed, so it
+Each run has one file: its event log, ``<run-id>.ndjson``, an
+append-only NDJSON file in the journal directory, or in the store's
+temp directory without one.  Every envelope
+(:func:`repro.metrics.report.event_envelope`) is rendered once
+(:func:`repro.metrics.report.render_event`) and appended as one line,
+and every ``GET /v1/runs/<id>/events`` follower, live or late, replays
+the file's lines unchanged, history first, then live.  A follower reads
+only as many lines as :attr:`Job.events_logged` says are written, so it
 never sees a partial line, and it opens the file in the same critical
 section that resolves the job, so eviction's unlink cannot cut it off.
 Each append opens, writes and closes the file: open descriptors scale
 with attached followers, never with retained runs.
 
-Durability: a store built with a :class:`~repro.serve.journal.RunJournal`
-persists every submission, cell completion, and terminal status to the
-run's append-only fsync'd journal file, each before the events it makes
-durable are appended.  Evicting a ``done``/``failed`` run deletes its
-journal file with its event log.  On construction the store replays
-the journal (see :meth:`JobStore._recover`): finished runs inside the
-retention window restore read-only, and unfinished runs *resume* —
-journaled cell residues fold back through ``StreamingMerge`` via the
-engine's ``completed_cells`` entry point and only the missing cells
-re-execute, so the resumed report is byte-identical to an
-uninterrupted run at the same seed (snapshots say ``recovered: true``).
-The event log, not the journal, is the run's one seq ledger: recovery
-continues each run's surviving log past its last complete line and
-appends only what the log lacks, so a follower's history before a
-restart stays a prefix of the stream after it.
+The log is also the run's journal.  Its durable lines — ``queued``
+(the submitted body and cell count), each ``cell`` (the cell's identity
+token and :meth:`~repro.parallel.engine.CellResult.to_payload`), and
+the terminal ``report``, ``degraded``, ``error`` or ``interrupted`` —
+hold everything a restart needs, and the line format is the same with
+or without a journal.  With one, :meth:`JobStore._append` fsyncs each
+durable line under the store lock before :attr:`Job.events_logged`
+counts it (the file's first line fsyncs the directory too), so file
+order, seq order and fsync order are one order and nothing is visible
+before it is durable.  ``running``, ``progress``, ``counter``,
+``gauge``, ``lease*`` and ``recovered`` lines are never fsync'd.
+Evicting a ``done``/``failed`` run deletes its log.
+
+On construction a journaled store replays the directory (see
+:meth:`JobStore._recover`).  Each log is cut at its first torn or
+undecodable line.  A log holding its ``report``, ``degraded`` or
+``error`` line is finished and restores read-only inside the retention
+window; any other run *resumes* — its checkpointed cells fold back
+through ``StreamingMerge`` via the engine's ``completed_cells`` entry
+point and only the missing cells re-execute, so the resumed report is
+byte-identical to an uninterrupted run at the same seed (snapshots say
+``recovered: true``).  A resume appends only ``recovered`` before it
+runs on, so a follower's history before a restart stays a prefix of
+the stream after it.
 
 Determinism note: the *report* a job produces is the engine's merged
 ``to_dict`` — byte-identical to ``repro replay`` on the same spec and
-seed.  The *event log* is progress telemetry: cell completion order and
+seed.  The *event log* is not: its cell completion order and
 wall-clock fields are scheduling-dependent and deliberately kept out of
 the report.
 """
@@ -71,14 +78,13 @@ import time
 import weakref
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from ..metrics.report import event_envelope, render_event
 from ..metrics.telemetry import MetricsRegistry, validate_event
 from ..parallel.engine import CellPool, CellResult, local_executor, replay
 from ..parallel.policy import get_shard_policy
 from ..parallel.profiles import TenantConfig
-from .journal import JournalState, RunJournal, run_number
 from .validation import RunRequest, parse_run_request
 from .workers import FleetCancelled, WorkerRegistry
 
@@ -96,6 +102,52 @@ _TERMINAL = ("done", "failed", "interrupted")
 
 #: How long one follower wait sleeps before re-checking its run.
 _POLL_S = 0.25
+
+#: Event kinds that carry a run's durable state: a journaled store
+#: fsyncs these lines, and only these.
+_DURABLE = ("queued", "cell", "report", "degraded", "error", "interrupted")
+#: Terminal kinds after which a run never resumes: a log that holds one
+#: is finished.
+_FINISHED = ("report", "degraded", "error")
+
+#: Done runs whose merged records stay pageable; older runs drop their
+#: record handles first (reports are kept for all retained runs —
+#: records are the bulky part).
+MAX_RECORD_RUNS = 8
+
+
+def run_number(run_id: str) -> int:
+    """The submission number inside a ``run-NNNNNN`` id (-1 if none)."""
+    try:
+        return int(run_id.rsplit("-", 1)[-1])
+    except ValueError:
+        return -1
+
+
+def _journal_dir(path: Union[str, "os.PathLike[str]"]) -> Path:
+    """The journal directory at ``path``, created if missing.
+
+    Older servers' layouts are refused, never migrated, and left as
+    they are: a regular file at ``path`` (one journal file for every
+    run) and a directory holding ``*.jsonl`` entries (a journal file
+    per run beside its event log).  Only the entries inside ``path``
+    are checked, never its own name.
+    """
+    journal = Path(path)
+    if journal.is_file():
+        raise ValueError(
+            f"journal {journal} is a single-file journal of an older "
+            f"server; pass a directory instead (the file is left as is)"
+        )
+    older = sorted(journal.glob("*.jsonl")) if journal.is_dir() else []
+    if older:
+        raise ValueError(
+            f"journal {journal} holds {older[0].name}, a per-run journal "
+            f"file of an older server; pass a fresh directory instead "
+            f"(the files are left as they are)"
+        )
+    journal.mkdir(parents=True, exist_ok=True)
+    return journal
 
 
 class UnknownJob(KeyError):
@@ -152,7 +204,7 @@ class Job:
     #: disk-backed :class:`~repro.parallel.sink.SpilledRecords` — paged
     #: by ``GET /v1/runs/<id>/records``.  ``None`` once the run leaves
     #: the record-retention window or for journal-restored runs (the
-    #: journal persists reports, not merged row streams).
+    #: log persists reports and cell rows, not merged row streams).
     records: Optional[Sequence] = None
     #: The validated request echo (kept off ``request`` so restored
     #: jobs can answer snapshots without re-validating).
@@ -180,22 +232,21 @@ class JobStore:
     the retention window — never by total jobs ever submitted.  Queued
     and running jobs are never evicted; an evicted id answers 404.
 
-    ``journal`` makes the store durable (see the module docstring);
-    recovery runs inside the constructor, *before* the worker threads
-    start, so resumed jobs execute exactly like fresh submissions.
-    ``default_tenant_config`` mirrors the server-level ``--tenant-config``
-    so journaled requests re-validate under the same defaults they were
-    accepted under.
+    ``journal`` is the journal directory (see the module docstring):
+    it makes the store durable, and recovery runs inside the
+    constructor, *before* the worker threads start, so resumed jobs
+    execute exactly like fresh submissions.  ``default_tenant_config``
+    mirrors the server-level ``--tenant-config`` so journaled requests
+    re-validate under the same defaults they were accepted under.
     """
 
     def __init__(
         self,
         workers: int = 2,
         max_finished: int = 256,
-        journal: Optional[RunJournal] = None,
+        journal: Union[str, "os.PathLike[str]", None] = None,
         default_tenant_config: Optional[TenantConfig] = None,
         metrics: Optional[MetricsRegistry] = None,
-        max_record_runs: int = 8,
         max_queued: Optional[int] = None,
         lease_timeout_s: float = 30.0,
         heartbeat_timeout_s: float = 90.0,
@@ -204,8 +255,6 @@ class JobStore:
             raise ValueError("workers must be >= 1")
         if max_finished < 1:
             raise ValueError("max_finished must be >= 1")
-        if max_record_runs < 1:
-            raise ValueError("max_record_runs must be >= 1")
         if max_queued is not None and max_queued < 1:
             raise ValueError("max_queued must be >= 1 (or None)")
         #: Admission control: refuse submissions once this many jobs sit
@@ -214,19 +263,19 @@ class JobStore:
         #: Submissions refused by admission control (process lifetime).
         self.rejected = 0
         self.max_finished = max_finished
-        #: Done runs whose merged records stay pageable; older runs drop
-        #: their record handles first (reports are kept for all retained
-        #: runs — records are the bulky part).
-        self.max_record_runs = max_record_runs
         self._cond = threading.Condition()
         self._jobs: Dict[str, Job] = {}
         self._queue: "queue.Queue[Optional[str]]" = queue.Queue()
         self._ids = itertools.count(1)
         self._closed = False
-        self._journal = journal
+        #: Whether durable lines are fsync'd: only under a journal.
+        self._durable = journal is not None
         self._default_tenant_config = default_tenant_config
+        #: What recovery cut or discarded from the journal, one note per
+        #: damaged log, torn line or duplicate cell.
+        self.anomalies: List[str] = []
         if journal is not None:
-            self._runs_dir = Path(journal.path)
+            self._runs_dir = _journal_dir(journal)
         else:
             # Removed with the store, not at close(): a closed store
             # still answers snapshots and follows.
@@ -252,12 +301,11 @@ class JobStore:
             on_event=self._fleet_event,
         )
         if journal is not None:
-            journal.metrics = self.metrics
             # The worker threads don't exist yet, so recovery cannot
             # race — the lock is held only because _append notifies
             # the condition it guards.
             with self._cond:
-                resumed = self._recover(journal.load_state())
+                resumed = self._recover()
             for job_id in resumed:
                 self._queue.put(job_id)
         self.workers = workers
@@ -275,150 +323,175 @@ class JobStore:
 
     # -- journal recovery -----------------------------------------------------
 
-    def _recover(self, state: JournalState) -> List[str]:
-        """Rebuild jobs from a loaded journal; returns ids to re-enqueue.
+    def _recover(self) -> List[str]:
+        """Rebuild jobs from the journal's event logs; returns the ids
+        to re-enqueue.
 
         Runs before the worker threads exist (constructor-only, store
-        lock held).  It keeps every unfinished run plus the newest
-        ``max_finished`` finished ones and deletes all other runs' files
-        unrestored, so boot work stays inside the retention window.
-        Each kept run continues its surviving event log (see
-        :meth:`_reopen_log`) and appends only what the log lacks, so the
-        log stays the run's one seq ledger across restarts.
-        ``done``/``failed`` runs restore read-only with their journaled
-        report or error; one whose log does not end in its terminal
-        event gets ``recovered`` plus that event.  Anything else —
-        ``interrupted`` by a clean shutdown or simply cut off mid-run by
-        a crash — re-validates its journaled request body and resumes:
-        journaled cell residues whose identity tokens still match the
-        request become ``preloaded`` results the engine folds without
-        re-executing, and each one the log has no ``cell`` line for gets
-        one.  A request that no longer validates (e.g. the registry
-        changed) becomes ``failed``, never a startup crash.
+        lock held).  Each log is restored by :meth:`_restore`, in run
+        number order, and the closing :meth:`_evict` keeps every
+        unfinished run plus the newest ``max_finished`` finished ones,
+        deleting the other logs.
         """
         files = list(self._runs_dir.iterdir())
-        # New ids continue past every run with a file, deleted ones too.
+        # New ids continue past every run with a file, discarded ones too.
         last = max([0, *(run_number(path.stem) for path in files)])
         self._ids = itertools.count(last + 1)
-        finished = [r.run_id for r in state.runs.values() if r.finished]
-        for run_id in finished[: -self.max_finished]:
-            del state.runs[run_id]
-        for path in files:
-            if path.suffix in (".jsonl", ".ndjson") and path.stem not in state.runs:
-                path.unlink()
+        logs = sorted(
+            (path for path in files if path.suffix == ".ndjson"),
+            key=lambda path: (run_number(path.stem), path.stem),
+        )
         resume: List[str] = []
-        for run in state.runs.values():
-            job = Job(
-                id=run.run_id,
-                request=None,
-                summary=dict(run.summary),
-                cells=run.cells_total,
-                cells_done=len(run.cells),
-                recovered=True,
-            )
-            self._jobs[run.run_id] = job
-            logged = self._reopen_log(job)
-            if not logged:
-                self._append(
-                    job, "queued", {"run_id": job.id, "request": job.summary}
-                )
-            if run.finished:
-                if run.status == "done":
-                    job.status = "done"
-                    job.report = run.report
-                    failed_cells = self._report_failed_cells(run.report)
-                    # Restore with the same terminal kind the original
-                    # execution emitted.
-                    terminal = (
-                        ("degraded", {"run_id": job.id, "report": run.report,
-                                      "failed_cells": failed_cells})
-                        if failed_cells else
-                        ("report", {"run_id": job.id, "report": run.report})
-                    )
-                else:
-                    job.status = "failed"
-                    job.error = run.error
-                    terminal = ("error", {"run_id": job.id,
-                                          "message": run.error})
-                last = json.loads(logged[-1])["event"] if logged else None
-                if last != terminal[0]:
-                    self._append(
-                        job, "recovered",
-                        {"run_id": job.id, "cells_journaled": len(run.cells)},
-                    )
-                    self._append(job, *terminal)
-                continue
-            try:
-                if run.payload is None:
-                    raise ValueError("journal has no submission body")
-                request = parse_run_request(
-                    run.payload, self._default_tenant_config
-                )
-            except Exception as exc:  # noqa: BLE001 - recovery must not crash
-                job.status = "failed"
-                job.error = (
-                    f"recovery: journaled request no longer valid: "
-                    f"{type(exc).__name__}: {exc}"
-                )
-                self._journal.record_failed(job.id, job.error)
-                self._append(
-                    job, "error", {"run_id": job.id, "message": job.error}
-                )
-                self.metrics.counter("repro_runs_total", status="failed").inc()
-                continue
-            job.request = request
-            job.summary = dict(request.summary)
-            job.cells = len(request.trace.tenants())
-            identities = {
-                key: request.spec.cell_identity(key, cell_trace)
-                for key, cell_trace in get_shard_policy("tenant").split(
-                    request.trace
-                )
-            }
-            preloaded: List[CellResult] = []
-            for key, (identity, payload) in run.cells.items():
-                if identities.get(key) != identity:
-                    continue  # stale or foreign checkpoint: re-run the cell
-                try:
-                    preloaded.append(CellResult.from_payload(payload))
-                except Exception:  # noqa: BLE001 - a bad residue re-runs
-                    continue
-            job.preloaded = preloaded
-            job.cells_done = len(preloaded)
-            self._append(
-                job, "recovered",
-                {"run_id": job.id, "cells_journaled": len(preloaded)},
-            )
-            logged_cells = {
-                envelope["cell"]
-                for envelope in map(json.loads, logged)
-                if envelope["event"] == "cell"
-            }
-            totals = {"cells_done": 0, "offered": 0,
-                      "completed": 0, "failed": 0}
-            missing = 0
-            for cell in preloaded:
-                body = self._cell_event_body(job.id, cell, resumed=True)
-                self._accumulate(totals, body)
-                if cell.key not in logged_cells:
-                    self._append(job, "cell", body)
-                    missing += 1
-            if missing:
-                self._append(
-                    job, "progress", self._progress_body(job, totals)
-                )
-            resume.append(job.id)
+        for path in logs:
+            job = self._restore(path)
+            if job is not None:
+                self._jobs[job.id] = job
+                if job.status == "queued":
+                    resume.append(job.id)
         self._evict()
         return resume
+
+    def _restore(self, path: Path) -> Optional[Job]:
+        """One run rebuilt from its log, or ``None`` for a log with no
+        ``queued`` line, which is deleted (lock held, recovery only).
+
+        A log holding its ``report``, ``degraded`` or ``error`` line
+        restores read-only with that report or error and appends
+        nothing.  Any other run re-validates its ``queued`` body and
+        resumes: for each cell key, the first ``cell`` line whose
+        identity token still matches the request becomes a
+        ``preloaded`` result the engine folds without re-executing, and
+        the log gains one ``recovered`` line.  A body that no longer
+        validates (e.g. the registry changed) makes the run ``failed``,
+        never a startup crash.
+        """
+        envelopes = self._read_log(path)
+        if not envelopes or envelopes[0]["event"] != "queued":
+            self.anomalies.append(
+                f"{path.name}: no queued line; run discarded"
+            )
+            path.unlink()
+            return None
+        queued = envelopes[0]
+        job = Job(
+            id=path.stem,
+            request=None,
+            summary=queued["request"],
+            cells=queued["cells"],
+            recovered=True,
+            events_logged=len(envelopes),
+            next_seq=envelopes[-1]["seq"] + 1,
+        )
+        cell_lines = [e for e in envelopes if e["event"] == "cell"]
+        terminal = next(
+            (e for e in reversed(envelopes) if e["event"] in _FINISHED), None
+        )
+        if terminal is not None:
+            failed = terminal["event"] == "error"
+            self._finish(job, "failed" if failed else "done")
+            job.report = terminal.get("report")
+            job.error = terminal.get("message")
+            job.cells_done = len({e["cell"] for e in cell_lines})
+            return job
+        try:
+            if "payload" not in queued:
+                raise ValueError("the queued line has no submission body")
+            request = parse_run_request(
+                queued["payload"], self._default_tenant_config
+            )
+        except Exception as exc:  # noqa: BLE001 - recovery must not crash
+            self._finish(job, "failed")
+            job.error = (
+                f"recovery: journaled request no longer valid: "
+                f"{type(exc).__name__}: {exc}"
+            )
+            self._append(
+                job, "error", {"run_id": job.id, "message": job.error}
+            )
+            self.metrics.counter("repro_runs_total", status="failed").inc()
+            return job
+        job.request = request
+        job.summary = dict(request.summary)
+        job.cells = len(request.trace.tenants())
+        identities = {
+            key: request.spec.cell_identity(key, cell_trace)
+            for key, cell_trace in get_shard_policy("tenant").split(
+                request.trace
+            )
+        }
+        preloaded: Dict[str, CellResult] = {}
+        for envelope in cell_lines:
+            key = envelope["cell"]
+            if identities.get(key) != envelope["identity"]:
+                continue  # stale or foreign checkpoint: re-run the cell
+            if key in preloaded:
+                self.anomalies.append(
+                    f"{path.name} seq {envelope['seq']}: duplicate cell "
+                    f"{key!r}; the first one wins"
+                )
+                continue
+            try:
+                preloaded[key] = CellResult.from_payload(envelope["result"])
+            except Exception:  # noqa: BLE001 - a bad residue re-runs
+                continue
+        job.preloaded = list(preloaded.values())
+        job.cells_done = len(preloaded)
+        self._append(
+            job, "recovered",
+            {"run_id": job.id, "cells_journaled": len(preloaded)},
+        )
+        return job
+
+    def _read_log(self, path: Path) -> List[dict]:
+        """The envelopes of a run's log up to its first bad line, where
+        the file is cut (lock held, recovery only).
+
+        A kill can tear the last write short, and damage can garble any
+        line.  The first line that is torn, undecodable, off the event
+        schema or out of seq order ends the log: it and everything after
+        it are truncated away and noted, so the cells they recorded
+        re-run and later appends continue a clean file.
+        """
+        with open(path, "r+b") as log:
+            data = log.read()
+            *lines, tail = data.split(b"\n")
+            envelopes: List[dict] = []
+            end = 0
+            for number, line in enumerate(lines, 1):
+                try:
+                    envelope = validate_event(json.loads(line))
+                except ValueError:  # bad JSON, UTF-8 or schema
+                    envelope = None
+                if envelope is None or (
+                    envelopes and envelope["seq"] <= envelopes[-1]["seq"]
+                ):
+                    self.anomalies.append(
+                        f"{path.name} line {number}: undecodable; the log "
+                        f"is cut there ({len(lines) - number + 1} line(s) "
+                        f"dropped)"
+                    )
+                    break
+                envelopes.append(envelope)
+                end += len(line) + 1
+            else:
+                if tail:
+                    self.anomalies.append(
+                        f"{path.name} line {len(lines) + 1}: torn final "
+                        f"write; cut"
+                    )
+            if end < len(data):
+                log.truncate(end)
+        return envelopes
 
     # -- submission and lookup ------------------------------------------------
 
     def submit(self, request: RunRequest) -> str:
         """Enqueue a validated run; returns the new job id.
 
-        With a journal attached, the submission record is fsync'd
-        before the job becomes runnable — an accepted run survives a
-        crash that lands immediately after the 202.
+        With a journal attached, the ``queued`` line (the body and the
+        cell count) is fsync'd before the job becomes runnable — an
+        accepted run survives a crash that lands immediately after the
+        202.
 
         Admission control runs first, under the same lock that guards
         the state it reads: the queue-depth bound, then the submitting
@@ -473,26 +546,25 @@ class JobStore:
                 cells=len(request.trace.tenants()),
             )
             self._jobs[job_id] = job
-            self._append(job, "queued", {"run_id": job_id,
-                                         "request": request.summary})
+            queued = {"run_id": job_id, "request": request.summary,
+                      "cells": job.cells}
+            if request.payload is not None:
+                queued["payload"] = request.payload
+            self._append(job, "queued", queued)
             self._evict()
-        if self._journal is not None:
-            self._journal.record_submit(
-                job_id, request.payload, request.summary, job.cells
-            )
         self._queue.put(job_id)
         return job_id
 
     def _evict(self) -> None:
         """Drop the oldest terminal jobs beyond ``max_finished``, and
-        the oldest *record handles* beyond ``max_record_runs`` (lock
+        the oldest *record handles* beyond :data:`MAX_RECORD_RUNS` (lock
         held; runs on every submission and terminal transition).
-        An evicted run's event log and journal file are deleted with it,
-        except an ``interrupted`` run's under a journal: the next boot
-        resumes it from both.  Followers mid-stream keep their Job
-        reference and their open log file, which the unlink leaves
-        readable — an evicted job is terminal, so they drain its fixed
-        event log and finish; only new lookups see the 404."""
+        An evicted run's event log is deleted with it, except an
+        ``interrupted`` run's under a journal: the next boot resumes it.
+        Followers mid-stream keep their Job reference and their open
+        log file, which the unlink leaves readable — an evicted job is
+        terminal, so they drain its fixed event log and finish; only new
+        lookups see the 404."""
         terminal = [
             job_id
             for job_id, job in self._jobs.items()
@@ -501,19 +573,18 @@ class JobStore:
         for job_id in terminal[: -self.max_finished]:
             job = self._jobs.pop(job_id)
             self._drop_records(job)
-            if job.status == "interrupted" and self._journal is not None:
+            if job.status == "interrupted" and self._durable:
                 continue
-            for suffix in (".ndjson", ".jsonl"):
-                try:
-                    os.unlink(self._runs_dir / f"{job_id}{suffix}")
-                except OSError:
-                    pass
+            try:
+                os.unlink(self._log_path(job_id))
+            except OSError:
+                pass
         # Records are the bulky part of a done run: keep only the most
         # recent handles pageable, release the rest (their reports stay).
         holding = [
             job for job in self._jobs.values() if job.records is not None
         ]
-        for job in holding[: -self.max_record_runs]:
+        for job in holding[: -MAX_RECORD_RUNS]:
             self._drop_records(job)
 
     @staticmethod
@@ -726,45 +797,37 @@ class JobStore:
         for line in self.follow_lines(job_id, keepalive_s):
             yield None if line is None else json.loads(line)
 
-    def _reopen_log(self, job: Job) -> List[bytes]:
-        """Continue a restored run's surviving event log; returns its
-        complete lines (lock held, recovery only).
-
-        A kill can cut the log's last write short, so a torn tail is
-        truncated away before anything is appended.  The next seq
-        follows the last complete line's — not the line count, since a
-        log can start above seq 0.
-        """
-        try:
-            with open(self._log_path(job.id), "r+b") as log:
-                data = log.read()
-                end = data.rfind(b"\n") + 1
-                log.truncate(end)
-        except FileNotFoundError:
-            return []
-        lines = data[:end].splitlines()
-        if lines:
-            job.events_logged = len(lines)
-            job.next_seq = json.loads(lines[-1])["seq"] + 1
-        return lines
-
     def _append(self, job: Job, kind: str, body: dict) -> None:
         """Append one envelope, at the job's next seq, to the run's
         event log file and wake followers (lock held).
 
         Every envelope is validated against the telemetry schema on the
         way in — the store structurally cannot emit an invalid event.
-        A fresh run's first line truncates the file: a journal directory
-        reused across processes can hold a stale log under the same run
-        id.
+        Under a journal a durable line is fsync'd before
+        :attr:`Job.events_logged` counts it, and the line that creates
+        the file fsyncs the directory too.  A fresh run's first line
+        truncates the file: a journal directory reused across processes
+        can hold a stale log under the same run id.
         """
         envelope = validate_event(
             event_envelope(kind, body, seq=job.next_seq)
         )
         line = (render_event(envelope) + "\n").encode("utf-8")
         mode = "ab" if job.events_logged else "wb"
+        durable = self._durable and kind in _DURABLE
         with open(self._log_path(job.id), mode) as log:
             log.write(line)
+            if durable:
+                log.flush()
+                os.fsync(log.fileno())
+        if durable:
+            if mode == "wb":
+                directory = os.open(self._runs_dir, os.O_RDONLY)
+                try:
+                    os.fsync(directory)
+                finally:
+                    os.close(directory)
+            self.metrics.counter("repro_journal_fsyncs_total").inc()
         job.next_seq += 1
         job.events_logged += 1
         self._cond.notify_all()
@@ -788,9 +851,7 @@ class JobStore:
         }
 
     @staticmethod
-    def _cell_event_body(
-        job_id: str, cell: CellResult, resumed: bool = False
-    ) -> dict:
+    def _cell_event_body(job_id: str, cell: CellResult) -> dict:
         completed = failed = 0
         for record in cell.records:
             if record.completed:
@@ -805,8 +866,6 @@ class JobStore:
             "failed": failed,
             "wall_s": round(cell.wall_s, 6),
         }
-        if resumed:
-            body["resumed"] = True
         latency = cell.latency
         if latency is not None:
             body["latency"] = {
@@ -845,7 +904,7 @@ class JobStore:
             self._append(job, "running", {"run_id": job.id})
 
         # Running totals for the progress / terminal-counter events;
-        # journal-recovered cells already have their cell events on the
+        # journal-recovered cells already have their cell lines on the
         # log, so the resume starts from their sums.  on_cell runs
         # only on this worker thread, so the dict needs no lock.
         totals = {"cells_done": 0, "offered": 0, "completed": 0, "failed": 0}
@@ -853,19 +912,13 @@ class JobStore:
             self._accumulate(totals, self._cell_event_body(job.id, cell))
 
         def on_cell(cell: CellResult) -> None:
-            # Durability before visibility: the residue is fsync'd to
-            # the journal, then the progress events wake subscribers.
+            # The cell line carries the residue a resume folds back.
             # The hook fires only for newly executed cells — journal-
             # recovered ones folded without re-running and are already
-            # journaled.
+            # on the log.
             body = self._cell_event_body(job.id, cell)
-            if self._journal is not None:
-                self._journal.record_cell(
-                    job.id,
-                    cell.key,
-                    request.spec.cell_identity(cell.key),
-                    cell.to_payload(),
-                )
+            body["identity"] = request.spec.cell_identity(cell.key)
+            body["result"] = cell.to_payload()
             self._accumulate(totals, body)
             progress = self._progress_body(job, totals)
             with self._cond:
@@ -923,9 +976,6 @@ class JobStore:
                                            "failed_cells": failed_cells}))
             else:
                 batch.append(("report", {"run_id": job.id, "report": report}))
-            # Durability before visibility, as for each cell.
-            if self._journal is not None:
-                self._journal.record_done(job.id, report)
             with self._cond:
                 if job.status != "running":
                     return  # the shutdown sweep already closed this run
@@ -952,14 +1002,9 @@ class JobStore:
             with self._cond:
                 if job.status != "running":
                     # The shutdown sweep interrupted this run before
-                    # close() killed its cell processes: journal no
+                    # close() killed its cell processes: log no
                     # failure, so the next boot resumes it.
                     return
-                # Durability before visibility; journaling under the
-                # lock keeps the sweep from interrupting the run between
-                # the check and the record.
-                if self._journal is not None:
-                    self._journal.record_failed(job.id, error)
                 self._finish(job, "failed")
                 job.error = error
                 self._append(
@@ -973,7 +1018,7 @@ class JobStore:
 
         The pending cells queue into the :class:`~repro.serve.workers.\
 WorkerRegistry` and its delivered outcomes feed the same fold a local
-        run uses, so the report, the per-cell journal records, and the
+        run uses, so the report, the per-cell log lines, and the
         event stream are byte-identical to ``repro replay`` at the same
         seed.  Journal-recovered cells never re-queue: the fold hands
         the executor only the missing cells.  However the fold ends,
@@ -1015,7 +1060,7 @@ WorkerRegistry` and its delivered outcomes feed the same fold a local
 
     def _interrupt(self, statuses: tuple, only: Optional[Job] = None) -> None:
         """Mark every job in ``statuses`` — or just ``only``, if it is in
-        one — interrupted (event + journal).
+        one — interrupted (one durable ``interrupted`` line).
 
         The terminal event is what lets an attached follower finish:
         without it, a ``GET /v1/runs/<id>/events`` stream on an
@@ -1028,8 +1073,6 @@ WorkerRegistry` and its delivered outcomes feed the same fold a local
                 self._finish(job, "interrupted")
                 self._append(job, "interrupted", {"run_id": job.id})
         for job in swept:
-            if self._journal is not None:
-                self._journal.record_interrupted(job.id)
             self.metrics.counter(
                 "repro_runs_total", status="interrupted"
             ).inc()
@@ -1039,8 +1082,8 @@ WorkerRegistry` and its delivered outcomes feed the same fold a local
 
         A job still ``queued`` at shutdown is marked ``interrupted`` —
         in memory (so ``GET /v1/runs/<id>`` says so instead of leaving
-        it ``queued`` forever) and in the journal (so the next boot on
-        the same journal resumes it).  Running jobs get ``timeout_s``
+        it ``queued`` forever) and on its log (so the next boot on the
+        same journal resumes it).  Running jobs get ``timeout_s``
         to finish; one still running after that is swept ``interrupted``
         too, so every run ends in a terminal event and no follower
         hangs on a run nobody is executing anymore.  Then every job

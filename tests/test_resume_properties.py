@@ -2,8 +2,8 @@
 
 The durability claim behind ``repro serve --journal`` reduces to one
 engine property: resuming from *any* prefix of journaled cell
-completions — the residues round-tripped through JSON exactly as the
-journal stores them — must merge to a report byte-identical to the
+completions — the residues round-tripped through JSON exactly as a
+run's event log stores them — must merge to a report byte-identical to the
 uninterrupted run, on every executor: serial, pool, and remote fleet.
 These tests drive the fold's ``completed_cells`` entry point directly
 (no server, no file), so a failure localizes to the engine rather than
@@ -18,7 +18,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, given, settings, strategies as st  # noqa: E402
 
 from repro.loadgen.trace import InvocationTrace, TraceEvent  # noqa: E402
-from repro.metrics.report import render_json  # noqa: E402
+from repro.metrics.report import render_event, render_json  # noqa: E402
 from repro.parallel import ReplaySpec, TenantProfile, run_parallel_replay  # noqa: E402
 from repro.parallel.engine import CellResult  # noqa: E402
 
@@ -55,8 +55,10 @@ profiles = st.dictionaries(
 
 
 def _journal_round_trip(payload):
-    """What a residue looks like after the journal: JSON text and back."""
-    return CellResult.from_payload(json.loads(json.dumps(payload)))
+    """What a residue looks like after the journal: rendered as a log
+    line's ``result`` field (strict JSON, NaN/inf as null) and back."""
+    line = render_event({"result": payload})
+    return CellResult.from_payload(json.loads(line)["result"])
 
 
 @settings(max_examples=4, deadline=None,

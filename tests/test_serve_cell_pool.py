@@ -22,7 +22,7 @@ import pytest
 
 from repro.metrics.report import render_json
 from repro.parallel import run_parallel_replay
-from repro.serve import RunJournal, parse_run_request
+from repro.serve import parse_run_request
 from repro.serve.jobs import JobStore
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -194,7 +194,7 @@ def test_local_runs_enforce_the_cell_deadline():
 
 def test_terminal_jobs_drop_their_request(tmp_path):
     journal = tmp_path / "journal"
-    store = JobStore(workers=1, journal=RunJournal(str(journal)))
+    store = JobStore(workers=1, journal=journal)
     try:
         done_id, done = _run(store)
         failed_id, failed = _run(store, dict(
@@ -214,7 +214,7 @@ def test_terminal_jobs_drop_their_request(tmp_path):
         assert store.snapshot(run_id)["request"]["app"] == "wc"
     assert store._jobs[queued_id].status == "interrupted"
 
-    restarted = JobStore(workers=1, journal=RunJournal(str(journal)))
+    restarted = JobStore(workers=1, journal=journal)
     try:
         snap = _await_terminal(restarted, queued_id)
         assert snap["status"] == "done" and snap["recovered"] is True

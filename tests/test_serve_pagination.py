@@ -28,6 +28,7 @@ import urllib.request
 
 import pytest
 
+import repro.serve.jobs as jobs_module
 from repro.metrics.report import render_event
 from repro.serve import ServeClient, create_server, parse_run_request
 from repro.serve.jobs import Job, JobStore, RecordsUnavailable, UnknownJob
@@ -283,8 +284,9 @@ def test_records_endpoint_rejects_bad_query(server):
     assert status == 404
 
 
-def test_records_unavailable_before_done_and_after_drop():
-    store = JobStore(workers=1, max_record_runs=1)
+def test_records_unavailable_before_done_and_after_drop(monkeypatch):
+    monkeypatch.setattr(jobs_module, "MAX_RECORD_RUNS", 1)
+    store = JobStore(workers=1)
     try:
         store._jobs["run-999990"] = Job(
             id="run-999990", request=None, status="running"
@@ -307,16 +309,14 @@ def test_records_unavailable_before_done_and_after_drop():
 
 
 def test_journal_restored_runs_answer_409_for_records(tmp_path):
-    from repro.serve.journal import RunJournal
-
     journal = tmp_path / "journal"
-    store = JobStore(workers=1, journal=RunJournal(str(journal)))
+    store = JobStore(workers=1, journal=journal)
     try:
         run_id = store.submit(parse_run_request(RUN_BODY))
         _store_await_done(store, run_id)
     finally:
         store.close()
-    restored = JobStore(workers=1, journal=RunJournal(str(journal)))
+    restored = JobStore(workers=1, journal=journal)
     try:
         assert restored.snapshot(run_id)["status"] == "done"
         with pytest.raises(RecordsUnavailable, match="no longer retains"):

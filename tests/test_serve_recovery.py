@@ -6,8 +6,8 @@ multi-cell run, SIGKILL the process mid-run — gated on the journal
 showing a threshold of completed cells, never on sleeps — then restart
 on the same journal and assert the resumed run finishes with a report
 byte-identical to an uninterrupted control run, with the already-
-completed cells *not* re-executed (each cell key appears exactly once
-in the journal across both incarnations).
+completed cells *not* re-executed (each cell key has exactly one
+``cell`` line in the run's event log across both incarnations).
 """
 
 import json
@@ -25,7 +25,7 @@ import pytest
 
 from repro.metrics.report import render_json
 from repro.metrics.telemetry import validate_event
-from repro.serve import load_journal, parse_run_request
+from repro.serve import parse_run_request
 from repro.serve.jobs import JobStore
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -100,34 +100,30 @@ def _await(predicate, timeout_s, what):
     raise AssertionError(f"timed out after {timeout_s}s waiting for {what}")
 
 
-def _journaled_cells(journal_path, run_id):
-    """Cell keys journaled for one run, in append order, duplicates kept.
-
-    Reads the run's raw journal file rather than :func:`load_journal`
-    so duplicate records (= re-executed cells) stay visible to the
-    assertions.
-    """
-    keys = []
-    run_file = journal_path / f"{run_id}.jsonl"
-    if not run_file.exists():
-        return keys
-    raw = run_file.read_text(errors="replace")
-    lines = raw.split("\n")[:-1]  # drop the (possibly torn) tail
-    for line in lines:
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError:
-            continue
-        if record.get("rec") == "cell":
-            keys.append(record["key"])
-    return keys
-
-
 def _logged_events(journal_path, run_id):
     """The complete lines of one run's event log, decoded; a torn tail
     (the write a kill cut short) is left out."""
     log = journal_path / f"{run_id}.ndjson"
+    if not log.exists():
+        return []
     return [json.loads(line) for line in log.read_text().split("\n")[:-1]]
+
+
+def _journaled_cells(journal_path, run_id):
+    """Cell keys logged for one run, in append order, duplicates kept
+    (a duplicate is a re-executed cell)."""
+    return [
+        event["cell"] for event in _logged_events(journal_path, run_id)
+        if event["event"] == "cell"
+    ]
+
+
+def _finished(journal_path, run_id):
+    """Whether the run's log holds its terminal line."""
+    return any(
+        event["event"] in ("report", "degraded", "error")
+        for event in _logged_events(journal_path, run_id)
+    )
 
 
 def _events(base, run_id):
@@ -172,8 +168,8 @@ def test_sigkill_mid_run_resumes_to_byte_identical_report(tmp_path):
         assert accepted["status"] == "queued"
 
         # Gate on durable progress, not on time: kill only once the
-        # journal proves >= KILL_AFTER_CELLS cells finished, and the
-        # run hasn't finished (the journal has no terminal record).
+        # log proves >= KILL_AFTER_CELLS cells finished, and the run
+        # hasn't finished (the log has no terminal line).
         def enough_progress():
             cells = _journaled_cells(journal_path, run_id)
             return cells if len(cells) >= KILL_AFTER_CELLS else None
@@ -182,8 +178,7 @@ def test_sigkill_mid_run_resumes_to_byte_identical_report(tmp_path):
             enough_progress, 60,
             f"{KILL_AFTER_CELLS} journaled cells",
         )
-        state = load_journal(str(journal_path))
-        assert not state.runs[run_id].finished, (
+        assert not _finished(journal_path, run_id), (
             "run finished before the kill; workload too small for this "
             "machine"
         )
@@ -238,19 +233,22 @@ def test_sigkill_mid_run_resumes_to_byte_identical_report(tmp_path):
             proc.kill()
             proc.wait()
 
-    # -- the journal proves no re-execution -----------------------------------
+    # -- the log proves no re-execution ---------------------------------------
     after = _journaled_cells(journal_path, run_id)
     assert sorted(set(after)) == sorted(f"tenant{i}" for i in range(8))
-    # Exactly one cell record per key across both incarnations: the
-    # checkpointed cells were folded from the journal, not re-executed.
+    # Exactly one cell line per key across both incarnations: the
+    # checkpointed cells were folded from the log, not re-executed.
     assert len(after) == 8, (
         f"cells journaled twice: {sorted(k for k in after if after.count(k) > 1)}"
     )
     assert after[:checkpointed] == before_kill  # append-only survived the kill
 
-    state = load_journal(str(journal_path))
-    assert state.runs[run_id].status == "done"
-    assert render_json(state.runs[run_id].report) == control
+    (terminal,) = [
+        event for event in _logged_events(journal_path, run_id)
+        if event["event"] in ("report", "degraded", "error")
+    ]
+    assert terminal["event"] == "report"
+    assert render_json(terminal["report"]) == control
 
 
 def test_sigkill_mid_degraded_run_resumes_only_unjournaled_cells(tmp_path):
@@ -280,7 +278,7 @@ def test_sigkill_mid_degraded_run_resumes_only_unjournaled_cells(tmp_path):
         before_kill = _await(
             enough_progress, 60, f"{KILL_AFTER_CELLS} journaled cells",
         )
-        assert not load_journal(str(journal_path)).runs[run_id].finished
+        assert not _finished(journal_path, run_id)
         proc.send_signal(signal.SIGKILL)
         proc.wait(timeout=30)
     finally:
@@ -319,9 +317,9 @@ def test_sigkill_mid_degraded_run_resumes_only_unjournaled_cells(tmp_path):
             proc.kill()
             proc.wait()
 
-    # One cell record per *surviving* key across both incarnations: the
-    # checkpointed cells folded from the journal, the poisoned cell
-    # re-ran (and failed again) without ever journaling.
+    # One cell line per *surviving* key across both incarnations: the
+    # checkpointed cells folded from the log, the poisoned cell re-ran
+    # (and failed again) without ever logging one.
     after = _journaled_cells(journal_path, run_id)
     assert sorted(set(after)) == sorted(f"tenant{i}" for i in range(1, 8))
     assert len(after) == 7, (

@@ -33,7 +33,6 @@ from repro.metrics.telemetry import (
 )
 from repro.serve import parse_run_request
 from repro.serve.jobs import JobStore
-from repro.serve.journal import RunJournal
 
 BODY = {
     "app": "wc",
@@ -55,14 +54,18 @@ def _drain(store, run_id):
 #: assertion below makes this table the schema's regression net: a new
 #: kind cannot land without a validated example.
 EXAMPLES = {
-    "queued": {"run_id": "run-000001", "request": {"app": "wc"}},
+    "queued": {
+        "run_id": "run-000001", "request": {"app": "wc"}, "cells": 3,
+        "payload": {"app": "wc", "synth": {"tenants": 3}},
+    },
     "running": {"run_id": "run-000001"},
     "recovered": {"run_id": "run-000001", "cells_journaled": 2},
     "interrupted": {"run_id": "run-000001"},
     "cell": {
         "run_id": "run-000001", "cell": "tenant0", "offered": 4,
         "completed": 4, "failed": 0, "wall_s": 0.25,
-        "resumed": True, "latency": {"mean_s": 0.1},
+        "latency": {"mean_s": 0.1}, "identity": "tenant0@7",
+        "result": {"key": "tenant0", "records": []},
     },
     "progress": {
         "run_id": "run-000001", "cells_done": 1, "cells_total": 3,
@@ -211,7 +214,7 @@ def test_all_event_kinds_emitted_across_run_shapes(tmp_path, monkeypatch):
     # 1. A fresh journaled run: queued/running/cell/progress/counter/
     #    gauge/report.
     journal_path = tmp_path / "journal"
-    store = JobStore(workers=1, journal=RunJournal(str(journal_path)))
+    store = JobStore(workers=1, journal=journal_path)
     try:
         run_id = store.submit(parse_run_request(BODY))
         events = _drain(store, run_id)
@@ -236,31 +239,27 @@ def test_all_event_kinds_emitted_across_run_shapes(tmp_path, monkeypatch):
         store.close()
     seen.update(e["event"] for e in events)
 
-    # 2. Resume from a truncated copy of that journal (submit + all but
-    #    one cell): recovered + resumed cells + a fresh re-executed cell,
-    #    seq strictly increasing across the splice.
-    records = [
-        json.loads(line)
-        for line in (journal_path / f"{run_id}.jsonl").read_text().splitlines()
-    ]
-    kept = [r for r in records if r["rec"] in ("submit", "cell")]
-    kept.pop(max(i for i, r in enumerate(kept) if r["rec"] == "cell"))
+    # 2. Resume from a copy of that log cut just before its last cell
+    #    line: recovered, then the one missing cell re-executed, seq
+    #    strictly increasing across the cut.
+    lines = (journal_path / f"{run_id}.ndjson").read_text().splitlines(True)
+    last_cell = max(
+        i for i, line in enumerate(lines)
+        if json.loads(line)["event"] == "cell"
+    )
     resume_path = tmp_path / "resume"
     resume_path.mkdir()
-    (resume_path / f"{run_id}.jsonl").write_text(
-        "".join(json.dumps(r, separators=(",", ":")) + "\n" for r in kept)
-    )
-    store = JobStore(workers=1, journal=RunJournal(str(resume_path)))
+    (resume_path / f"{run_id}.ndjson").write_text("".join(lines[:last_cell]))
+    store = JobStore(workers=1, journal=resume_path)
     try:
         events = _drain(store, run_id)
         resumed_report = next(
             e for e in events if e["event"] == "report"
         )["report"]
         assert resumed_report == report  # resume is invisible in the report
-        assert any(e["event"] == "cell" and e.get("resumed") for e in events)
-        assert any(
-            e["event"] == "cell" and not e.get("resumed") for e in events
-        )
+        cells = [e["cell"] for e in events if e["event"] == "cell"]
+        assert sorted(cells) == ["tenant0", "tenant1", "tenant2"]
+        assert events[last_cell]["event"] == "recovered"
         counters = {
             e["name"]: e["value"] for e in events if e["event"] == "counter"
         }

@@ -352,8 +352,6 @@ def test_jobstore_remote_run_matches_local_run_byte_for_byte(tmp_path):
     fleet, fold, journal — lands the same bytes as `"workers": 1`,
     with every cell journaled exactly once, including when the worker
     reports a retried failure."""
-    from repro.serve.journal import RunJournal
-
     journal_path = tmp_path / "journal"
     local_store = JobStore(workers=1)
     try:
@@ -375,7 +373,7 @@ def test_jobstore_remote_run_matches_local_run_byte_for_byte(tmp_path):
         # requeues, and attempt 2 succeeds.
         "faults": [{"kind": "poison", "cell": "tenant0", "attempt": 1}],
     }
-    store = JobStore(workers=1, journal=RunJournal(str(journal_path)))
+    store = JobStore(workers=1, journal=journal_path)
     stop = threading.Event()
     thread = threading.Thread(
         target=_drive_store_fleet, args=(store, stop), daemon=True
@@ -394,11 +392,7 @@ def test_jobstore_remote_run_matches_local_run_byte_for_byte(tmp_path):
         store.close()
         thread.join(timeout=30)
 
-    journaled = [
-        json.loads(line)["key"]
-        for line in (journal_path / f"{run_id}.jsonl").read_text().splitlines()
-        if line and json.loads(line).get("rec") == "cell"
-    ]
+    journaled = _journaled_cells(journal_path, run_id)
     assert sorted(journaled) == sorted(set(journaled)), (
         "a cell was journaled more than once"
     )
@@ -408,33 +402,39 @@ def test_jobstore_remote_run_matches_local_run_byte_for_byte(tmp_path):
 def test_fleet_event_during_cell_fsync_keeps_seqs_increasing(
     tmp_path, monkeypatch
 ):
-    """A lease event that lands while a cell's journal fsync runs takes
-    the next seq at once, and the cell's events follow it: the stream
-    stays strictly seq-ordered, the validating client accepts a remote
-    ``--journal`` run, and no cell event is visible before its journal
-    record is durable."""
+    """A lease event that arrives while a cell line is written and
+    fsync'd waits for the store lock and takes the next seq after the
+    cell: the stream stays strictly seq-ordered, the validating client
+    accepts a remote ``--journal`` run, and no line lands between a
+    cell line and its fsync."""
     from repro.serve import ServeClient, create_server
-    from repro.serve.journal import RunJournal
 
     srv = create_server(
         port=0, workers=1, quiet=True,
         journal=str(tmp_path / "journal"),
     )
     store = srv.store
-    real_record_cell = RunJournal.record_cell
+    real_append = JobStore._append
     injected = []
 
-    def record_cell(self, run_id, key, *args, **kwargs):
-        # Before the cell's append: the window a real lease grant can
-        # hit while the fsync runs.
-        store._fleet_event(run_id, "lease", {
-            "run_id": run_id, "cell": key, "worker": "w-injected",
-            "attempt": 1,
-        })
-        injected.append(key)
-        return real_record_cell(self, run_id, key, *args, **kwargs)
+    def append(self, job, kind, body):
+        if kind == "cell":
+            # Another thread's lease grant, mid-append: it blocks on
+            # the store lock this thread holds until the line is
+            # durable.
+            lease = threading.Thread(target=store._fleet_event, args=(
+                job.id, "lease", {
+                    "run_id": job.id, "cell": body["cell"],
+                    "worker": "w-injected", "attempt": 1,
+                },
+            ))
+            lease.start()
+            injected.append(lease)
+            lease.join(timeout=0.05)
+            assert lease.is_alive()
+        real_append(self, job, kind, body)
 
-    monkeypatch.setattr(RunJournal, "record_cell", record_cell)
+    monkeypatch.setattr(JobStore, "_append", append)
     server = threading.Thread(target=srv.serve_forever, daemon=True)
     server.start()
     stop = threading.Event()
@@ -455,15 +455,15 @@ def test_fleet_event_during_cell_fsync_keeps_seqs_increasing(
     assert len(injected) == 6
     seqs = [event["seq"] for event in events]
     assert seqs == sorted(set(seqs)), seqs
-    # Durability before visibility: each cell's event lands behind the
-    # lease event injected during its journal fsync.
+    # The store lock orders appends: each lease injected during a
+    # cell's append lands after that cell's line.
     cell_at = {
         event["cell"]: index
         for index, event in enumerate(events) if event["event"] == "cell"
     }
     for index, event in enumerate(events):
         if event["event"] == "lease" and event["worker"] == "w-injected":
-            assert index < cell_at[event["cell"]], event
+            assert index > cell_at[event["cell"]], event
 
 
 def test_jobstore_remote_run_applies_server_default_tenant_config():
@@ -680,17 +680,19 @@ def _metric_total(base, name):
 
 
 def _journaled_cells(journal_path, run_id):
+    """The cell keys of a run's complete ``cell`` log lines, in order,
+    duplicates kept."""
     keys = []
-    run_file = journal_path / f"{run_id}.jsonl"
+    run_file = journal_path / f"{run_id}.ndjson"
     if not run_file.exists():
         return keys
     for line in run_file.read_text(errors="replace").split("\n")[:-1]:
         try:
-            record = json.loads(line)
+            envelope = json.loads(line)
         except json.JSONDecodeError:
             continue
-        if record.get("rec") == "cell":
-            keys.append(record["key"])
+        if envelope.get("event") == "cell":
+            keys.append(envelope["cell"])
     return keys
 
 

@@ -159,17 +159,18 @@ def run_kill_worker_mode(args) -> int:
         run_id = request(f"{base}/v1/runs", body)["id"]
 
         def journaled_cells():
-            run_file = journal_path / f"{run_id}.jsonl"
+            # The cell lines of the run's event log, its one file.
+            run_file = journal_path / f"{run_id}.ndjson"
             if not run_file.exists():
                 return []
             keys = []
             for line in run_file.read_text(errors="replace").split("\n")[:-1]:
                 try:
-                    record = json.loads(line)
+                    envelope = json.loads(line)
                 except json.JSONDecodeError:
                     continue
-                if record.get("rec") == "cell":
-                    keys.append(record["key"])
+                if envelope.get("event") == "cell":
+                    keys.append(envelope["cell"])
             return keys
 
         poll(lambda: journaled_cells() or None, 60, "first journaled cell")
