@@ -17,6 +17,8 @@ from pathlib import Path
 import pytest
 
 from repro.experiments.common import system_names
+from repro.loadgen.trace import run_trace
+from repro.parallel.policy import get_shard_policy
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
@@ -46,6 +48,7 @@ def test_every_registered_system_has_a_fixture():
 
 def test_no_orphaned_fixtures():
     expected = {regen_golden.golden_path(name).name for name in system_names()}
+    expected.add(regen_golden.timer_path().name)
     expected |= {
         regen_golden.golden_run_path(*case).name
         for case in regen_golden.run_cases()
@@ -71,6 +74,46 @@ def test_golden_fixture_schema(system_name):
     assert set(report["tenants"]) == {"acme", "globex"}
     assert report["replay"]["policy"] == "tenant"
     assert report["replay"]["cells"] == 2
+
+
+def test_timer_report_matches_golden():
+    path = regen_golden.timer_path()
+    assert path.read_text() == regen_golden.timer_report(), (
+        f"{path.name}: {REGEN_HINT}"
+    )
+
+
+def test_timer_fixture_exercises_every_timer():
+    """The timer-path scenario must keep its timers firing: sink entries
+    spill at their TTL, idle containers are reaped at their keep-alive,
+    and requests time out.  A fixture where none fire pins nothing."""
+    spec = regen_golden.timer_spec()
+    spills = recycles = timeouts = 0
+    for key, cell_trace in get_shard_policy("tenant").split(
+        regen_golden.timer_trace()
+    ):
+        resolved = spec.resolve(key, cell_trace)
+        setup = spec.build_setup(cell_trace, key, resolved=resolved)
+        result = run_trace(
+            setup.system, cell_trace, default_app=spec.default_app,
+            timeout_s=resolved.timeout_s,
+        )
+        spills += sum(
+            engine.sink.spills for engine in setup.system.engines.values()
+        )
+        recycles += sum(
+            pool.recycle_count
+            for node in setup.system.cluster.workers
+            for pool in node.pools
+        )
+        timeouts += sum(r.error == "timeout" for r in result.records)
+    assert spills > 0
+    assert recycles > 0
+    assert timeouts > 0
+    report = json.loads(regen_golden.timer_path().read_text())
+    assert report["system"] == "dataflower"
+    assert report["offered"] == len(regen_golden.timer_trace())
+    assert 0 < report["completed"] < report["offered"]
 
 
 RUN_CASES = pytest.mark.parametrize(

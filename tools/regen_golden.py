@@ -6,6 +6,10 @@ merged JSON report of a small fixed trace (one app, two tenants)
 replayed through the replay engine's serial fold.  ``repro run --format
 json`` gets fixtures too, for the systems in :data:`RUN_SYSTEMS` under
 each of :data:`RUN_SCENARIOS` (open loop, closed loop, trace arrivals).
+One more DataFlower replay, the *timer-path* fixture, runs under
+``examples/timer_paths.json``: its keep-alive, sink TTL and request
+timeout are short enough that containers recycle, sink entries spill and
+requests time out, so the simulator's timer paths are pinned too.
 The comparator in ``tests/test_golden_reports.py`` re-runs the same
 scenarios on every test run and diffs byte-for-byte, so any drift in the
 simulator, the metrics layer, or the report serialization is caught
@@ -36,6 +40,7 @@ from repro.experiments.common import system_names  # noqa: E402
 from repro.loadgen.trace import InvocationTrace  # noqa: E402
 from repro.metrics.report import render_json  # noqa: E402
 from repro.parallel import ReplaySpec, run_parallel_replay  # noqa: E402
+from repro.parallel.profiles import TenantConfig  # noqa: E402
 
 GOLDEN_DIR = ROOT / "tests" / "golden"
 GOLDEN_APP = "wc"
@@ -68,6 +73,40 @@ def golden_report(system_name: str) -> str:
 
 def golden_path(system_name: str) -> Path:
     return GOLDEN_DIR / f"replay_{system_name}__{GOLDEN_APP}.json"
+
+
+#: The tenant config that makes every timer fire: a 2 s keep-alive, a
+#: 0.3 s sink TTL with proactive release off, and a 0.6 s request timeout.
+TIMER_CONFIG = ROOT / "examples" / "timer_paths.json"
+
+
+def timer_trace() -> InvocationTrace:
+    """Four bursts of ten ``wc`` requests 0.5 s apart, starting 8 s
+    apart (so containers idle past the keep-alive between bursts), the
+    two tenants alternating."""
+    rows = ["at_s,tenant,app,input_bytes,fanout,seed"]
+    for index in range(40):
+        burst, offset = divmod(index, 10)
+        at_s = burst * 8.0 + offset * 0.5
+        tenant = ("acme", "globex")[index % 2]
+        rows.append(f"{at_s},{tenant},{GOLDEN_APP},,,{index}")
+    return InvocationTrace.from_csv("\n".join(rows) + "\n", name="timers")
+
+
+def timer_spec() -> ReplaySpec:
+    return ReplaySpec(
+        system_name="dataflower", default_app=GOLDEN_APP, seed=GOLDEN_SEED
+    ).with_tenant_config(TenantConfig.load(TIMER_CONFIG))
+
+
+def timer_report() -> str:
+    """The timer-path replay's serialized report (trailing newline)."""
+    result = run_parallel_replay(timer_trace(), timer_spec(), workers=1)
+    return render_json(result.to_dict()) + "\n"
+
+
+def timer_path() -> Path:
+    return GOLDEN_DIR / f"replay_dataflower__{GOLDEN_APP}__timers.json"
 
 
 #: Systems whose ``repro run`` reports are pinned: DataFlower and the
@@ -125,6 +164,9 @@ def main(argv=None) -> int:
         path = golden_path(system_name)
         path.write_text(golden_report(system_name))
         print(f"[wrote {path.relative_to(ROOT)}]")
+    path = timer_path()
+    path.write_text(timer_report())
+    print(f"[wrote {path.relative_to(ROOT)}]")
     for case in run_cases():
         path = golden_run_path(*case)
         path.write_text(golden_run_report(*case))
