@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Callable, List, Optional
 
+from ..sim.deadlines import Deadlines
 from .network import SharedLink
 from .node import Node
 from .spec import ContainerSpec
@@ -64,6 +65,8 @@ class Container:
         self.dlu = None
         self._interval_seq = 0
         self.idle_since = env.now
+        #: The pool's keep-alive timer while the container sits idle.
+        self.keep_alive = None
 
     # -- resource shape ---------------------------------------------------------
 
@@ -150,6 +153,9 @@ class ContainerPool:
         self.env_setup_s = env_setup_s
         self.keep_alive_s = keep_alive_s
         self.recycle_guard = recycle_guard or (lambda _c: True)
+        #: One keep-alive timer per idle container, armed at idle and
+        #: cancelled at checkout or recycle.
+        self._keep_alive = Deadlines(env, keep_alive_s)
         self.containers: List[Container] = []
         self.cold_starts = 0
         self.recycle_count = 0
@@ -198,6 +204,7 @@ class ContainerPool:
         if container.state != IDLE:
             raise RuntimeError(f"{container.container_id} is not idle")
         container.mark_busy()
+        self._keep_alive.cancel(container.keep_alive)
         return container
 
     def checkin(self, container: Container) -> None:
@@ -211,26 +218,25 @@ class ContainerPool:
     def _arm_keep_alive(self, container: Container) -> None:
         if self.keep_alive_s == float("inf"):
             return
-        idle_stamp = container.idle_since
+        container.keep_alive = self._keep_alive.defer(
+            lambda: self._reap(container)
+        )
 
-        def reap() -> None:
-            still_idle = (
-                container.state == IDLE and container.idle_since == idle_stamp
-            )
-            if still_idle:
-                if self.recycle_guard(container):
-                    self.recycle(container)
-                else:
-                    # Consistency-aware keep-alive: data still draining from
-                    # the DLU; check again after another keep-alive period.
-                    self._arm_keep_alive(container)
-
-        self.env.defer(self.keep_alive_s, reap)
+    def _reap(self, container: Container) -> None:
+        # The timer is live, so the container has stayed idle since it
+        # was armed.
+        if self.recycle_guard(container):
+            self.recycle(container)
+        else:
+            # Consistency-aware keep-alive: data still draining from the
+            # DLU; check again after another keep-alive period.
+            self._arm_keep_alive(container)
 
     def recycle(self, container: Container) -> None:
         if container.state == RECYCLED:
             return
         container.state = RECYCLED
+        self._keep_alive.cancel(container.keep_alive)
         container.recycled_at = self.env.now
         container.intervals.end_all()
         self.recycle_count += 1

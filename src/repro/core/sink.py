@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
 from ..cluster.node import Node
+from ..sim.deadlines import Deadlines, Handle
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..cluster.cluster import Cluster
@@ -44,7 +45,9 @@ class SinkEntry:
     state: EntryState = EntryState.IN_MEMORY
     deposited_at: float = 0.0
     fetched: bool = False
-    generation: int = 0  # bumps on fetch/release to invalidate TTL timers
+    #: The passive-expire timer, cancelled when a fetch starts or the
+    #: entry is freed.
+    ttl: Optional[Handle] = None
 
 
 class WaitMatchMemory:
@@ -64,9 +67,9 @@ class WaitMatchMemory:
         self.env = env
         self.node = node
         self.cluster = cluster
-        self.ttl_s = ttl_s
         self.proactive_release = proactive_release
         self.passive_expire = passive_expire
+        self._ttl = Deadlines(env, ttl_s)
         #: Multi-level index: request -> task -> dataname -> entry.
         self._index: Dict[str, Dict[str, Dict[str, SinkEntry]]] = {}
         self.deposits = 0
@@ -149,7 +152,7 @@ class WaitMatchMemory:
             if entry is None:
                 done.fail(KeyError(f"sink {self.node.name}: no entry for {key!r}"))
                 return
-            entry.generation += 1
+            self._ttl.cancel(entry.ttl)
 
             def copy(_event: Optional["Event"] = None) -> None:
                 if abandoned():
@@ -201,28 +204,21 @@ class WaitMatchMemory:
         if entry.state is EntryState.IN_MEMORY:
             self.node.cache_usage.add(-entry.nbytes)
         entry.state = EntryState.RELEASED
-        entry.generation += 1
+        self._ttl.cancel(entry.ttl)
         self.releases += 1
         self._remove(entry.key)
 
     def _arm_ttl(self, entry: SinkEntry) -> None:
-        generation = entry.generation
+        entry.ttl = self._ttl.defer(lambda: self._expire(entry))
 
-        def expire() -> None:
-            stale = (
-                entry.state is EntryState.IN_MEMORY
-                and entry.generation == generation
-                and not entry.fetched
-            )
-            if stale:
-                # Passive expire: keep freshness in memory, persist the
-                # datum to the function-exclusive disk.
-                entry.state = EntryState.SPILLED
-                self.node.cache_usage.add(-entry.nbytes)
-                self.spills += 1
-                self.node.disk.write(entry.nbytes, label="sink-spill")
-
-        self.env.defer(self.ttl_s, expire)
+    def _expire(self, entry: SinkEntry) -> None:
+        # The timer is live, so the entry is in memory and no fetch has
+        # started: passive expire keeps freshness in memory and persists
+        # the datum to the function-exclusive disk.
+        entry.state = EntryState.SPILLED
+        self.node.cache_usage.add(-entry.nbytes)
+        self.spills += 1
+        self.node.disk.write(entry.nbytes, label="sink-spill")
 
     # -- introspection ------------------------------------------------------------
 

@@ -22,6 +22,7 @@ from ..cluster.cluster import Cluster, ClusterConfig
 from ..loadgen.arrivals import arrival_times, constant
 from ..loadgen.runner import _guarded_submit, _produce
 from ..metrics.stats import mean
+from ..sim.deadlines import Deadlines
 from ..sim.environment import Environment
 from ..systems.placement import offset_round_robin
 from ..workflow.instance import RequestSpec
@@ -55,6 +56,7 @@ def _co_run(system_name: str, multiplier: float, duration: float):
 
     records_by_app: Dict[str, list] = {name: [] for name in APP_ORDER}
     guards = []
+    timeouts = Deadlines(env, TIMEOUT_S)
 
     def generate(app_name: str, workflow_name: str):
         app = get_app(app_name)
@@ -69,7 +71,7 @@ def _co_run(system_name: str, multiplier: float, duration: float):
                 fanout=app.default_fanout,
             )
             record, guard = _guarded_submit(
-                system, workflow_name, request, TIMEOUT_S
+                system, workflow_name, request, timeouts
             )
             records_by_app[app_name].append(record)
             guards.append(guard)

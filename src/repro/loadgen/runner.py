@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence
 
 from ..metrics.latency import LatencySummary, RequestRecord
+from ..sim.deadlines import Deadlines
 from ..sim.environment import Environment
 from ..sim.events import Event
 from ..metrics.report import RecordAggregate
@@ -103,20 +104,25 @@ def default_request_factory(
     return factory
 
 
-def _guarded_submit(system, workflow_name, request, timeout_s):
-    """Submit and cap the wait; returns (record, guard), where ``guard``
-    fires with the record once the request finished or timed out."""
+def _guarded_submit(system, workflow_name, request, timeouts: Deadlines):
+    """Submit and cap the wait at ``timeouts.delay``, the run's request
+    timeout; returns (record, guard), where ``guard`` fires with the
+    record once the request finished or timed out.  Completion cancels
+    the request's timer, so a run's finished requests leave none behind.
+    """
     env = system.env
     done = system.submit(workflow_name, request)
     record = system.records[-1]
     guard = env.event()
     first: List[Optional[Event]] = []
+    timer: List[list] = []
 
     def settle(event: Optional[Event] = None) -> None:
         # The first of completion (``done``) and timeout (no event),
         # relayed one slot on.
         if not first:
             first.append(event)
+            timeouts.cancel(timer[0])
             env.call_later(0.0, resolve)
 
     def resolve() -> None:
@@ -127,7 +133,7 @@ def _guarded_submit(system, workflow_name, request, timeout_s):
         guard.succeed(record)
 
     def start() -> None:
-        env.call_later(timeout_s, settle)
+        timer.append(timeouts.arm(settle))
         done.callbacks.append(settle)
 
     env.call_soon(start)
@@ -173,10 +179,11 @@ def run_open_loop(
     duration = total_duration(schedule)
     run_records: List[RequestRecord] = []
     guards = []
+    timeouts = Deadlines(env, timeout_s)
 
     def arrive(index: int) -> None:
         record, guard = _guarded_submit(
-            system, workflow_name, request_factory(index), timeout_s
+            system, workflow_name, request_factory(index), timeouts
         )
         run_records.append(record)
         guards.append(guard)
@@ -222,6 +229,7 @@ def run_closed_loop(
     if ramp_s is None:
         ramp_s = duration_s / 4.0
     stagger = ramp_s / clients
+    timeouts = Deadlines(env, timeout_s)
 
     def client(client_id: int) -> Event:
         finished = env.event()
@@ -233,7 +241,7 @@ def run_closed_loop(
             index = counter[0]
             counter[0] += 1
             record, guard = _guarded_submit(
-                system, workflow_name, request_factory(index), timeout_s
+                system, workflow_name, request_factory(index), timeouts
             )
             run_records.append(record)
             guard.callbacks.append(submit)

@@ -29,6 +29,7 @@ from typing import Dict, List, Optional, Sequence, Union
 from ..metrics.latency import LatencySummary, RequestRecord
 from ..metrics.report import RecordAggregate
 from ..metrics.usage import collect_usage
+from ..sim.deadlines import Deadlines
 from ..systems.base import WorkflowSystem
 from ..workflow.dsl import parse_size
 from ..workflow.instance import RequestSpec
@@ -352,6 +353,7 @@ def run_trace(
     run_records: List[RequestRecord] = []
     tenant_of: Dict[str, str] = {}
     guards = []
+    timeouts = Deadlines(env, timeout_s)
 
     def arrive(index: int) -> None:
         event = trace.events[index]
@@ -369,7 +371,7 @@ def run_trace(
             seed=event.seed,
         )
         record, guard = _guarded_submit(
-            system, spec.workflow_name, request, timeout_s
+            system, spec.workflow_name, request, timeouts
         )
         run_records.append(record)
         tenant_of[record.request_id] = event.tenant

@@ -3,8 +3,10 @@
 Public surface: an :class:`Environment` with a clock and two queues,
 one-shot :class:`Event`\\ s and their :class:`AllOf` join, a one-holder
 :class:`Resource`, a :class:`Fifo` that hands items to a parked consumer,
-and seeded RNG streams.  Simulation logic is chains of zero-argument
-callbacks, each in the queue slot a generator process would take::
+:class:`Deadlines` for timers that are all due a fixed delay after they
+are armed, and seeded RNG streams.  Simulation logic is chains of
+zero-argument callbacks, each in the queue slot a generator process
+would take::
 
     env = Environment()
     fired = []
@@ -17,6 +19,7 @@ callbacks, each in the queue slot a generator process would take::
 slots are defined by; nothing in the simulator's own code starts one.
 """
 
+from .deadlines import Deadlines
 from .environment import EmptySchedule, Environment
 from .events import AllOf, Event
 from .process import Process
@@ -25,6 +28,7 @@ from .rng import RngRegistry
 
 __all__ = [
     "AllOf",
+    "Deadlines",
     "EmptySchedule",
     "Environment",
     "Event",

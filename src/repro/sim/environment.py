@@ -36,7 +36,11 @@ process would take: ``call_soon`` takes a process kick-off's urgent slot,
 and :meth:`~Environment.call_at` pushes a callback at a reserved slot
 later.  A timer that is re-armed often (a network flow re-rated on every
 arrival and departure on its links) keeps one live heap entry that moves
-to its latest slot, instead of leaving a dead entry per re-arm.
+to its latest slot, instead of leaving a dead entry per re-arm.  Timers
+that are all due a fixed delay after they are armed (keep-alive, sink
+TTL, request timeout) go further: a :class:`~repro.sim.deadlines.Deadlines`
+reserves each one's slot and keeps only the earliest live one on the
+heap, so a cancelled timer never reaches it.
 """
 
 from __future__ import annotations

@@ -37,17 +37,29 @@ request) on ``dataflower`` and events from 14453 to 14117 (294.10), the
 FLU processes' completion events; ``production`` runs no FLU and did not
 change.
 
-``PINNED`` holds the counts once every process left under ``src/`` became
-a callback chain in the same queue slots: processes fell to 0 on both
-traces; on ``production`` events fell from 9332 to 8948 (279.63 per
-request), the completion events of the trigger, run and request-guard
-processes nothing waited on; on ``dataflower`` (dispatcher loop, DLU
-drain, guards and producer) events stayed at 14117.  Share calls did not
-change.  Queue entries that carry a bare callback instead of an event
-left every count where it was.  To re-pin after a change that moves a
-count, run ``python -m pytest -s tests/test_kernel_counts.py``: the
-first test prints the measured totals; copy them into ``PINNED`` and
-write the reason for each moved pin in CHANGES.md.
+Once every process left under ``src/`` became a callback chain in the
+same queue slots, processes fell to 0 on both traces; on ``production``
+events fell from 9332 to 8948 (279.63 per request), the completion
+events of the trigger, run and request-guard processes nothing waited
+on; on ``dataflower`` (dispatcher loop, DLU drain, guards and producer)
+events stayed at 14117.  Share calls did not change.  Queue entries
+that carry a bare callback instead of an event left every count where
+it was.
+
+``PINNED`` holds the counts once keep-alive, sink-TTL and request-timeout
+timers shared one heap entry per owner (``repro.sim.Deadlines``): each
+arm still reserves its slot (keep-alive and TTL in the same urgent hop
+as before), but pushes a heap entry only when its owner has none.  On
+``dataflower`` 963 arms (48 timeouts, 504 TTLs, 411 keep-alives) made
+30 pushes, so events fell from 14117 to 13184 (274.67 per request); on
+``production`` 355 arms (32 timeouts, 323 keep-alives) made 8 pushes,
+and events fell from 8948 to 8601 (268.78).  Share calls did not
+change.
+
+To re-pin after a change that moves a count, run
+``python -m pytest -s tests/test_kernel_counts.py``: the first test
+prints the measured totals; copy them into ``PINNED`` and write the
+reason for each moved pin in CHANGES.md.
 """
 
 from __future__ import annotations
@@ -66,8 +78,8 @@ APPS = ("wc", "etl", "ml_ensemble", "vid")
 #: Totals over the replay of each trace at seed 7 (divide by the trace's
 #: request count for per-request values).
 PINNED = {
-    "dataflower": {"processes": 0, "events": 14117, "share_calls": 2458},
-    "production": {"processes": 0, "events": 8948, "share_calls": 3034},
+    "dataflower": {"processes": 0, "events": 13184, "share_calls": 2458},
+    "production": {"processes": 0, "events": 8601, "share_calls": 3034},
 }
 
 

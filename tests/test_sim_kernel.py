@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sim import (
+    Deadlines,
     EmptySchedule,
     Environment,
     Event,
@@ -350,7 +351,18 @@ _OPS = st.one_of(
     st.tuples(st.just("queue"), st.one_of(st.none(), _DELAYS), _DELAYS),
     st.tuples(st.just("hold"), st.one_of(st.none(), _DELAYS), _DELAYS),
     st.tuples(st.just("zero")),
+    # Timer ``k`` armed at once or after a wait, in ``call_later``'s slot
+    # or ``defer``'s (``True``), re-arming itself from its own callback
+    # up to twice; arming a timer again cancels its live arm.
+    st.tuples(
+        st.just("arm"), st.integers(0, 2), st.one_of(st.none(), _DELAYS),
+        st.booleans(), st.integers(0, 2),
+    ),
+    st.tuples(st.just("cancel"), st.integers(0, 2),
+              st.one_of(st.none(), _DELAYS)),
 )
+#: Each timer's fixed delay: timers 1 and 2 share one :class:`Deadlines`.
+_TIMER_DELAYS = (0.5, 1.0, 1.0)
 _CONTROLS = st.one_of(
     st.tuples(st.just("run_until"), st.sampled_from([0.0, 0.5, 1.0, 3.0])),
     st.tuples(st.just("step"), st.integers(min_value=1, max_value=4)),
@@ -462,8 +474,8 @@ def _run_program(program, form, env_class=Environment):
     """Run ``program`` and log what happened when.
 
     Every "wait d, then act" is written in ``form``: an ``env.process``
-    (``"process"``), ``call_soon`` -> ``call_later`` (``"callbacks"``),
-    or ``env.defer`` (``"defer"``).  The zero-delay timeouts and the
+    (``"process"``), ``call_soon`` -> ``call_later`` (``"callbacks"``
+    and ``"deadlines"``), or ``env.defer`` (``"defer"``).  The zero-delay timeouts and the
     driver calls (``run(until=...)``, ``step()``, ``peek()``) are the
     same in every form.
     The driver runs between batches of ops issued from outside the run
@@ -495,15 +507,26 @@ def _run_program(program, form, env_class=Environment):
     entries that change no clock and log nothing, so the driver steps
     until the log grows rather than a fixed number of events, and peeks
     only right after issuing ops.
+
+    An "arm" arms a timer ``k`` that logs when it fires; arming it again
+    or a "cancel" kills its live arm.  In the ``"deadlines"`` form one
+    :class:`~repro.sim.Deadlines` per delay holds the timers.  Every
+    other form is the oracle: each arm is a "wait d, then act" (or a
+    plain ``call_later`` for an arm in ``call_later``'s slot) whose act
+    does nothing unless the timer's stamp is still the one it was armed
+    with, and arming again or cancelling bumps the stamp.
     """
     env = env_class()
     log = []
     tags = itertools.count()
     queue = []  # the shared queue, made at the first "queue" op
     slot = []  # the shared slot, made at the first "hold" op
+    stamps = [0] * len(_TIMER_DELAYS)  # the oracle's staleness stamps
+    handles = [None] * len(_TIMER_DELAYS)  # the helper's live arms
+    helpers = {}  # delay -> Deadlines
 
     def wait_then(delay, act):
-        if form == "callbacks":
+        if form in ("callbacks", "deadlines"):
             env.call_soon(lambda: env.call_later(delay, act))
         elif form == "defer":
             env.defer(delay, act)
@@ -568,10 +591,55 @@ def _run_program(program, form, env_class=Environment):
                 hold(slot[0], tag, op[2])
             else:
                 wait_then(op[1], lambda: hold(slot[0], tag, op[2]))
+        elif kind == "arm":
+            _, k, when, hop, repeats = op
+            if when is None:
+                arm(tag, k, hop, repeats)
+            else:
+                wait_then(when, lambda: arm(tag, k, hop, repeats))
+        elif kind == "cancel":
+            if op[2] is None:
+                cancel(op[1])
+            else:
+                wait_then(op[2], lambda: cancel(op[1]))
         else:
             env.timeout(0).callbacks.append(
                 lambda _e: log.append((tag, "zero", env.now))
             )
+
+    def arm(tag, k, hop, repeats):
+        delay = _TIMER_DELAYS[k]
+
+        def fired():
+            log.append((tag, "fired", k, env.now))
+            if repeats:
+                arm(tag, k, hop, repeats - 1)
+
+        if form == "deadlines":
+            if delay not in helpers:
+                helpers[delay] = Deadlines(env, delay)
+            timers = helpers[delay]
+            timers.cancel(handles[k])
+            handles[k] = (timers.defer if hop else timers.arm)(fired)
+            return
+        stamps[k] += 1
+        stamp = stamps[k]
+
+        def expire():
+            if stamps[k] == stamp:
+                fired()
+
+        if hop:
+            wait_then(delay, expire)
+        else:
+            env.call_later(delay, expire)
+
+    def cancel(k):
+        if form == "deadlines":
+            if handles[k] is not None:
+                helpers[_TIMER_DELAYS[k]].cancel(handles[k])
+        else:
+            stamps[k] += 1
 
     def hold(resource, tag, delay):
         def granted():
@@ -656,6 +724,23 @@ def test_property_callbacks_match_processes(program):
     expected = _run_program(program, "process")
     assert _run_program(program, "callbacks") == expected
     assert _run_program(program, "defer") == expected
+    assert _live_slots(_run_program(program, "deadlines")) == _live_slots(
+        expected
+    )
+
+
+def _live_slots(log):
+    """What a dead timer's heap entry cannot move: the log up to the
+    first drained schedule, without peeks and the final clock.
+
+    The oracle's dead timers stay queued and move the clock when they
+    pop, so a peek, the clock after ``run()`` or after a drained ``step``
+    (and every op issued after that) may differ.  Every callback that
+    logs runs in the same order at the same time.
+    """
+    if "empty" in log:
+        log = log[:log.index("empty")]
+    return [entry for entry in log if entry[0] not in ("peek", "end")]
 
 
 @settings(max_examples=150, deadline=None)

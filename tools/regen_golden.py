@@ -78,19 +78,14 @@ def golden_path(system_name: str) -> Path:
 #: The tenant config that makes every timer fire: a 2 s keep-alive, a
 #: 0.3 s sink TTL with proactive release off, and a 0.6 s request timeout.
 TIMER_CONFIG = ROOT / "examples" / "timer_paths.json"
+TIMER_TRACE = ROOT / "examples" / "traces" / "timer_paths.csv"
 
 
 def timer_trace() -> InvocationTrace:
     """Four bursts of ten ``wc`` requests 0.5 s apart, starting 8 s
     apart (so containers idle past the keep-alive between bursts), the
     two tenants alternating."""
-    rows = ["at_s,tenant,app,input_bytes,fanout,seed"]
-    for index in range(40):
-        burst, offset = divmod(index, 10)
-        at_s = burst * 8.0 + offset * 0.5
-        tenant = ("acme", "globex")[index % 2]
-        rows.append(f"{at_s},{tenant},{GOLDEN_APP},,,{index}")
-    return InvocationTrace.from_csv("\n".join(rows) + "\n", name="timers")
+    return InvocationTrace.load(TIMER_TRACE)
 
 
 def timer_spec() -> ReplaySpec:
